@@ -143,11 +143,7 @@ def cmd_kron(args) -> int:
     result = kron_reduce_nodes(y, eliminate)
     fileio.save_matrix(args.out, result.reduced)
     recovery_out = args.recovery_out or _sidecar_path(args.out)
-    doc = fileio.recovery_to_dict(
-        result.eliminated_order, result.reduced.node_order, result.recovery
-    )
-    with open(recovery_out, "w", encoding="utf-8") as fh:
-        fh.write(fileio.emit_json(doc))
+    fileio.save_recovery(recovery_out, result)
     print(
         f"eliminated {len(result.eliminated_order)} nodes, kept {result.reduced.size}; "
         f"wrote {args.out} and {recovery_out}"
@@ -176,17 +172,7 @@ def cmd_hybrid(args) -> int:
         raise UsageError("give --partition or at least two --class flags")
     view = block_view(y, part)
     hy = hybrid_parameters(view, args.solve_class)
-
-    doc = {
-        "n": int(hy.h.shape[0]),
-        "solved_class": hy.solved_class,
-        "node_order": [int(v) for v in hy.node_order],
-        "class_sizes": [len(c) for c in part.classes],
-        "entries": [[float(z.real), float(z.imag)] for z in hy.h.ravel()],
-        "roles": {f"{q},{k}": role for (q, k), role in sorted(hy.block_roles.items())},
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(fileio.emit_json(doc))
+    fileio.save_hybrid(args.out, hy)
     print(
         f"solved class {hy.solved_class} of {part.class_count}; "
         f"wrote hybrid parameters to {args.out}"

@@ -4,14 +4,18 @@ All numbers are emitted with Python's shortest round-trip float
 representation, so ``parse(emit(x)) == x`` holds bit-exactly and output
 is byte-for-byte reproducible.  Complex values are stored as two-element
 ``[re, im]`` arrays; JSON's decimal point is always ``.`` regardless of
-locale.
+locale.  Every number read must be finite: ``NaN``, ``Infinity`` and
+literals that overflow binary64 are rejected with :class:`FileFormatError`.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io as _io
 import json
+import math
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -19,9 +23,18 @@ from .errors import FileFormatError
 from .network_model import Branch, Network, Shunt
 from .ybus import AdmittanceMatrix
 
+#: Exact element types of a parsed ``[re, im]`` pair (``bool`` is not an ``int`` here).
+_REAL_TYPES = frozenset((int, float))
+
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
+
+
+def _pairs(m) -> list[list[float]]:
+    """Row-major ``[re, im]`` pairs of a complex array, as :func:`_pair` makes them."""
+    flat = np.ascontiguousarray(m, dtype=np.complex128).reshape(-1).view(np.float64)
+    return flat.reshape(-1, 2).tolist()
 
 
 def _unpair(v, what: str) -> complex:
@@ -31,7 +44,49 @@ def _unpair(v, what: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
     ):
         raise FileFormatError(f"{what} must be a two-element [re, im] array, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    try:
+        z = complex(float(v[0]), float(v[1]))
+    except OverflowError:  # an integer literal beyond the binary64 range
+        z = complex("inf")
+    if not cmath.isfinite(z):
+        raise FileFormatError(f"{what} must hold finite numbers, got {v!r}")
+    return z
+
+
+def _flat_pairs(entries, types) -> list | None:
+    """The elements of a list of two-element lists, flattened, or None.
+
+    None unless ``entries`` is a list, every entry is a list of length 2 and
+    every element's type is exactly one of ``types``.
+    """
+    if (
+        type(entries) is not list
+        or not set(map(type, entries)) <= {list}
+        or not set(map(len, entries)) <= {2}
+    ):
+        return None
+    flat = list(chain.from_iterable(entries))
+    return flat if set(map(type, flat)) <= types else None
+
+
+def _complex_entries(entries: list) -> np.ndarray:
+    """A list of ``[re, im]`` pairs as a complex vector, checked as :func:`_unpair` checks.
+
+    Well-formed lists convert in one NumPy call; anything else goes entry by
+    entry, so that the error names the first offending entry.
+    """
+    flat = _flat_pairs(entries, _REAL_TYPES)
+    if flat is not None:
+        try:
+            vals = np.array(flat, dtype=np.float64)
+        except OverflowError:  # an integer beyond the binary64 range: reported below
+            pass
+        else:
+            if np.isfinite(vals).all():
+                return vals.view(np.complex128)
+    return np.array(
+        [_unpair(e, f"entry {i}") for i, e in enumerate(entries)], dtype=np.complex128
+    )
 
 
 def _require_int(v, what: str) -> int:
@@ -110,6 +165,10 @@ def network_from_csv(text: str) -> Network:
             y = complex(float(cells[2]), float(cells[3]))
         except ValueError as exc:
             raise FileFormatError(f"line {ln}: {exc}") from exc
+        if not cmath.isfinite(y):
+            raise FileFormatError(
+                f"line {ln}: admittance must be finite, got {cells[2]},{cells[3]}"
+            )
         if t == -1:
             shunts.append(Shunt(node=f, admittance=y))
             max_node = max(max_node, f)
@@ -127,7 +186,7 @@ def matrix_to_dict(y: AdmittanceMatrix) -> dict:
     return {
         "n": y.size,
         "node_order": list(y.node_order),
-        "entries": [_pair(z) for z in y.matrix.ravel()],
+        "entries": _pairs(y.matrix),
     }
 
 
@@ -138,6 +197,8 @@ def matrix_from_dict(doc) -> AdmittanceMatrix:
     if unknown:
         raise FileFormatError(f"unknown matrix document keys: {sorted(unknown)}")
     n = _require_int(doc.get("n"), '"n"')
+    if n < 1:
+        raise FileFormatError(f'"n" must be at least 1, got {n}')
     order = doc.get("node_order")
     if not isinstance(order, list) or len(order) != n:
         raise FileFormatError(f'"node_order" must list {n} node ids')
@@ -145,8 +206,7 @@ def matrix_from_dict(doc) -> AdmittanceMatrix:
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != n * n:
         raise FileFormatError(f'"entries" must hold exactly {n * n} [re, im] pairs')
-    flat = [_unpair(e, f"entry {i}") for i, e in enumerate(entries)]
-    m = np.array(flat, dtype=np.complex128).reshape(n, n) if n else np.zeros((0, 0), complex)
+    m = _complex_entries(entries).reshape(n, n)
     return AdmittanceMatrix(matrix=m, node_order=tuple(order))
 
 
@@ -157,47 +217,98 @@ def recovery_to_dict(row_nodes, col_nodes, m: np.ndarray) -> dict:
         "cols": int(m.shape[1]),
         "row_nodes": [int(v) for v in row_nodes],
         "col_nodes": [int(v) for v in col_nodes],
-        "entries": [_pair(z) for z in np.asarray(m).ravel()],
+        "entries": _pairs(m),
+    }
+
+
+def hybrid_to_dict(hy) -> dict:
+    """Hybrid parameters (a :class:`~ybuskit.reduction.HybridResult`) in block order."""
+    return {
+        "n": int(hy.h.shape[0]),
+        "solved_class": hy.solved_class,
+        "node_order": [int(v) for v in hy.node_order],
+        "class_sizes": [len(c) for c in hy.partition.classes],
+        "entries": _pairs(hy.h),
+        "roles": {f"{q},{k}": role for (q, k), role in sorted(hy.block_roles.items())},
     }
 
 
 # -- files --------------------------------------------------------------------
 
-def emit_json(doc: dict) -> str:
+_ENTRIES_SLOT = "\x00entries\x00"
+_ENTRY_SEP = "\n    ],\n    [\n      "
+
+
+def emit_json(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
+
+    A top-level ``"entries"`` list of finite ``[re, im]`` float pairs (the
+    n² body of matrix, recovery and hybrid documents) is formatted in one
+    pass with ``float.__repr__``, as ``json`` formats floats, and spliced
+    into the encoding of the rest of the document; ``json``'s indenting
+    encoder is pure Python and several times slower on it.
+    """
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    flat = _flat_pairs(entries, {float}) if entries else None
+    if flat is not None and all(map(math.isfinite, flat)):
+        head = json.dumps({**doc, "entries": _ENTRIES_SLOT}, indent=2)
+        slot = json.dumps(_ENTRIES_SLOT)
+        if head.count(slot) == 1:
+            body = "[\n    [\n      " + _ENTRY_SEP.join(
+                starmap("{!r},\n      {!r}".format, entries)
+            ) + "\n    ]\n  ]"
+            return head.replace(slot, body) + "\n"
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+def _read_json(path: str):
+    """Parse a JSON file; malformed JSON and ``NaN``/``Infinity`` raise FileFormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, a rejected constant, an oversized integer
+        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(emit_json(doc))
 
 
 def load_network(path: str) -> Network:
     """Read a network file; ``.csv`` means branch-list CSV, anything else JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     if path.lower().endswith(".csv"):
-        return network_from_csv(text)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
-    return network_from_dict(doc)
+        with open(path, "r", encoding="utf-8") as fh:
+            return network_from_csv(fh.read())
+    return network_from_dict(_read_json(path))
 
 
 def save_network(path: str, net: Network) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_json(network_to_dict(net)))
+    _write_json(path, network_to_dict(net))
 
 
 def load_matrix(path: str) -> AdmittanceMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
-    return matrix_from_dict(doc)
+    return matrix_from_dict(_read_json(path))
 
 
 def save_matrix(path: str, y: AdmittanceMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit_json(matrix_to_dict(y)))
+    _write_json(path, matrix_to_dict(y))
+
+
+def save_recovery(path: str, result) -> None:
+    """Write the recovery matrix of a :class:`~ybuskit.reduction.ReductionResult`."""
+    _write_json(
+        path, recovery_to_dict(result.eliminated_order, result.reduced.node_order, result.recovery)
+    )
+
+
+def save_hybrid(path: str, hy) -> None:
+    _write_json(path, hybrid_to_dict(hy))
 
 
 def load_any(path: str):
@@ -208,12 +319,7 @@ def load_any(path: str):
     """
     if path.lower().endswith(".csv"):
         return load_network(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     if isinstance(doc, dict) and "entries" in doc:
         return matrix_from_dict(doc)
     return network_from_dict(doc)

@@ -1,6 +1,8 @@
 """Dense complex matrix kernel: solves, numerical rank, conditioning.
 
-Backed by LAPACK through NumPy/SciPy.  Matrices are 2-D ``complex128``
+Backed by LAPACK through NumPy/SciPy.  SciPy is imported inside the LU
+routines only, so importing the package (and every command that never
+factors a matrix) loads NumPy alone.  Matrices are 2-D ``complex128``
 arrays.  The transpose used throughout the package is the plain one (no
 conjugation): nodal admittance matrices are complex symmetric, not
 Hermitian, and every identity here is stated for the plain transpose.
@@ -12,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, SingularMatrixError, StructuralError
 
@@ -120,6 +121,8 @@ def lu_factor_checked(a: np.ndarray):
     Raises :class:`SingularMatrixError` (carrying the pivot index) when the
     factorization produces an exactly zero pivot.
     """
+    import scipy.linalg
+
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
         raise StructuralError(f"LU needs a square matrix, got {a.shape}")
@@ -141,6 +144,8 @@ def condition_from_factor(a: np.ndarray, lu: np.ndarray) -> float:
     n = a.shape[0]
     if n == 0:
         return 1.0
+    import scipy.linalg
+
     gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
     anorm = float(np.linalg.norm(a, 1))
     rcond, info = gecon(lu, anorm, norm="1")
@@ -168,6 +173,8 @@ def lu_solve(a, b) -> SolveResult:
         raise StructuralError(
             f"right-hand side rows {b_arr.shape[0]} do not match matrix size {a.shape[0]}"
         )
+
+    import scipy.linalg
 
     lu, piv = lu_factor_checked(a)
     x = scipy.linalg.lu_solve((lu, piv), b_arr)

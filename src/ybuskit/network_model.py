@@ -11,6 +11,7 @@ All types are frozen dataclasses; every operation here is a pure function.
 
 from __future__ import annotations
 
+import cmath
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ class Branch:
             )
         if self.from_node < 0 or self.to_node < 0:
             raise StructuralError("branch endpoints must be nonnegative node indices")
+        if not cmath.isfinite(self.admittance):
+            raise StructuralError(f"branch admittance must be finite, got {self.admittance}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,8 @@ class Shunt:
         object.__setattr__(self, "admittance", complex(self.admittance))
         if self.node < 0:
             raise StructuralError("shunt node must be a nonnegative node index")
+        if not cmath.isfinite(self.admittance):
+            raise StructuralError(f"shunt admittance must be finite, got {self.admittance}")
 
 
 @dataclass(frozen=True)

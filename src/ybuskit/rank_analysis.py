@@ -213,6 +213,8 @@ def verify_matrix_rank(y: AdmittanceMatrix, method: str = "direct") -> RankVerdi
     """
     if method not in ("direct", "virtual_ground"):
         raise PreconditionError(f"unknown rank verification method: {method}")
+    if y.size == 0:
+        raise PreconditionError("rank verification needs a matrix with at least one node")
     if not _pattern_connected(y.matrix):
         raise PreconditionError(
             "matrix off-diagonal pattern is disconnected; rank prediction does not apply"

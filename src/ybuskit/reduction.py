@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotReducibleError, NotSolvableError, SingularMatrixError, StructuralError
 from .linalg_core import EPS, condition_from_factor, lu_factor_checked
@@ -108,6 +107,8 @@ def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
     elim_set = set(epos.tolist())
     rpos = np.array([i for i in range(n) if i not in elim_set], dtype=np.intp)
     retained = tuple(y.node_order[i] for i in rpos)
+
+    import scipy.linalg  # deferred, as in linalg_core: only LU callers load SciPy
 
     m = y.matrix
     y_ss = m[np.ix_(rpos, rpos)]
@@ -226,6 +227,8 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
     part = view.partition
     if not 0 <= p < part.class_count:
         raise StructuralError(f"class index {p} out of range for {part.class_count} classes")
+
+    import scipy.linalg
 
     m = view.permuted.matrix
     spans = [slice(view.offsets[i], view.offsets[i] + len(part.classes[i]))

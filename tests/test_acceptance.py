@@ -7,6 +7,7 @@ criterion.
 """
 
 import time
+import zlib
 
 import numpy as np
 
@@ -40,7 +41,7 @@ MASTER_SEED = 20260814
 
 
 def _seeds(label: str, count: int) -> list[int]:
-    root = np.random.default_rng([MASTER_SEED, abs(hash(label)) % 2**32])
+    root = np.random.default_rng([MASTER_SEED, zlib.crc32(label.encode())])
     return [int(s) for s in root.integers(0, 2**63 - 1, size=count)]
 
 

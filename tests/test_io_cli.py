@@ -1,13 +1,15 @@
 """File formats and the command-line surface.
 
 CLI tests drive ``main(argv)`` in process and assert on exit codes,
-stdout and written files; one test exercises the installed console
-script end to end.
+stdout and written files; subprocess tests exercise the installed console
+script, ``python -m ybuskit`` and the modules a command loads.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,16 @@ from ybuskit.io import (
 )
 
 PATH3 = Network(3, (Branch(0, 1, 1.0), Branch(1, 2, 1.0)), ())
+
+
+def _child_env() -> dict:
+    """Environment for a child interpreter that imports this checkout's ybuskit."""
+    import ybuskit
+
+    src = str(Path(ybuskit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def _write(tmp_path, name, text):
@@ -87,6 +99,9 @@ class TestNetworkDocuments:
             {"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [1.0, True]}]},
             {"nodes": 2, "branches": [[0, 1, 1.0, 0.0]]},
             {"nodes": 2, "shunts": [{"node": 0, "y": "1+2j"}]},
+            {"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [float("nan"), 0.0]}]},
+            {"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [1.0, float("-inf")]}]},
+            {"nodes": 2, "shunts": [{"node": 0, "y": [10**400, 0]}]},
         ],
     )
     def test_malformed_rejected(self, doc):
@@ -118,6 +133,11 @@ class TestMatrixDocuments:
             {"n": 2, "node_order": [0], "entries": [[1.0, 0.0]] * 4},
             {"n": 2, "node_order": [0, 1], "entries": [[1.0, 0.0]] * 4, "x": 1},
             {"n": "2", "node_order": [0, 1], "entries": [[1.0, 0.0]] * 4},
+            {"n": 0, "node_order": [], "entries": []},
+            {"n": -1, "node_order": [], "entries": []},
+            {"n": 1, "node_order": [0], "entries": [[float("nan"), 0.0]]},
+            {"n": 1, "node_order": [0], "entries": [[float("inf"), 0.0]]},
+            {"n": 1, "node_order": [0], "entries": [[1.0, 10**400]]},
         ],
     )
     def test_malformed_rejected(self, doc):
@@ -149,7 +169,8 @@ class TestCsv:
     def test_headerless(self):
         assert network_from_csv("0,1,1,0\n").node_count == 2
 
-    @pytest.mark.parametrize("bad", ["0,1,1\n", "0,1,x,0\n", "", "# only a comment\n"])
+    @pytest.mark.parametrize("bad", ["0,1,1\n", "0,1,x,0\n", "", "# only a comment\n",
+                                     "0,1,nan,0\n", "0,1,1,-inf\n", "0,-1,1e999,0\n"])
     def test_malformed_rejected(self, bad):
         with pytest.raises(FileFormatError):
             network_from_csv(bad)
@@ -187,6 +208,23 @@ class TestValidateCommand:
     def test_bad_json(self, tmp_path, capsys):
         code = main(["validate", _write(tmp_path, "bad.json", "{nope")])
         assert code == 1
+
+    @pytest.mark.parametrize("y", ["[NaN, 0]", "[0, Infinity]", "[-Infinity, 1]",
+                                   "[1e999, 0]", "[1, -1e999]", "[1" + "0" * 400 + ", 0]",
+                                   "[1" + "0" * 5000 + ", 0]"],
+                             ids=["nan", "inf", "-inf", "1e999", "-1e999", "int400", "int5000"])
+    def test_non_finite_admittance_exits_1(self, tmp_path, capsys, y):
+        text = '{"nodes": 2, "branches": [{"from": 0, "to": 1, "y": %s}]}' % y
+        code = main(["validate", _write(tmp_path, "nan.json", text)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_non_finite_csv_exits_1(self, tmp_path, capsys):
+        code = main(["validate", _write(tmp_path, "nan.csv", "0,1,NaN,0\n")])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
 
 
 class TestYbusCommand:
@@ -246,6 +284,13 @@ class TestRankCommand:
         code = main(["rank", _net_file(tmp_path, PATH3), "--method", "virtual-ground"])
         assert code == 2
         assert "precondition" in capsys.readouterr().err
+
+    def test_empty_matrix_exits_1(self, tmp_path, capsys):
+        mpath = _write(tmp_path, "empty.json", '{"n": 0, "node_order": [], "entries": []}')
+        code = main(["rank", mpath, "--method", "both"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert '"n" must be at least 1' in err and "Traceback" not in err
 
     def test_stdout_reproducible(self, tmp_path, capsys):
         npath = _net_file(tmp_path, generate(GenSpec(node_range=(12, 12),
@@ -432,3 +477,28 @@ class TestTopLevel:
             capture_output=True, text=True, check=False)
         assert proc.returncode == 0
         assert "predicted 2, measured 2, agrees" in proc.stdout
+
+    def test_python_dash_m(self, tmp_path):
+        net_file = _net_file(tmp_path, PATH3)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ybuskit", "rank", net_file],
+            capture_output=True, text=True, check=False, env=_child_env())
+        assert proc.returncode == 0
+        assert "predicted 2, measured 2, agrees" in proc.stdout
+
+    def test_only_lu_commands_load_scipy(self, tmp_path):
+        mpath = str(tmp_path / "m.json")
+        red = str(tmp_path / "red.json")
+        save_matrix(mpath, assemble(Network(3, PATH3.branches, (Shunt(0, 1.0),))))
+        script = (
+            "import sys\n"
+            "import ybuskit.cli\n"
+            "assert 'scipy' not in sys.modules, 'import ybuskit.cli loaded scipy'\n"
+            f"assert ybuskit.cli.main(['rank', {mpath!r}, '--method', 'both']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'rank loaded scipy'\n"
+            f"assert ybuskit.cli.main(['kron', {mpath!r}, {red!r}, '--eliminate', '1']) == 0\n"
+            "assert 'scipy' in sys.modules, 'kron ran without scipy'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=False, env=_child_env())
+        assert proc.returncode == 0, proc.stderr

@@ -42,6 +42,13 @@ class TestDataModel:
         with pytest.raises(StructuralError):
             Network(2, shunts=(Shunt(2, 1 + 0j),))
 
+    @pytest.mark.parametrize("y", [complex("nan"), complex("inf"), complex(0, float("-inf"))])
+    def test_non_finite_admittance_rejected(self, y):
+        with pytest.raises(StructuralError, match="finite"):
+            Branch(0, 1, y)
+        with pytest.raises(StructuralError, match="finite"):
+            Shunt(0, y)
+
     def test_at_least_one_node(self):
         with pytest.raises(StructuralError):
             Network(0)

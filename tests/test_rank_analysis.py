@@ -251,6 +251,12 @@ class TestVerifyMatrixRank:
         with pytest.raises(PreconditionError, match="disconnected"):
             verify_matrix_rank(AdmittanceMatrix(m, (0, 1, 2, 3)))
 
+    def test_empty_matrix_refused(self):
+        empty = AdmittanceMatrix(np.zeros((0, 0), dtype=complex), ())
+        for method in ("direct", "virtual_ground"):
+            with pytest.raises(PreconditionError, match="at least one node"):
+                verify_matrix_rank(empty, method=method)
+
     def test_rank_one_cancellation_matrix_flagged(self):
         # same triangle as above, loaded as a bare matrix: row sums vanish
         # so the prediction is N-1 = 2, yet the true rank is 1
