@@ -55,9 +55,7 @@ from .partition import (
     ClassBlockReport,
     ComponentReport,
     Partition,
-    block,
     block_view,
-    grounded_equivalent,
     verify_block_rank,
 )
 from .reduction import (
@@ -113,14 +111,12 @@ __all__ = [
     "YbusError",
     "assemble",
     "augment_virtual_ground",
-    "block",
     "block_form_matrix",
     "block_view",
     "components",
     "counterexample_block_singular",
     "full_rank_certificate",
     "generate",
-    "grounded_equivalent",
     "hybrid_parameters",
     "incidence_matrix",
     "is_connected",

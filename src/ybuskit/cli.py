@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileFormatError, StructuralError, OSError) as exc:
+    except (FileFormatError, StructuralError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionError, HypothesisError, NotReducibleError, NotSolvableError) as exc:

@@ -31,39 +31,6 @@ def as_cmatrix(a) -> np.ndarray:
     return arr
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise StructuralError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def add(a, b) -> np.ndarray:
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape != b.shape:
-        raise StructuralError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def sub(a, b) -> np.ndarray:
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape != b.shape:
-        raise StructuralError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    return a - b
-
-
-def negate(a) -> np.ndarray:
-    return -as_cmatrix(a)
-
-
-def transpose(a) -> np.ndarray:
-    """Plain transpose.  Complex entries are NOT conjugated."""
-    return as_cmatrix(a).T.copy()
-
-
 @dataclass(frozen=True, eq=False)
 class RankResult:
     """Numerical rank plus the singular values it was decided from."""
@@ -194,33 +161,24 @@ class RankCertificate:
     full_rank: bool
     condition_estimate: float
     failed_pivot: int | None
-    method: str  # "lu" or "svd"
 
 
-def full_rank_certificate(m, use_svd: bool = False) -> RankCertificate:
+def full_rank_certificate(m) -> RankCertificate:
     """Certify that a square matrix has full rank.
 
-    The default route factorizes once and accepts when the 1-norm condition
-    estimate stays below ``1 / (n * eps)``; an exactly zero pivot fails
-    immediately.  ``use_svd=True`` cross-checks with the singular-value
-    rank instead (slower, used as a fallback diagnostic).
+    Factorizes once and accepts when the 1-norm condition estimate stays
+    below ``1 / (n * eps)``; an exactly zero pivot fails immediately.
     """
     a = as_cmatrix(m)
     if a.shape[0] != a.shape[1]:
         raise StructuralError(f"rank certification needs a square matrix, got {a.shape}")
     n = a.shape[0]
     if n == 0:
-        return RankCertificate(True, 1.0, None, "lu")
-
-    if use_svd:
-        rr = numerical_rank(a)
-        sigma = rr.singular_values
-        cond = float("inf") if sigma[-1] == 0 else float(sigma[0] / sigma[-1])
-        return RankCertificate(rr.rank == n, cond, None, "svd")
+        return RankCertificate(True, 1.0, None)
 
     try:
         lu, _ = lu_factor_checked(a)
     except SingularMatrixError as exc:
-        return RankCertificate(False, float("inf"), exc.pivot_index, "lu")
+        return RankCertificate(False, float("inf"), exc.pivot_index)
     cond = condition_from_factor(a, lu)
-    return RankCertificate(cond < 1.0 / (n * EPS), cond, None, "lu")
+    return RankCertificate(cond < 1.0 / (n * EPS), cond, None)

@@ -122,12 +122,30 @@ def shunt_totals(net: Network) -> np.ndarray:
     return totals
 
 
-def _adjacency(net: Network) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(net.node_count)]
-    for b in net.branches:
-        adj[b.from_node].append(b.to_node)
-        adj[b.to_node].append(b.from_node)
-    return adj
+def _component_labels(n: int, edges) -> list[int]:
+    """Component index of each of ``n`` nodes under an undirected edge list.
+
+    Components are numbered 0, 1, ... in order of their smallest node.  A
+    breadth-first search over adjacency lists, O(n + |edges|).
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    labels = [-1] * n
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        queue = deque([start])
+        while queue:
+            for v in adj[queue.popleft()]:
+                if labels[v] < 0:
+                    labels[v] = count
+                    queue.append(v)
+        count += 1
+    return labels
 
 
 def is_connected(net: Network) -> bool:
@@ -136,19 +154,8 @@ def is_connected(net: Network) -> bool:
     Shunts are ignored; a single node with no branches is connected.
     Runs in O(N + |branches|).
     """
-    adj = _adjacency(net)
-    seen = bytearray(net.node_count)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count == net.node_count
+    edges = ((b.from_node, b.to_node) for b in net.branches)
+    return not any(_component_labels(net.node_count, edges))
 
 
 def components(net: Network, node_subset) -> list[Component]:
@@ -158,41 +165,29 @@ def components(net: Network, node_subset) -> list[Component]:
     are returned sorted by their smallest node; node and branch listings
     are ascending.  The union of the returned node sets equals the subset.
     """
-    subset = set(int(v) for v in node_subset)
-    for v in subset:
+    nodes = sorted(set(int(v) for v in node_subset))
+    for v in nodes:
         if v < 0 or v >= net.node_count:
             raise StructuralError(f"subset node {v} outside [0, {net.node_count})")
 
-    inside: dict[int, list[tuple[int, int]]] = {v: [] for v in subset}
+    local = {v: k for k, v in enumerate(nodes)}
     induced: list[int] = []
+    edges: list[tuple[int, int]] = []
     for i, b in enumerate(net.branches):
-        if b.from_node in subset and b.to_node in subset:
+        if b.from_node in local and b.to_node in local:
             induced.append(i)
-            inside[b.from_node].append((b.to_node, i))
-            inside[b.to_node].append((b.from_node, i))
+            edges.append((local[b.from_node], local[b.to_node]))
+    labels = _component_labels(len(nodes), edges)
 
-    out: list[Component] = []
-    seen: set[int] = set()
-    for start in sorted(subset):
-        if start in seen:
-            continue
-        nodes = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in inside[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nodes.append(v)
-                    queue.append(v)
-        node_set = set(nodes)
-        branch_ids = tuple(
-            i for i in induced
-            if net.branches[i].from_node in node_set
-        )
-        out.append(Component(nodes=tuple(sorted(nodes)), branch_indices=branch_ids))
-    return out
+    count = max(labels, default=-1) + 1
+    comp_nodes: list[list[int]] = [[] for _ in range(count)]
+    comp_branches: list[list[int]] = [[] for _ in range(count)]
+    for v, lab in zip(nodes, labels):
+        comp_nodes[lab].append(v)
+    for i, (u, _) in zip(induced, edges):
+        comp_branches[labels[u]].append(i)
+    return [Component(nodes=tuple(c), branch_indices=tuple(b))
+            for c, b in zip(comp_nodes, comp_branches)]
 
 
 def incidence_matrix(net: Network) -> np.ndarray:

@@ -12,29 +12,27 @@ component by component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, StructuralError
+from .errors import StructuralError
 from .linalg_core import full_rank_certificate
-from .network_model import (
-    DEFAULT_ZERO_TOL,
-    Branch,
-    Network,
-    Shunt,
-    components,
-    validate,
-)
-from .ybus import AdmittanceMatrix, assemble, reorder
+from .network_model import DEFAULT_ZERO_TOL, Network, components, validate
+from .ybus import AdmittanceMatrix, _stamp, reorder
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered partition of the node set into at least two nonempty classes."""
+    """Ordered partition of the node set into at least two nonempty classes.
+
+    In block order class i occupies the contiguous row/column range
+    starting at ``offsets[i]``.
+    """
 
     classes: tuple[tuple[int, ...], ...]
     node_count: int
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cls = tuple(tuple(int(v) for v in c) for c in self.classes)
@@ -43,6 +41,7 @@ class Partition:
         if len(cls) < 2:
             raise StructuralError("a partition needs at least two classes")
         seen: set[int] = set()
+        offsets: list[int] = []
         total = 0
         for i, c in enumerate(cls):
             if not c:
@@ -51,11 +50,13 @@ class Partition:
                 if v in seen:
                     raise StructuralError(f"node {v} appears in more than one class")
                 seen.add(v)
+            offsets.append(total)
             total += len(c)
         if total != self.node_count or seen != set(range(self.node_count)):
             raise StructuralError(
                 f"classes must cover exactly the nodes 0..{self.node_count - 1}"
             )
+        object.__setattr__(self, "offsets", tuple(offsets))
 
     @classmethod
     def from_labels(cls, labels) -> "Partition":
@@ -83,22 +84,29 @@ class Partition:
                 out[v] = i
         return out
 
+    def span(self, i: int) -> slice:
+        """Rows/columns of class i in block order."""
+        if not 0 <= i < self.class_count:
+            raise StructuralError(f"class index {i} out of range for {self.class_count} classes")
+        return slice(self.offsets[i], self.offsets[i] + len(self.classes[i]))
+
 
 @dataclass(frozen=True, eq=False)
 class BlockView:
     """A matrix brought to block order under a partition.
 
     ``permuted`` reorders ``source`` so that class i occupies the
-    contiguous row/column range starting at ``offsets[i]``.
+    contiguous row/column range ``partition.span(i)``.
     """
 
     source: AdmittanceMatrix
     partition: Partition
     permuted: AdmittanceMatrix
-    offsets: tuple[int, ...]
 
     def block(self, i: int, j: int) -> np.ndarray:
-        return block(self, i, j)
+        """The block relating class-i currents to class-j voltages."""
+        p = self.partition
+        return self.permuted.matrix[p.span(i), p.span(j)].copy()
 
 
 def block_view(source: AdmittanceMatrix, part: Partition) -> BlockView:
@@ -107,66 +115,8 @@ def block_view(source: AdmittanceMatrix, part: Partition) -> BlockView:
         raise StructuralError(
             f"partition covers {part.node_count} nodes but matrix has {source.size}"
         )
-    order: list[int] = []
-    offsets: list[int] = []
-    for c in part.classes:
-        offsets.append(len(order))
-        order.extend(c)
-    permuted = reorder(source, order)
-    return BlockView(source=source, partition=part, permuted=permuted, offsets=tuple(offsets))
-
-
-def block(view: BlockView, i: int, j: int) -> np.ndarray:
-    """The block relating class-i currents to class-j voltages."""
-    p = view.partition
-    if not (0 <= i < p.class_count and 0 <= j < p.class_count):
-        raise StructuralError(
-            f"block index ({i},{j}) out of range for {p.class_count} classes"
-        )
-    ri = slice(view.offsets[i], view.offsets[i] + len(p.classes[i]))
-    rj = slice(view.offsets[j], view.offsets[j] + len(p.classes[j]))
-    return view.permuted.matrix[ri, rj].copy()
-
-
-def grounded_equivalent(net: Network, keep) -> Network:
-    """The network seen by a node subset when everything else is grounded.
-
-    Branches inside ``keep`` are retained; each branch leaving ``keep``
-    becomes a shunt at its inside endpoint; original shunts on ``keep``
-    are retained.  Nodes are relabeled 0..len(keep)-1 following the order
-    of ``keep`` (sets are sorted first), so assembling the result
-    reproduces the corresponding diagonal block.
-    """
-    if isinstance(keep, (set, frozenset)):
-        keep_order = sorted(int(v) for v in keep)
-    else:
-        keep_order = [int(v) for v in keep]
-    if not keep_order:
-        raise PreconditionError("keep set must be nonempty")
-    if len(set(keep_order)) != len(keep_order):
-        raise StructuralError("keep set contains duplicates")
-    for v in keep_order:
-        if v < 0 or v >= net.node_count:
-            raise StructuralError(f"keep node {v} outside [0, {net.node_count})")
-    if len(keep_order) == net.node_count:
-        raise PreconditionError("keep set must be a proper subset of the nodes")
-
-    new_index = {v: i for i, v in enumerate(keep_order)}
-    branches: list[Branch] = []
-    shunts: list[Shunt] = []
-    for b in net.branches:
-        fin = b.from_node in new_index
-        tin = b.to_node in new_index
-        if fin and tin:
-            branches.append(Branch(new_index[b.from_node], new_index[b.to_node], b.admittance))
-        elif fin:
-            shunts.append(Shunt(new_index[b.from_node], b.admittance))
-        elif tin:
-            shunts.append(Shunt(new_index[b.to_node], b.admittance))
-    for s in net.shunts:
-        if s.node in new_index:
-            shunts.append(Shunt(new_index[s.node], s.admittance))
-    return Network(node_count=len(keep_order), branches=tuple(branches), shunts=tuple(shunts))
+    permuted = reorder(source, [v for c in part.classes for v in c])
+    return BlockView(source=source, partition=part, permuted=permuted)
 
 
 @dataclass(frozen=True)
@@ -214,16 +164,16 @@ def verify_block_rank(
     net: Network,
     part: Partition,
     zero_tol: float = DEFAULT_ZERO_TOL,
-    use_svd: bool = False,
 ) -> BlockRankReport:
     """Verify that every diagonal block of the partition has full rank.
 
-    Each class is decomposed into the connected components of its induced
-    subgraph; the block is block-diagonal across them, so every component
-    sub-block is certified separately (LU condition certificate by
-    default, singular values with ``use_svd=True``).  The structural claim
-    that every component touches a boundary branch or a nonzero shunt is
-    checked as well.
+    Grounding every other class turns boundary branches into shunts, so a
+    diagonal block of Y is the nodal matrix of that grounded equivalent.
+    Y is stamped once; each class is decomposed into the connected
+    components of its induced subgraph, and since the block is
+    block-diagonal across them every component sub-block gets its own LU
+    condition certificate.  The structural claim that every component
+    touches a boundary branch or a nonzero shunt is checked as well.
     """
     if part.node_count != net.node_count:
         raise StructuralError(
@@ -231,35 +181,30 @@ def verify_block_rank(
         )
     report = validate(net, zero_tol=zero_tol)
     findings = list(report.messages)
+    y = _stamp(net, 0.0)
+
+    # a node is grounded when a branch leaves its class there, or when it
+    # carries a nonzero shunt of its own
+    labels = part.labels()
+    grounded = [False] * net.node_count
+    for b in net.branches:
+        if labels[b.from_node] != labels[b.to_node]:
+            grounded[b.from_node] = grounded[b.to_node] = True
+    for s in net.shunts:
+        if abs(s.admittance) > zero_tol:
+            grounded[s.node] = True
 
     class_reports: list[ClassBlockReport] = []
-    for ci, cls_nodes in enumerate(part.classes):
-        keep = list(cls_nodes)
-        sub = grounded_equivalent(net, keep)
-        y_pp = assemble(sub, zero_tol=0.0).matrix
-        pos = {v: i for i, v in enumerate(keep)}
-
+    for ci, keep in enumerate(part.classes):
         comp_reports: list[ComponentReport] = []
         for comp in components(net, keep):
-            idx = np.array([pos[v] for v in comp.nodes], dtype=np.intp)
-            cert = full_rank_certificate(y_pp[np.ix_(idx, idx)], use_svd=use_svd)
-            comp_set = set(comp.nodes)
-            keep_set = set(keep)
-            # a boundary branch has one endpoint in this component and the
-            # other outside the class
-            boundary = any(
-                ((b.from_node in comp_set) and (b.to_node not in keep_set))
-                or ((b.to_node in comp_set) and (b.from_node not in keep_set))
-                for b in net.branches
-            )
-            shunted = any(
-                s.node in comp_set and abs(s.admittance) > zero_tol for s in net.shunts
-            )
+            cert = full_rank_certificate(y[np.ix_(comp.nodes, comp.nodes)])
+            touched = any(grounded[v] for v in comp.nodes)
             comp_reports.append(
                 ComponentReport(
                     nodes=comp.nodes,
                     full_rank=cert.full_rank,
-                    grounded=boundary or shunted,
+                    grounded=touched,
                     condition_estimate=cert.condition_estimate,
                 )
             )
@@ -268,16 +213,16 @@ def verify_block_rank(
                     f"class {ci}: component {comp.nodes} is rank deficient "
                     f"(condition estimate {cert.condition_estimate:.3e})"
                 )
-            if not (boundary or shunted):
+            if not touched:
                 findings.append(
                     f"class {ci}: component {comp.nodes} touches no boundary branch or shunt"
                 )
 
-        block_cert = full_rank_certificate(y_pp, use_svd=use_svd)
+        block_cert = full_rank_certificate(y[np.ix_(keep, keep)])
         class_reports.append(
             ClassBlockReport(
                 class_index=ci,
-                nodes=tuple(keep),
+                nodes=keep,
                 components=tuple(comp_reports),
                 each_component_full_rank=all(c.full_rank for c in comp_reports),
                 block_condition_estimate=block_cert.condition_estimate,

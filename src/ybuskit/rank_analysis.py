@@ -16,7 +16,6 @@ implemented:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .network_model import (
     DEFAULT_ZERO_TOL,
     Branch,
     Network,
-    is_connected,
+    _component_labels,
     shunt_totals,
     validate,
 )
@@ -70,7 +69,9 @@ def _check_theorem_preconditions(net: Network, zero_tol: float) -> None:
         )
 
 
-def _nonzero_shunt_count(net: Network, zero_tol: float) -> int:
+def _checked_shunt_count(net: Network, zero_tol: float) -> int:
+    """Count of nonzero shunt totals, once the theorem's preconditions hold."""
+    _check_theorem_preconditions(net, zero_tol)
     return int(np.count_nonzero(np.abs(shunt_totals(net)) > zero_tol))
 
 
@@ -81,9 +82,8 @@ def predict_rank(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
     has a (near-)zero branch admittance; the prediction does not apply
     there.
     """
-    _check_theorem_preconditions(net, zero_tol)
     n = net.node_count
-    return n if _nonzero_shunt_count(net, zero_tol) else n - 1
+    return n if _checked_shunt_count(net, zero_tol) else n - 1
 
 
 def _gap(singular_values: np.ndarray, rank: int) -> float:
@@ -95,18 +95,39 @@ def _gap(singular_values: np.ndarray, rank: int) -> float:
     return float(singular_values[rank - 1]) / lower
 
 
-def verify_rank(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> RankVerdict:
-    """Measure the rank of the assembled matrix and compare with the prediction."""
-    predicted = predict_rank(net, zero_tol)
-    rr = numerical_rank(assemble(net, zero_tol=zero_tol).matrix)
+def _verdict(
+    matrix: np.ndarray,
+    predicted: int,
+    shunt_count: int,
+    method: str,
+    block_err: float | None = None,
+) -> RankVerdict:
+    """Measure the rank of ``matrix`` and judge it against ``predicted``.
+
+    With a block-form error (virtual-ground route on a network), agreement
+    also requires that error to stay within ``EQ_BLOCK_RTOL``.
+    """
+    rr = numerical_rank(matrix)
+    agrees = rr.rank == predicted
+    if block_err is not None:
+        agrees = agrees and block_err <= EQ_BLOCK_RTOL
     return RankVerdict(
         predicted_rank=predicted,
         measured_rank=rr.rank,
-        agrees=rr.rank == predicted,
-        shunt_count=_nonzero_shunt_count(net, zero_tol),
-        method="direct",
+        agrees=agrees,
+        shunt_count=shunt_count,
+        method=method,
         singular_gap=_gap(rr.singular_values, rr.rank),
+        block_form_max_rel_error=block_err,
     )
+
+
+def verify_rank(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> RankVerdict:
+    """Measure the rank of the assembled matrix and compare with the prediction."""
+    shunt_count = _checked_shunt_count(net, zero_tol)
+    n = net.node_count
+    y = assemble(net, zero_tol=zero_tol).matrix
+    return _verdict(y, n if shunt_count else n - 1, shunt_count, "direct")
 
 
 def augment_virtual_ground(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> Network:
@@ -157,8 +178,7 @@ def verify_rank_via_augmentation(
     form entrywise to ``EQ_BLOCK_RTOL`` relative.  ``agrees`` requires
     both.
     """
-    _check_theorem_preconditions(net, zero_tol)
-    shunt_count = _nonzero_shunt_count(net, zero_tol)
+    shunt_count = _checked_shunt_count(net, zero_tol)
     if shunt_count == 0:
         raise PreconditionError(
             "virtual-ground verification needs at least one nonzero shunt"
@@ -169,37 +189,13 @@ def verify_rank_via_augmentation(
     expected = block_form_matrix(assemble(net, zero_tol=zero_tol).matrix, shunt_totals(net))
     scale = max(float(np.abs(expected).max()), TINY)
     block_err = float(np.abs(y_aug.matrix - expected).max()) / scale
-
-    rr = numerical_rank(y_aug.matrix)
-    predicted = net.node_count
-    return RankVerdict(
-        predicted_rank=predicted,
-        measured_rank=rr.rank,
-        agrees=(rr.rank == predicted) and (block_err <= EQ_BLOCK_RTOL),
-        shunt_count=shunt_count,
-        method="virtual_ground",
-        singular_gap=_gap(rr.singular_values, rr.rank),
-        block_form_max_rel_error=block_err,
-    )
+    return _verdict(y_aug.matrix, net.node_count, shunt_count, "virtual_ground", block_err)
 
 
 def _pattern_connected(matrix: np.ndarray) -> bool:
     """Connectivity of the graph read off the nonzero off-diagonal pattern."""
-    n = matrix.shape[0]
-    adj = [np.flatnonzero(matrix[i] != 0) for i in range(n)]
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            v = int(v)
-            if v != u and not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count == n
+    rows, cols = np.nonzero(np.triu(matrix, 1))
+    return not any(_component_labels(matrix.shape[0], zip(rows.tolist(), cols.tolist())))
 
 
 def verify_matrix_rank(y: AdmittanceMatrix, method: str = "direct") -> RankVerdict:
@@ -228,26 +224,9 @@ def verify_matrix_rank(y: AdmittanceMatrix, method: str = "direct") -> RankVerdi
     predicted = n - 1 if shuntless else n
 
     if method == "direct":
-        rr = numerical_rank(y.matrix)
-        return RankVerdict(
-            predicted_rank=predicted,
-            measured_rank=rr.rank,
-            agrees=rr.rank == predicted,
-            shunt_count=shunt_count,
-            method="direct",
-            singular_gap=_gap(rr.singular_values, rr.rank),
-        )
-
+        return _verdict(y.matrix, predicted, shunt_count, "direct")
     if shuntless:
         raise PreconditionError(
             "virtual-ground verification needs at least one nonzero shunt"
         )
-    rr = numerical_rank(block_form_matrix(y.matrix, t))
-    return RankVerdict(
-        predicted_rank=n,
-        measured_rank=rr.rank,
-        agrees=rr.rank == n,
-        shunt_count=shunt_count,
-        method="virtual_ground",
-        singular_gap=_gap(rr.singular_values, rr.rank),
-    )
+    return _verdict(block_form_matrix(y.matrix, t), n, shunt_count, "virtual_ground")

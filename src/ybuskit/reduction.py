@@ -135,10 +135,7 @@ def kron_reduce(view: BlockView, t: int) -> ReductionResult:
     class block must be invertible; otherwise the reduction does not exist
     and :class:`NotReducibleError` is raised.
     """
-    p = view.partition
-    if not 0 <= t < p.class_count:
-        raise StructuralError(f"class index {t} out of range for {p.class_count} classes")
-    return kron_reduce_nodes(view.permuted, list(p.classes[t]))
+    return kron_reduce_nodes(view.permuted, view.permuted.node_order[view.partition.span(t)])
 
 
 def recover_eliminated(result: ReductionResult, v_retained) -> np.ndarray:
@@ -179,7 +176,6 @@ class HybridResult:
     h: np.ndarray
     solved_class: int
     partition: Partition
-    offsets: tuple[int, ...]
     node_order: tuple[int, ...]
     block_roles: dict[tuple[int, int], str] = field(repr=False)
 
@@ -191,14 +187,9 @@ class HybridResult:
         m.flags.writeable = False
         object.__setattr__(self, "h", m)
 
-    def _span(self, i: int) -> slice:
-        return slice(self.offsets[i], self.offsets[i] + len(self.partition.classes[i]))
-
     def block(self, q: int, k: int) -> np.ndarray:
-        c = self.partition.class_count
-        if not (0 <= q < c and 0 <= k < c):
-            raise StructuralError(f"block index ({q},{k}) out of range for {c} classes")
-        return self.h[self._span(q), self._span(k)].copy()
+        p = self.partition
+        return self.h[p.span(q), p.span(k)].copy()
 
     def apply(self, u) -> np.ndarray:
         """Mixed transfer: w = H u.
@@ -225,15 +216,11 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
     inverse is the deliverable there.
     """
     part = view.partition
-    if not 0 <= p < part.class_count:
-        raise StructuralError(f"class index {p} out of range for {part.class_count} classes")
+    sp = part.span(p)
 
     import scipy.linalg
 
     m = view.permuted.matrix
-    spans = [slice(view.offsets[i], view.offsets[i] + len(part.classes[i]))
-             for i in range(part.class_count)]
-    sp = spans[p]
     y_pp = m[sp, sp]
     lu = _factor_block(y_pp, f"block ({p},{p})", NotSolvableError)
 
@@ -245,14 +232,14 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
     for k in range(part.class_count):
         if k == p:
             continue
-        sk = spans[k]
+        sk = part.span(k)
         w_k = scipy.linalg.lu_solve(lu, m[sp, sk])  # Y_pp^{-1} Y_pk
         h[sp, sk] = -w_k
         roles[(p, k)] = ROLE_VOLTAGE_GAIN
         for q in range(part.class_count):
             if q == p:
                 continue
-            sq = spans[q]
+            sq = part.span(q)
             h[sq, sk] = m[sq, sk] - m[sq, sp] @ w_k
             roles[(q, k)] = ROLE_ADMITTANCE
 
@@ -261,7 +248,7 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
     for q in range(part.class_count):
         if q == p:
             continue
-        sq = spans[q]
+        sq = part.span(q)
         h[sq, sp] = scipy.linalg.lu_solve(lu, m[sq, sp].T, trans=1).T
         roles[(q, p)] = ROLE_CURRENT_GAIN
 
@@ -269,7 +256,6 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
         h=h,
         solved_class=p,
         partition=part,
-        offsets=view.offsets,
         node_order=view.permuted.node_order,
         block_roles=roles,
     )

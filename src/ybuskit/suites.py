@@ -268,7 +268,7 @@ def suite_hybrid(samples: int, seed: int) -> SuiteOutcome:
         # mixed input: currents at class p, voltages elsewhere
         u = _random_complex(rng, n)
         w = hy.apply(u)
-        sp = slice(view.offsets[p], view.offsets[p] + len(part.classes[p]))
+        sp = part.span(p)
         m = view.permuted.matrix
         mask = np.zeros(n, dtype=bool)
         mask[sp] = True

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import HypothesisError, StructuralError
 from .linalg_core import as_cmatrix
-from .network_model import DEFAULT_ZERO_TOL, Network, incidence_matrix, shunt_totals
+from .network_model import DEFAULT_ZERO_TOL, Network, shunt_totals
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
 SYMMETRY_RTOL = 1e-14
@@ -63,19 +63,13 @@ class AdmittanceMatrix:
         return self.matrix.shape[0]
 
 
-def assemble(
-    net: Network,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    via_incidence: bool = False,
-) -> AdmittanceMatrix:
-    """Assemble the nodal admittance matrix of a network.
+def _stamp(net: Network, zero_tol: float) -> np.ndarray:
+    """Stamp the nodal matrix of a network into a fresh, writable array.
 
     Branches with |y| <= ``zero_tol`` are refused (they violate the
-    nonzero-admittance hypothesis and would silently drop an edge).  The
-    default path stamps each branch directly, which is O(|branches|) and
-    bit-exactly symmetric.  ``via_incidence=True`` instead evaluates the
-    literal triple product ``A^T diag(y_L) A + diag(y_T)``; the two paths
-    cross-validate each other in the test suite.
+    nonzero-admittance hypothesis and would silently drop an edge).  Each
+    branch is stamped directly, which is O(|branches|) and bit-exactly
+    symmetric.
     """
     for i, b in enumerate(net.branches):
         if abs(b.admittance) <= zero_tol:
@@ -84,23 +78,23 @@ def assemble(
                 f"with magnitude <= {zero_tol}; zero-admittance branches are not representable"
             )
     n = net.node_count
-    totals = shunt_totals(net)
+    y = np.zeros((n, n), dtype=np.complex128)
+    for b in net.branches:
+        i, j, adm = b.from_node, b.to_node, b.admittance
+        y[i, i] += adm
+        y[j, j] += adm
+        y[i, j] -= adm
+        y[j, i] -= adm
+    y[np.diag_indices(n)] += shunt_totals(net)
+    return y
 
-    if via_incidence:
-        a = incidence_matrix(net).astype(np.complex128)
-        y_l = np.array([b.admittance for b in net.branches], dtype=np.complex128)
-        y = a.T @ (y_l[:, None] * a) + np.diag(totals)
-    else:
-        y = np.zeros((n, n), dtype=np.complex128)
-        for b in net.branches:
-            i, j, adm = b.from_node, b.to_node, b.admittance
-            y[i, i] += adm
-            y[j, j] += adm
-            y[i, j] -= adm
-            y[j, i] -= adm
-        y[np.diag_indices(n)] += totals
 
-    return AdmittanceMatrix(matrix=y, node_order=tuple(range(n)))
+def assemble(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> AdmittanceMatrix:
+    """Assemble the nodal admittance matrix of a network.
+
+    Branches with |y| <= ``zero_tol`` raise :class:`HypothesisError`.
+    """
+    return AdmittanceMatrix(matrix=_stamp(net, zero_tol), node_order=tuple(range(net.node_count)))
 
 
 def shunt_vector(y: AdmittanceMatrix) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Everything here deliberately takes a different route than the package:
 exact rational arithmetic instead of floating point, Warshall transitive
-closure instead of breadth-first search, and whole-system dense solves
-instead of Schur complements.  Values produced by these oracles are what
+closure instead of breadth-first search, whole-system dense solves
+instead of Schur complements, the incidence triple product instead of
+direct stamping, and an explicit grounded-equivalent network instead of a
+slice of the assembled matrix.  Values produced by these oracles are what
 the tests compare the library against.
 """
 
@@ -12,6 +14,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from ybuskit import (
+    Branch,
+    Network,
+    PreconditionError,
+    Shunt,
+    StructuralError,
+    incidence_matrix,
+    shunt_totals,
+)
 
 
 class QC:
@@ -108,6 +120,58 @@ def exact_assemble(net) -> list[list[QC]]:
         z = QC.from_complex(s.admittance)
         y[s.node][s.node] = y[s.node][s.node] + z
     return y
+
+
+def incidence_assemble(net) -> np.ndarray:
+    """The nodal matrix as the triple product ``A^T diag(y_L) A + diag(t)``.
+
+    ``A`` is the public branch-by-node incidence matrix, ``y_L`` the branch
+    admittances and ``t`` the per-node shunt totals.
+    """
+    a = incidence_matrix(net).astype(np.complex128)
+    y_l = np.array([b.admittance for b in net.branches], dtype=np.complex128)
+    return a.T @ (y_l[:, None] * a) + np.diag(shunt_totals(net))
+
+
+def grounded_equivalent(net, keep):
+    """The network seen by a node subset when everything else is grounded.
+
+    Branches inside ``keep`` are retained; each branch leaving ``keep``
+    becomes a shunt at its inside endpoint; original shunts on ``keep``
+    are retained.  Nodes are relabeled 0..len(keep)-1 following the order
+    of ``keep`` (sets are sorted first), so assembling the result
+    reproduces the corresponding diagonal block.
+    """
+    if isinstance(keep, (set, frozenset)):
+        keep_order = sorted(int(v) for v in keep)
+    else:
+        keep_order = [int(v) for v in keep]
+    if not keep_order:
+        raise PreconditionError("keep set must be nonempty")
+    if len(set(keep_order)) != len(keep_order):
+        raise StructuralError("keep set contains duplicates")
+    for v in keep_order:
+        if v < 0 or v >= net.node_count:
+            raise StructuralError(f"keep node {v} outside [0, {net.node_count})")
+    if len(keep_order) == net.node_count:
+        raise PreconditionError("keep set must be a proper subset of the nodes")
+
+    new_index = {v: i for i, v in enumerate(keep_order)}
+    branches = []
+    shunts = []
+    for b in net.branches:
+        fin = b.from_node in new_index
+        tin = b.to_node in new_index
+        if fin and tin:
+            branches.append(Branch(new_index[b.from_node], new_index[b.to_node], b.admittance))
+        elif fin:
+            shunts.append(Shunt(new_index[b.from_node], b.admittance))
+        elif tin:
+            shunts.append(Shunt(new_index[b.to_node], b.admittance))
+    for s in net.shunts:
+        if s.node in new_index:
+            shunts.append(Shunt(new_index[s.node], s.admittance))
+    return Network(node_count=len(keep_order), branches=tuple(branches), shunts=tuple(shunts))
 
 
 def exact_to_array(rows: list[list[QC]]) -> np.ndarray:

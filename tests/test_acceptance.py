@@ -252,7 +252,7 @@ def test_criterion_09_hybrid_consistency():
         w = hy.apply(u)
         m = view.permuted.matrix
         mask = np.zeros(n, dtype=bool)
-        mask[view.offsets[p]:view.offsets[p] + len(part.classes[p])] = True
+        mask[part.span(p)] = True
         v_p = np.linalg.solve(m[np.ix_(mask, mask)],
                               u[mask] - m[np.ix_(mask, ~mask)] @ u[~mask])
         v_full = u.astype(complex)  # keeps the enforced voltages at ~mask

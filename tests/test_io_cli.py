@@ -247,6 +247,16 @@ class TestYbusCommand:
         net = Network(2, (Branch(0, 1, 0j),), ())
         assert main(["ybus", _net_file(tmp_path, net), str(tmp_path / "y.json")]) == 2
 
+    def test_network_too_large_for_a_dense_matrix_exits_1(self, tmp_path, capsys):
+        # 10^7 nodes ask for a 1.42 PiB dense matrix; the allocation fails at once
+        big = tmp_path / "big.json"
+        big.write_text('{"nodes": 10000000}')
+        assert main(["ybus", str(big), str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestRankCommand:
     def test_two_node_example(self, tmp_path, capsys):

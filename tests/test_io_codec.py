@@ -62,12 +62,11 @@ def hybrids(draw):
     n = part.node_count
     h = np.array(draw(st.lists(cplx, min_size=n * n, max_size=n * n)),
                  dtype=np.complex128).reshape(n, n)
-    offsets = tuple(int(v) for v in np.cumsum([0] + [len(c) for c in part.classes])[:-1])
     order = tuple(v for c in part.classes for v in c)
     roles = {(q, k): draw(st.sampled_from(["impedance", "admittance"]))
              for q in range(part.class_count) for k in range(part.class_count)}
-    return HybridResult(h=h, solved_class=0, partition=part, offsets=offsets,
-                        node_order=order, block_roles=roles)
+    return HybridResult(h=h, solved_class=0, partition=part, node_order=order,
+                        block_roles=roles)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,4 @@
-"""Dense complex kernel: arithmetic, rank, solves, certificates."""
+"""Dense complex kernel: coercion, rank, solves, certificates."""
 
 import numpy as np
 import pytest
@@ -13,40 +13,12 @@ from ybuskit import (
     lu_solve,
     numerical_rank,
 )
-from ybuskit.linalg_core import add, as_cmatrix, matmul, negate, sub, transpose
+from ybuskit.linalg_core import as_cmatrix
 from ybuskit.ybus import assemble
 from oracles import exact_assemble, exact_rank, random_rational_network
 
 
 class TestBasicOps:
-    def test_identity_multiplication(self):
-        b = np.array([[1 + 2j, 3], [0, -1j]])
-        np.testing.assert_array_equal(matmul(np.eye(2), b), b)
-
-    def test_dimension_mismatch_is_structural(self):
-        with pytest.raises(StructuralError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-        with pytest.raises(StructuralError):
-            add(np.ones((2, 2)), np.ones((3, 3)))
-
-    def test_transpose_does_not_conjugate(self):
-        a = np.array([[1 + 1j, 2j], [3, 4 - 4j]])
-        t = transpose(a)
-        assert t[0, 1] == 3 + 0j
-        assert t[1, 0] == 2j  # a plain transpose keeps the imaginary part
-
-    def test_transpose_is_an_involution(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        np.testing.assert_array_equal(transpose(transpose(a)), a)
-
-    def test_add_sub_negate_roundtrip(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) * 1j
-        np.testing.assert_array_equal(sub(add(a, b), b), (a + b) - b)
-        np.testing.assert_array_equal(negate(negate(a)), a)
-
     def test_non_finite_entries_rejected(self):
         with pytest.raises(StructuralError):
             as_cmatrix([[1.0, float("nan")]])
@@ -204,9 +176,7 @@ class TestFullRankCertificate:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         lu = full_rank_certificate(a)
-        svd = full_rank_certificate(a, use_svd=True)
-        assert lu.full_rank and svd.full_rank
-        assert lu.method == "lu" and svd.method == "svd"
+        assert lu.full_rank and numerical_rank(a).rank == 5
         assert np.isfinite(lu.condition_estimate)
 
     def test_exactly_singular_matrix_fails_with_pivot(self):
@@ -217,7 +187,7 @@ class TestFullRankCertificate:
     def test_numerically_singular_matrix_fails(self):
         a = np.diag([1.0, 1.0, 1e-300])
         assert not full_rank_certificate(a).full_rank
-        assert not full_rank_certificate(a, use_svd=True).full_rank
+        assert numerical_rank(a).rank < 3
 
     def test_rectangular_input_rejected(self):
         with pytest.raises(StructuralError):

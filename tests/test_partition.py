@@ -5,19 +5,19 @@ import pytest
 
 from ybuskit import (
     Branch,
+    HypothesisError,
     Network,
     Partition,
     PreconditionError,
     Shunt,
     StructuralError,
     assemble,
-    block,
     block_view,
-    grounded_equivalent,
+    numerical_rank,
     verify_block_rank,
 )
 
-from oracles import random_rational_network
+from oracles import grounded_equivalent, random_rational_network
 
 
 def path(n, y=1.0):
@@ -107,14 +107,17 @@ class TestBlockExtraction:
         part = Partition(((2, 0), (3, 1)), 4)
         view = block_view(assemble(net), part)
         assert view.permuted.node_order == (2, 0, 3, 1)
-        assert view.offsets == (0, 2)
+        assert part.offsets == (0, 2)
+        assert (part.span(0), part.span(1)) == (slice(0, 2), slice(2, 4))
 
     def test_index_out_of_range(self):
         view = block_view(assemble(path(3)), Partition(((0,), (1, 2)), 3))
         with pytest.raises(StructuralError):
-            block(view, 0, 2)
+            view.block(0, 2)
         with pytest.raises(StructuralError):
-            block(view, -1, 0)
+            view.block(-1, 0)
+        with pytest.raises(StructuralError):
+            view.partition.span(2)
 
     def test_size_mismatch(self):
         with pytest.raises(StructuralError):
@@ -223,6 +226,11 @@ class TestVerifyBlockRank:
         comp = rep.classes[0].components[0]
         assert not comp.grounded and not comp.full_rank
         assert any("touches no boundary branch or shunt" in m for m in rep.findings)
+        # a shunt above zero_tol grounds the component; one below does not
+        part = Partition(((0, 1), (2, 3)), 4)
+        for y, grounded in ((1.0, True), (1e-13, False)):
+            rep = verify_block_rank(Network(4, net.branches, (Shunt(0, y),)), part)
+            assert rep.classes[0].components[0].grounded == grounded
 
     def test_random_re_positive_nets_all_blocks_invertible(self):
         rng = np.random.default_rng(47)
@@ -259,11 +267,22 @@ class TestVerifyBlockRank:
     def test_svd_route_agrees(self):
         net = _draw_net(np.random.default_rng(59), 8, 2, 1, re_positive=True)
         part = Partition.from_labels([0, 0, 1, 1, 0, 1, 0, 1])
-        lu_rep = verify_block_rank(net, part)
-        svd_rep = verify_block_rank(net, part, use_svd=True)
-        assert lu_rep.all_full_rank == svd_rep.all_full_rank
-        for a, b in zip(lu_rep.classes, svd_rep.classes):
-            assert a.each_component_full_rank == b.each_component_full_rank
+        rep = verify_block_rank(net, part)
+        y = assemble(net).matrix
+        for cr in rep.classes:
+            for c in cr.components:
+                sub = y[np.ix_(c.nodes, c.nodes)]
+                assert c.full_rank == (numerical_rank(sub).rank == len(c.nodes))
+            blk = y[np.ix_(cr.nodes, cr.nodes)]
+            assert cr.each_component_full_rank == (numerical_rank(blk).rank == len(cr.nodes))
+
+    @pytest.mark.parametrize("classes", [((0, 1), (2,)), ((0,), (1, 2))])
+    def test_zero_admittance_branch_refused_like_assemble(self, classes):
+        net = Network(3, (Branch(0, 1, 1.0), Branch(1, 2, 0j)), (Shunt(0, 1.0),))
+        with pytest.raises(HypothesisError, match=r"branch 1 \(1,2\)"):
+            assemble(net)
+        with pytest.raises(HypothesisError, match=r"branch 1 \(1,2\)"):
+            verify_block_rank(net, Partition(classes, 3))
 
     def test_partition_size_mismatch(self):
         with pytest.raises(StructuralError):

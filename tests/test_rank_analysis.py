@@ -219,6 +219,15 @@ class TestVerifyViaAugmentation:
         with pytest.raises(PreconditionError):
             verify_rank_via_augmentation(path(4))
 
+    def test_block_form_mismatch_breaks_agreement(self, monkeypatch):
+        # the rank still matches, so only the block-form check can refuse
+        def skewed(matrix, shunts):
+            return 2.0 * block_form_matrix(matrix, shunts)
+        monkeypatch.setattr("ybuskit.rank_analysis.block_form_matrix", skewed)
+        v = verify_rank_via_augmentation(with_shunts(path(3), Shunt(1, 1.0)))
+        assert v.predicted_rank == v.measured_rank == 3
+        assert v.block_form_max_rel_error > 1e-12 and not v.agrees
+
 
 class TestVerifyMatrixRank:
     def test_direct_shuntless(self):
@@ -248,8 +257,16 @@ class TestVerifyMatrixRank:
         m = np.zeros((4, 4), dtype=complex)
         m[:2, :2] = [[1, -1], [-1, 1]]
         m[2:, 2:] = [[1, -1], [-1, 1]]
-        with pytest.raises(PreconditionError, match="disconnected"):
-            verify_matrix_rank(AdmittanceMatrix(m, (0, 1, 2, 3)))
+        # a path on nodes 0..2 with a shunt on the isolated last node
+        isolated = np.zeros((4, 4), dtype=complex)
+        isolated[:3, :3] = [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
+        isolated[3, 3] = 1
+        for bad in (m, isolated):
+            with pytest.raises(PreconditionError, match="disconnected"):
+                verify_matrix_rank(AdmittanceMatrix(bad, (0, 1, 2, 3)))
+        # a single node is connected: the verdict goes ahead
+        v = verify_matrix_rank(AdmittanceMatrix(np.array([[2j]]), (0,)))
+        assert v.predicted_rank == v.measured_rank == 1 and v.agrees
 
     def test_empty_matrix_refused(self):
         empty = AdmittanceMatrix(np.zeros((0, 0), dtype=complex), ())
@@ -274,6 +291,16 @@ class TestVerifyMatrixRank:
             via_mat = verify_matrix_rank(assemble(net))
             assert via_net.predicted_rank == via_mat.predicted_rank
             assert via_net.measured_rank == via_mat.measured_rank
+            assert via_net.agrees == via_mat.agrees
+            assert via_net.shunt_count == via_mat.shunt_count
+            # both routes measure the same assembled matrix
+            assert via_net.singular_gap == via_mat.singular_gap
+            if k % 2 == 0:
+                vg_net = verify_rank_via_augmentation(net)
+                vg_mat = verify_matrix_rank(assemble(net), "virtual_ground")
+                assert vg_net.predicted_rank == vg_mat.predicted_rank
+                assert vg_net.measured_rank == vg_mat.measured_rank
+                assert vg_net.agrees == vg_mat.agrees
 
 
 def test_verdict_is_frozen():

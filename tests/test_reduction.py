@@ -268,7 +268,7 @@ class TestHybridParameters:
                 continue
 
             m = view.permuted.matrix
-            sp = slice(view.offsets[p], view.offsets[p] + len(part.classes[p]))
+            sp = part.span(p)
             mask = np.zeros(n, dtype=bool)
             mask[sp] = True
 
@@ -315,4 +315,4 @@ class TestHybridParameters:
         with pytest.raises(StructuralError):
             res.apply([1.0, 2.0, 3.0])
         assert res.node_order == (0, 1)
-        assert res.offsets == (0, 1)
+        assert res.partition.offsets == (0, 1)

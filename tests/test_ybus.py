@@ -15,7 +15,7 @@ from ybuskit import (
     shunt_vector,
 )
 
-from oracles import exact_assemble, exact_to_array, random_rational_network
+from oracles import exact_assemble, exact_to_array, incidence_assemble, random_rational_network
 
 
 def _draw_net(rng, n, extra_edges, shunt_count):
@@ -95,7 +95,7 @@ def test_incidence_route_matches_stamping():
         n = int(rng.integers(2, 12))
         net = _draw_net(rng, n, int(rng.integers(0, 4)), int(rng.integers(0, 3)))
         direct = assemble(net).matrix
-        triple = assemble(net, via_incidence=True).matrix
+        triple = incidence_assemble(net)
         # Both routes accumulate the same exact dyadic values, so equality
         # is bitwise, not approximate.
         np.testing.assert_array_equal(direct, triple)
