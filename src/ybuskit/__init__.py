@@ -45,6 +45,7 @@ from .rank_analysis import (
     augment_virtual_ground,
     block_form_matrix,
     predict_rank,
+    rank_verdicts,
     verify_matrix_rank,
     verify_rank,
     verify_rank_via_augmentation,
@@ -126,6 +127,7 @@ __all__ = [
     "numerical_rank",
     "predict_rank",
     "random_partition",
+    "rank_verdicts",
     "recover_eliminated",
     "reorder",
     "run_suite",

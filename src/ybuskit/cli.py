@@ -26,12 +26,7 @@ from .errors import (
 from .generator import PHASE_POLICIES, GenSpec, generate
 from .network_model import Network, validate
 from .partition import Partition, block_view
-from .rank_analysis import (
-    RankVerdict,
-    verify_matrix_rank,
-    verify_rank,
-    verify_rank_via_augmentation,
-)
+from .rank_analysis import RankVerdict, rank_verdicts
 from .reduction import hybrid_parameters, kron_reduce_nodes
 from .suites import SUITE_NAMES, run_suites
 from .ybus import AdmittanceMatrix, assemble
@@ -115,17 +110,8 @@ def cmd_ybus(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    loaded = fileio.load_any(args.path)
-    verdicts: list[RankVerdict] = []
     methods = ("direct", "virtual-ground") if args.method == "both" else (args.method,)
-    for method in methods:
-        if isinstance(loaded, Network):
-            if method == "direct":
-                verdicts.append(verify_rank(loaded))
-            else:
-                verdicts.append(verify_rank_via_augmentation(loaded))
-        else:
-            verdicts.append(verify_matrix_rank(loaded, method.replace("-", "_")))
+    verdicts = rank_verdicts(fileio.load_any(args.path), [m.replace("-", "_") for m in methods])
     for v in verdicts:
         print(_verdict_line(v))
     return EXIT_OK if all(v.agrees for v in verdicts) else EXIT_DISAGREEMENT
@@ -139,6 +125,9 @@ def cmd_kron(args) -> int:
         eliminate = _parse_ints(args.eliminate, "--eliminate")
     else:
         keep = set(_parse_ints(args.retain, "--retain"))
+        unknown = sorted(keep.difference(y.node_order))
+        if unknown:
+            raise StructuralError(f"node {unknown[0]} is not in the matrix node order")
         eliminate = [v for v in y.node_order if v not in keep]
     result = kron_reduce_nodes(y, eliminate)
     fileio.save_matrix(args.out, result.reduced)

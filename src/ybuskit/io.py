@@ -95,6 +95,13 @@ def _require_int(v, what: str) -> int:
     return v
 
 
+def _require_list(doc: dict, key: str) -> list:
+    v = doc.get(key, [])
+    if not isinstance(v, list):
+        raise FileFormatError(f'"{key}" must be a list, got {v!r}')
+    return v
+
+
 # -- network documents -------------------------------------------------------
 
 def network_to_dict(net: Network) -> dict:
@@ -116,7 +123,7 @@ def network_from_dict(doc) -> Network:
         raise FileFormatError(f"unknown network document keys: {sorted(unknown)}")
     nodes = _require_int(doc.get("nodes"), '"nodes"')
     branches = []
-    for i, b in enumerate(doc.get("branches", [])):
+    for i, b in enumerate(_require_list(doc, "branches")):
         if not isinstance(b, dict):
             raise FileFormatError(f"branch {i} must be an object")
         branches.append(
@@ -127,7 +134,7 @@ def network_from_dict(doc) -> Network:
             )
         )
     shunts = []
-    for i, s in enumerate(doc.get("shunts", [])):
+    for i, s in enumerate(_require_list(doc, "shunts")):
         if not isinstance(s, dict):
             raise FileFormatError(f"shunt {i} must be an object")
         shunts.append(
@@ -271,7 +278,7 @@ def _read_json(path: str):
         text = fh.read()
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:  # JSONDecodeError, a rejected constant, an oversized integer
+    except (ValueError, RecursionError) as exc:  # bad JSON or constant, huge int, deep nesting
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 

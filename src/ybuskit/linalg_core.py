@@ -2,16 +2,18 @@
 
 Backed by LAPACK through NumPy/SciPy.  SciPy is imported inside the LU
 routines only, so importing the package (and every command that never
-factors a matrix) loads NumPy alone.  Matrices are 2-D ``complex128``
-arrays.  The transpose used throughout the package is the plain one (no
-conjugation): nodal admittance matrices are complex symmetric, not
-Hermitian, and every identity here is stated for the plain transpose.
+factors a matrix) loads NumPy alone.  No other module sees LU factors:
+every solve goes through the certificate of :func:`full_rank_certificate`.
+Matrices are 2-D ``complex128`` arrays.  The transpose used throughout
+the package is the plain one (no conjugation): nodal admittance matrices
+are complex symmetric, not Hermitian, and every identity here is stated
+for the plain transpose.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +84,12 @@ def numerical_rank(m, tol: float | None = None) -> RankResult:
     return RankResult(rank=rank, singular_values=sigma, tolerance_used=float(tol))
 
 
+def _zero_pivot(k: int) -> SingularMatrixError:
+    return SingularMatrixError(
+        f"matrix is exactly singular: zero pivot at index {k}", pivot_index=k
+    )
+
+
 def lu_factor_checked(a: np.ndarray):
     """Partial-pivoted LU factors of a square matrix.
 
@@ -96,29 +104,62 @@ def lu_factor_checked(a: np.ndarray):
     with warnings.catch_warnings():
         # scipy warns instead of raising on an exactly singular factorization
         warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(a)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)  # as_cmatrix checked that
     zeros = np.flatnonzero(np.diag(lu) == 0)
     if zeros.size:
-        k = int(zeros[0])
-        raise SingularMatrixError(
-            f"matrix is exactly singular: zero pivot at index {k}", pivot_index=k
-        )
+        raise _zero_pivot(int(zeros[0]))
     return lu, piv
 
 
-def condition_from_factor(a: np.ndarray, lu: np.ndarray) -> float:
-    """1-norm condition estimate from an existing LU factorization."""
+@dataclass(frozen=True)
+class RankCertificate:
+    """Outcome of a full-rank certification of a square matrix.
+
+    The certificate keeps the LU factors it was read from (out of its repr
+    and comparisons) and solves with them; an exactly singular matrix
+    keeps none, and solving then raises :class:`SingularMatrixError`.
+    """
+
+    full_rank: bool
+    condition_estimate: float
+    failed_pivot: int | None
+    _factors: tuple | None = field(default=None, repr=False, compare=False)
+
+    def solve(self, b, transposed: bool = False) -> np.ndarray:
+        """A^{-1} B for the certified matrix A, or A^{-T} B (plain transpose)."""
+        import scipy.linalg
+
+        if self._factors is None:
+            raise _zero_pivot(self.failed_pivot)
+        return scipy.linalg.lu_solve(self._factors, b, trans=int(transposed))
+
+
+def full_rank_certificate(m) -> RankCertificate:
+    """Certify that a square matrix has full rank.
+
+    Factorizes once and accepts when the 1-norm condition estimate stays
+    below ``1 / (n * eps)``; an exactly zero pivot fails immediately.  The
+    certificate solves with the factors.
+    """
+    a = as_cmatrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise StructuralError(f"rank certification needs a square matrix, got {a.shape}")
     n = a.shape[0]
+    try:
+        factors = lu_factor_checked(a)
+    except SingularMatrixError as exc:
+        return RankCertificate(False, float("inf"), exc.pivot_index)
     if n == 0:
-        return 1.0
+        return RankCertificate(True, 1.0, None, factors)
+
     import scipy.linalg
 
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    anorm = float(np.linalg.norm(a, 1))
-    rcond, info = gecon(lu, anorm, norm="1")
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (factors[0],))
+    rcond, info = gecon(factors[0], float(np.linalg.norm(a, 1)), norm="1")
     if info != 0:
         raise NumericalError(f"condition estimation failed with LAPACK info={info}")
-    return float("inf") if rcond == 0.0 else 1.0 / float(rcond)
+    cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)
+    return RankCertificate(cond < 1.0 / (n * EPS), cond, None, factors)
 
 
 def lu_solve(a, b) -> SolveResult:
@@ -141,44 +182,12 @@ def lu_solve(a, b) -> SolveResult:
             f"right-hand side rows {b_arr.shape[0]} do not match matrix size {a.shape[0]}"
         )
 
-    import scipy.linalg
-
-    lu, piv = lu_factor_checked(a)
-    x = scipy.linalg.lu_solve((lu, piv), b_arr)
+    cert = full_rank_certificate(a)
+    x = cert.solve(b_arr)
     residual = float(np.linalg.norm(a @ x - b_arr))
     scale = max(float(np.linalg.norm(b_arr)), TINY)
     return SolveResult(
         solution=x,
         relative_residual=residual / scale,
-        condition_estimate=condition_from_factor(a, lu),
+        condition_estimate=cert.condition_estimate,
     )
-
-
-@dataclass(frozen=True)
-class RankCertificate:
-    """Outcome of a full-rank certification of a square matrix."""
-
-    full_rank: bool
-    condition_estimate: float
-    failed_pivot: int | None
-
-
-def full_rank_certificate(m) -> RankCertificate:
-    """Certify that a square matrix has full rank.
-
-    Factorizes once and accepts when the 1-norm condition estimate stays
-    below ``1 / (n * eps)``; an exactly zero pivot fails immediately.
-    """
-    a = as_cmatrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise StructuralError(f"rank certification needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return RankCertificate(True, 1.0, None)
-
-    try:
-        lu, _ = lu_factor_checked(a)
-    except SingularMatrixError as exc:
-        return RankCertificate(False, float("inf"), exc.pivot_index)
-    cond = condition_from_factor(a, lu)
-    return RankCertificate(cond < 1.0 / (n * EPS), cond, None)

@@ -59,7 +59,8 @@ class RankVerdict:
     block_form_max_rel_error: float | None = None
 
 
-def _check_theorem_preconditions(net: Network, zero_tol: float) -> None:
+def _checked_shunt_count(net: Network, zero_tol: float) -> int:
+    """Count of nonzero shunt totals, once the theorem's preconditions hold."""
     report = validate(net, zero_tol=zero_tol)
     if not report.connected:
         raise PreconditionError("rank prediction requires a connected branch graph")
@@ -67,11 +68,6 @@ def _check_theorem_preconditions(net: Network, zero_tol: float) -> None:
         raise PreconditionError(
             "rank prediction requires nonzero branch admittances; " + "; ".join(report.messages)
         )
-
-
-def _checked_shunt_count(net: Network, zero_tol: float) -> int:
-    """Count of nonzero shunt totals, once the theorem's preconditions hold."""
-    _check_theorem_preconditions(net, zero_tol)
     return int(np.count_nonzero(np.abs(shunt_totals(net)) > zero_tol))
 
 
@@ -95,39 +91,9 @@ def _gap(singular_values: np.ndarray, rank: int) -> float:
     return float(singular_values[rank - 1]) / lower
 
 
-def _verdict(
-    matrix: np.ndarray,
-    predicted: int,
-    shunt_count: int,
-    method: str,
-    block_err: float | None = None,
-) -> RankVerdict:
-    """Measure the rank of ``matrix`` and judge it against ``predicted``.
-
-    With a block-form error (virtual-ground route on a network), agreement
-    also requires that error to stay within ``EQ_BLOCK_RTOL``.
-    """
-    rr = numerical_rank(matrix)
-    agrees = rr.rank == predicted
-    if block_err is not None:
-        agrees = agrees and block_err <= EQ_BLOCK_RTOL
-    return RankVerdict(
-        predicted_rank=predicted,
-        measured_rank=rr.rank,
-        agrees=agrees,
-        shunt_count=shunt_count,
-        method=method,
-        singular_gap=_gap(rr.singular_values, rr.rank),
-        block_form_max_rel_error=block_err,
-    )
-
-
 def verify_rank(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> RankVerdict:
     """Measure the rank of the assembled matrix and compare with the prediction."""
-    shunt_count = _checked_shunt_count(net, zero_tol)
-    n = net.node_count
-    y = assemble(net, zero_tol=zero_tol).matrix
-    return _verdict(y, n if shunt_count else n - 1, shunt_count, "direct")
+    return _rank_verdicts(net, ("direct",), zero_tol)[0]
 
 
 def augment_virtual_ground(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> Network:
@@ -140,12 +106,10 @@ def augment_virtual_ground(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> 
     """
     ground = net.node_count
     new_branches = list(net.branches)
-    converted = 0
     for s in net.shunts:
         if abs(s.admittance) > zero_tol:
             new_branches.append(Branch(s.node, ground, s.admittance))
-            converted += 1
-    if converted == 0:
+    if len(new_branches) == len(net.branches):
         raise PreconditionError(
             "virtual-ground augmentation needs at least one nonzero shunt"
         )
@@ -178,24 +142,86 @@ def verify_rank_via_augmentation(
     form entrywise to ``EQ_BLOCK_RTOL`` relative.  ``agrees`` requires
     both.
     """
-    shunt_count = _checked_shunt_count(net, zero_tol)
-    if shunt_count == 0:
-        raise PreconditionError(
-            "virtual-ground verification needs at least one nonzero shunt"
-        )
-
-    augmented = augment_virtual_ground(net, zero_tol)
-    y_aug = assemble(augmented, zero_tol=zero_tol)
-    expected = block_form_matrix(assemble(net, zero_tol=zero_tol).matrix, shunt_totals(net))
-    scale = max(float(np.abs(expected).max()), TINY)
-    block_err = float(np.abs(y_aug.matrix - expected).max()) / scale
-    return _verdict(y_aug.matrix, net.node_count, shunt_count, "virtual_ground", block_err)
+    return _rank_verdicts(net, ("virtual_ground",), zero_tol)[0]
 
 
 def _pattern_connected(matrix: np.ndarray) -> bool:
     """Connectivity of the graph read off the nonzero off-diagonal pattern."""
     rows, cols = np.nonzero(np.triu(matrix, 1))
     return not any(_component_labels(matrix.shape[0], zip(rows.tolist(), cols.tolist())))
+
+
+def _block_form_error(augmented: np.ndarray, y: np.ndarray, shunts: np.ndarray) -> float:
+    """Largest entrywise distance of ``augmented`` from the block form of ``y``, relative."""
+    expected = block_form_matrix(y, shunts)
+    scale = max(float(np.abs(expected).max()), TINY)
+    return float(np.abs(augmented - expected).max()) / scale
+
+
+def rank_verdicts(
+    source: Network | AdmittanceMatrix, methods=("direct",), zero_tol: float = DEFAULT_ZERO_TOL
+) -> list[RankVerdict]:
+    """One rank verdict per method for a network or a bare matrix, in order.
+
+    ``methods`` holds "direct" and/or "virtual_ground", as measured by
+    :func:`verify_rank`, :func:`verify_rank_via_augmentation` and
+    :func:`verify_matrix_rank`.  The input is prepared once for all of
+    them (preconditions checked, Y stamped, shunts counted), and every
+    precondition is checked before any rank is measured.  ``zero_tol``
+    applies to networks only.
+    """
+    return _rank_verdicts(source, methods, zero_tol)
+
+
+def _rank_verdicts(source, methods, zero_tol: float) -> list[RankVerdict]:
+    # the verify_* functions call this core, not rank_verdicts, so that in a
+    # trace (perfbench/spans.py) their SVD and assembly spans are direct children
+    for method in methods:
+        if method not in ("direct", "virtual_ground"):
+            raise PreconditionError(f"unknown rank verification method: {method}")
+    net = source if isinstance(source, Network) else None
+    if net is None:  # shunts inferred from row sums, connectivity from the zero pattern
+        if source.size == 0:
+            raise PreconditionError("rank verification needs a matrix with at least one node")
+        if not _pattern_connected(source.matrix):
+            raise PreconditionError(
+                "matrix off-diagonal pattern is disconnected; rank prediction does not apply"
+            )
+        t = shunt_vector(source)
+        fro = max(float(np.linalg.norm(source.matrix)), TINY)
+        shuntless = float(np.linalg.norm(t)) <= MATRIX_SHUNTLESS_RTOL * fro
+        per_node_tol = MATRIX_SHUNTLESS_RTOL * fro / max(np.sqrt(source.size), 1.0)
+        shunt_count = 0 if shuntless else int(np.count_nonzero(np.abs(t) > per_node_tol))
+    else:
+        shunt_count = _checked_shunt_count(net, zero_tol)
+        shuntless = shunt_count == 0
+    if shuntless and "virtual_ground" in methods:
+        raise PreconditionError("virtual-ground verification needs at least one nonzero shunt")
+
+    y = source.matrix if net is None else assemble(net, zero_tol=zero_tol).matrix
+    n = y.shape[0]
+    verdicts = []
+    for method in methods:
+        predicted, measured, block_err = n, y, None
+        if method == "direct":
+            predicted = n - 1 if shuntless else n
+        elif net is None:
+            measured = block_form_matrix(y, t)
+        else:
+            # the augmented network is assembled on its own and checked against the block form
+            measured = assemble(augment_virtual_ground(net, zero_tol), zero_tol=zero_tol).matrix
+            block_err = _block_form_error(measured, y, shunt_totals(net))
+        rr = numerical_rank(measured)
+        verdicts.append(RankVerdict(
+            predicted_rank=predicted,
+            measured_rank=rr.rank,
+            agrees=rr.rank == predicted and (block_err is None or block_err <= EQ_BLOCK_RTOL),
+            shunt_count=shunt_count,
+            method=method,
+            singular_gap=_gap(rr.singular_values, rr.rank),
+            block_form_max_rel_error=block_err,
+        ))
+    return verdicts
 
 
 def verify_matrix_rank(y: AdmittanceMatrix, method: str = "direct") -> RankVerdict:
@@ -207,26 +233,4 @@ def verify_matrix_rank(y: AdmittanceMatrix, method: str = "direct") -> RankVerdi
     pattern (exactly cancelling parallel branches would be invisible
     here).  ``method`` is "direct" or "virtual_ground".
     """
-    if method not in ("direct", "virtual_ground"):
-        raise PreconditionError(f"unknown rank verification method: {method}")
-    if y.size == 0:
-        raise PreconditionError("rank verification needs a matrix with at least one node")
-    if not _pattern_connected(y.matrix):
-        raise PreconditionError(
-            "matrix off-diagonal pattern is disconnected; rank prediction does not apply"
-        )
-    n = y.size
-    t = shunt_vector(y)
-    fro = max(float(np.linalg.norm(y.matrix)), TINY)
-    shuntless = float(np.linalg.norm(t)) <= MATRIX_SHUNTLESS_RTOL * fro
-    per_node_tol = MATRIX_SHUNTLESS_RTOL * fro / max(np.sqrt(n), 1.0)
-    shunt_count = 0 if shuntless else int(np.count_nonzero(np.abs(t) > per_node_tol))
-    predicted = n - 1 if shuntless else n
-
-    if method == "direct":
-        return _verdict(y.matrix, predicted, shunt_count, "direct")
-    if shuntless:
-        raise PreconditionError(
-            "virtual-ground verification needs at least one nonzero shunt"
-        )
-    return _verdict(block_form_matrix(y.matrix, t), n, shunt_count, "virtual_ground")
+    return _rank_verdicts(y, (method,), DEFAULT_ZERO_TOL)[0]

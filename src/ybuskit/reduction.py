@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotReducibleError, NotSolvableError, SingularMatrixError, StructuralError
-from .linalg_core import EPS, condition_from_factor, lu_factor_checked
+from .errors import NotReducibleError, NotSolvableError, StructuralError
+from .linalg_core import RankCertificate, full_rank_certificate
 from .partition import BlockView, Partition
 from .ybus import AdmittanceMatrix
 
@@ -54,21 +54,16 @@ class ReductionResult:
         return self.reduced.node_order
 
 
-def _factor_block(block: np.ndarray, what: str, err_cls):
-    """LU-factor an elimination/solve block, certifying invertibility."""
-    n = block.shape[0]
-    try:
-        lu, piv = lu_factor_checked(block)
-    except SingularMatrixError as exc:
+def _certified(block: np.ndarray, what: str, err_cls) -> RankCertificate:
+    """Certify an elimination/solve block invertible; the certificate solves with it."""
+    cert = full_rank_certificate(block)
+    if cert.failed_pivot is not None:
+        raise err_cls(f"{what} is exactly singular (zero pivot at index {cert.failed_pivot})")
+    if not cert.full_rank:
         raise err_cls(
-            f"{what} is exactly singular (zero pivot at index {exc.pivot_index})"
-        ) from exc
-    cond = condition_from_factor(block, lu)
-    if not cond < 1.0 / (n * EPS):
-        raise err_cls(
-            f"{what} is numerically singular (condition estimate {cond:.3e})"
+            f"{what} is numerically singular (condition estimate {cert.condition_estimate:.3e})"
         )
-    return lu, piv
+    return cert
 
 
 def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
@@ -108,16 +103,13 @@ def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
     rpos = np.array([i for i in range(n) if i not in elim_set], dtype=np.intp)
     retained = tuple(y.node_order[i] for i in rpos)
 
-    import scipy.linalg  # deferred, as in linalg_core: only LU callers load SciPy
-
     m = y.matrix
     y_ss = m[np.ix_(rpos, rpos)]
     y_st = m[np.ix_(rpos, epos)]
     y_ts = m[np.ix_(epos, rpos)]
     y_tt = m[np.ix_(epos, epos)]
 
-    lu = _factor_block(y_tt, "elimination block", NotReducibleError)
-    w = scipy.linalg.lu_solve(lu, y_ts)
+    w = _certified(y_tt, "elimination block", NotReducibleError).solve(y_ts)
     schur = y_ss - y_st @ w
     # LU roundoff breaks exact symmetry of the Schur complement; restore it
     schur = 0.5 * (schur + schur.T)
@@ -217,23 +209,20 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
     """
     part = view.partition
     sp = part.span(p)
-
-    import scipy.linalg
-
     m = view.permuted.matrix
     y_pp = m[sp, sp]
-    lu = _factor_block(y_pp, f"block ({p},{p})", NotSolvableError)
+    cert = _certified(y_pp, f"block ({p},{p})", NotSolvableError)
 
     n = part.node_count
     h = np.zeros((n, n), dtype=np.complex128)
-    h[sp, sp] = scipy.linalg.lu_solve(lu, np.eye(y_pp.shape[0], dtype=np.complex128))
+    h[sp, sp] = cert.solve(np.eye(y_pp.shape[0], dtype=np.complex128))
     roles: dict[tuple[int, int], str] = {(p, p): ROLE_IMPEDANCE}
 
     for k in range(part.class_count):
         if k == p:
             continue
         sk = part.span(k)
-        w_k = scipy.linalg.lu_solve(lu, m[sp, sk])  # Y_pp^{-1} Y_pk
+        w_k = cert.solve(m[sp, sk])  # Y_pp^{-1} Y_pk
         h[sp, sk] = -w_k
         roles[(p, k)] = ROLE_VOLTAGE_GAIN
         for q in range(part.class_count):
@@ -243,13 +232,13 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
             h[sq, sk] = m[sq, sk] - m[sq, sp] @ w_k
             roles[(q, k)] = ROLE_ADMITTANCE
 
-    # trans=1 reuses the same factors to apply the inverse from the right:
+    # the transposed solve applies the same factors from the right:
     # H_qp = Y_qp Y_pp^{-1} = (Y_pp^{-T} Y_qp^{T})^{T}
     for q in range(part.class_count):
         if q == p:
             continue
         sq = part.span(q)
-        h[sq, sp] = scipy.linalg.lu_solve(lu, m[sq, sp].T, trans=1).T
+        h[sq, sp] = cert.solve(m[sq, sp].T, transposed=True).T
         roles[(q, p)] = ROLE_CURRENT_GAIN
 
     return HybridResult(

@@ -19,7 +19,7 @@ from .generator import GenSpec, generate, random_partition
 from .linalg_core import TINY, lu_solve
 from .network_model import shunt_totals
 from .partition import block_view, verify_block_rank
-from .rank_analysis import verify_rank, verify_rank_via_augmentation
+from .rank_analysis import rank_verdicts, verify_rank
 from .reduction import hybrid_parameters, kron_reduce_nodes, recover_eliminated
 from .ybus import assemble
 
@@ -99,8 +99,7 @@ def suite_theorem1(samples: int, seed: int) -> SuiteOutcome:
             magnitude_range=(1e-2, 1e2), phase_policy="re_positive", seed=s,
             min_shunts=1,
         ))
-        direct = verify_rank(net)
-        aug = verify_rank_via_augmentation(net)
+        direct, aug = rank_verdicts(net, ("direct", "virtual_ground"))
         checks += 2
         if not direct.agrees or direct.predicted_rank != net.node_count:
             failures.append(

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybuskit import (
     AdmittanceMatrix,
@@ -21,10 +23,12 @@ from ybuskit import (
     GenSpec,
     Network,
     Shunt,
+    StructuralError,
     assemble,
     counterexample_block_singular,
     generate,
 )
+from ybuskit import network_model, rank_analysis, ybus
 from ybuskit.cli import main
 from ybuskit.io import (
     emit_json,
@@ -42,6 +46,27 @@ from ybuskit.io import (
 
 PATH3 = Network(3, (Branch(0, 1, 1.0), Branch(1, 2, 1.0)), ())
 
+#: Every value a JSON document can hold, nested a little.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+)
+FUZZ_BASE = {
+    "nodes": 3,
+    "branches": [{"from": 0, "to": 1, "y": [1.0, -2.0]}, {"from": 1, "to": 2, "y": [0.5, 0.0]}],
+    "shunts": [{"node": 2, "y": [0.0, 0.25]}],
+}
+#: Key paths into ``FUZZ_BASE``: every field, list element and number of it, plus a new key.
+DOCUMENT_FIELDS = [
+    ("nodes",), ("branches",), ("shunts",), ("extra",),
+    ("branches", 0), ("branches", 0, "from"), ("branches", 0, "to"), ("branches", 0, "y"),
+    ("branches", 1, "y", 0), ("branches", 1, "y", 1), ("branches", 0, "extra"),
+    ("shunts", 0), ("shunts", 0, "node"), ("shunts", 0, "y"), ("shunts", 0, "y", 1),
+]
+
 
 def _child_env() -> dict:
     """Environment for a child interpreter that imports this checkout's ybuskit."""
@@ -51,6 +76,21 @@ def _child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record each call of ``module.name`` made through any ybuskit module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "ybuskit" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def _write(tmp_path, name, text):
@@ -102,11 +142,32 @@ class TestNetworkDocuments:
             {"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [float("nan"), 0.0]}]},
             {"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [1.0, float("-inf")]}]},
             {"nodes": 2, "shunts": [{"node": 0, "y": [10**400, 0]}]},
+            {"nodes": 3, "branches": 5},
+            {"nodes": 3, "branches": None},
+            {"nodes": 3, "branches": True},
+            {"nodes": 3, "shunts": 5},
+            {"nodes": 3, "shunts": None},
+            {"nodes": 3, "shunts": True},
         ],
     )
     def test_malformed_rejected(self, doc):
         with pytest.raises(FileFormatError):
             network_from_dict(doc)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(field=st.sampled_from(DOCUMENT_FIELDS), value=JSON_VALUES)
+    def test_any_value_in_any_field_is_a_network_or_a_typed_error(self, field, value):
+        doc = json.loads(json.dumps(FUZZ_BASE))
+        *path, last = field
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+        try:
+            net = network_from_dict(doc)
+        except (FileFormatError, StructuralError):
+            return
+        assert isinstance(net, Network)
 
 
 class TestMatrixDocuments:
@@ -226,6 +287,23 @@ class TestValidateCommand:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"nodes": 3, "branches": 5}', "[" * 100000 + "]" * 100000],
+                             ids=["branches-not-a-list", "nested-too-deep"])
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["ybus", "out.json"], ["rank", "--method", "both"],
+        ["kron", "out.json", "--eliminate", "0"],
+        ["hybrid", "out.json", "--partition", "0", "--solve-class", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_malformed_document_exits_1(self, tmp_path, capsys, argv, text):
+        path = _write(tmp_path, "doc.json", text)
+        args = [str(tmp_path / a) if a == "out.json" else a for a in argv[1:]]
+        code = main([argv[0], path] + args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestYbusCommand:
     def test_writes_loadable_matrix(self, tmp_path, capsys):
@@ -302,6 +380,24 @@ class TestRankCommand:
         assert code == 1
         assert '"n" must be at least 1' in err and "Traceback" not in err
 
+    def test_both_methods_prepare_a_network_once(self, tmp_path, monkeypatch, capsys):
+        net = generate(GenSpec(node_range=(40, 40), shunt_probability=0.3, min_shunts=1, seed=8))
+        npath = _net_file(tmp_path, net)
+        validations = _count_calls(monkeypatch, network_model, "validate")
+        stamps = _count_calls(monkeypatch, ybus, "_stamp")
+        assert main(["rank", npath, "--method", "both"]) == 0
+        assert capsys.readouterr().out.count("agrees") == 2
+        assert (len(validations), len(stamps)) == (1, 2)  # Y and the augmented Y
+
+    def test_both_methods_prepare_a_matrix_once(self, tmp_path, monkeypatch, capsys):
+        net = generate(GenSpec(node_range=(40, 40), shunt_probability=0.3, min_shunts=1, seed=8))
+        mpath = str(tmp_path / "m.json")
+        save_matrix(mpath, assemble(net))
+        pattern_checks = _count_calls(monkeypatch, rank_analysis, "_pattern_connected")
+        assert main(["rank", mpath, "--method", "both"]) == 0
+        assert capsys.readouterr().out.count("agrees") == 2
+        assert len(pattern_checks) == 1
+
     def test_stdout_reproducible(self, tmp_path, capsys):
         npath = _net_file(tmp_path, generate(GenSpec(node_range=(12, 12),
                                                      shunt_probability=0.4, seed=6)))
@@ -340,6 +436,15 @@ class TestKronCommand:
         assert main(["kron", npath, str(tmp_path / "r.json"),
                      "--eliminate", "1", "--recovery-out", rec]) == 0
         assert json.loads((tmp_path / "custom_rec.json").read_text())["row_nodes"] == [1]
+
+    def test_unknown_retained_node_exits_1(self, tmp_path, capsys):
+        mpath = str(tmp_path / "m.json")
+        save_matrix(mpath, assemble(Network(2, (Branch(0, 1, 1.0),), ())))
+        out = str(tmp_path / "r.json")
+        for flag in ("--retain", "--eliminate"):
+            assert main(["kron", mpath, out, flag, "0,999"]) == 1
+            assert capsys.readouterr().err == "error: node 999 is not in the matrix node order\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_flag_exclusivity(self, tmp_path, capsys):
         npath = _net_file(tmp_path, PATH3)

@@ -23,6 +23,7 @@ from ybuskit import (
     assemble,
     block_view,
     counterexample_block_singular,
+    full_rank_certificate,
     generate,
     hybrid_parameters,
     kron_reduce,
@@ -89,8 +90,17 @@ class TestKronReduce:
     def test_numerically_singular_block_refused(self):
         m = np.diag([1.0, 1.0, 1e-300]).astype(complex)
         y = AdmittanceMatrix(m, (0, 1, 2))
-        with pytest.raises(NotReducibleError, match="condition"):
+        with pytest.raises(NotReducibleError, match="condition") as kron_exc:
             kron_reduce_nodes(y, {1, 2})
+        # the same block, solved for by hybrid and certified on its own
+        view = block_view(y, Partition.from_labels([1, 0, 0]))
+        with pytest.raises(NotSolvableError, match="condition") as hybrid_exc:
+            hybrid_parameters(view, 0)
+        cert = full_rank_certificate(m[1:, 1:])
+        assert not cert.full_rank and cert.failed_pivot is None
+        estimate = f"(condition estimate {cert.condition_estimate:.3e})"
+        assert str(kron_exc.value) == f"elimination block is numerically singular {estimate}"
+        assert str(hybrid_exc.value) == f"block (0,0) is numerically singular {estimate}"
 
     def test_class_route_matches_node_route(self):
         net = _random_net(seed=11, n_lo=8, n_hi=8)
