@@ -27,7 +27,7 @@ from .generator import PHASE_POLICIES, GenSpec, generate
 from .network_model import Network, validate
 from .partition import Partition, block_view
 from .rank_analysis import RankVerdict, rank_verdicts
-from .reduction import hybrid_parameters, kron_reduce_nodes
+from .reduction import _node_positions, hybrid_parameters, kron_reduce_nodes
 from .suites import SUITE_NAMES, run_suites
 from .ybus import AdmittanceMatrix, assemble
 
@@ -125,9 +125,7 @@ def cmd_kron(args) -> int:
         eliminate = _parse_ints(args.eliminate, "--eliminate")
     else:
         keep = set(_parse_ints(args.retain, "--retain"))
-        unknown = sorted(keep.difference(y.node_order))
-        if unknown:
-            raise StructuralError(f"node {unknown[0]} is not in the matrix node order")
+        _node_positions(y, sorted(keep))  # refuses labels the matrix lacks, as --eliminate does
         eliminate = [v for v in y.node_order if v not in keep]
     result = kron_reduce_nodes(y, eliminate)
     fileio.save_matrix(args.out, result.reduced)

@@ -158,24 +158,21 @@ def _block_form_error(augmented: np.ndarray, y: np.ndarray, shunts: np.ndarray) 
     return float(np.abs(augmented - expected).max()) / scale
 
 
-def rank_verdicts(
-    source: Network | AdmittanceMatrix, methods=("direct",), zero_tol: float = DEFAULT_ZERO_TOL
-) -> list[RankVerdict]:
+def rank_verdicts(source: Network | AdmittanceMatrix, methods) -> list[RankVerdict]:
     """One rank verdict per method for a network or a bare matrix, in order.
 
     ``methods`` holds "direct" and/or "virtual_ground", as measured by
     :func:`verify_rank`, :func:`verify_rank_via_augmentation` and
     :func:`verify_matrix_rank`.  The input is prepared once for all of
     them (preconditions checked, Y stamped, shunts counted), and every
-    precondition is checked before any rank is measured.  ``zero_tol``
-    applies to networks only.
+    precondition is checked before any rank is measured.
     """
-    return _rank_verdicts(source, methods, zero_tol)
+    return _rank_verdicts(source, methods, DEFAULT_ZERO_TOL)
 
 
 def _rank_verdicts(source, methods, zero_tol: float) -> list[RankVerdict]:
-    # the verify_* functions call this core, not rank_verdicts, so that in a
-    # trace (perfbench/spans.py) their SVD and assembly spans are direct children
+    # verify_rank and verify_rank_via_augmentation pass their own zero_tol here;
+    # it applies to networks only
     for method in methods:
         if method not in ("direct", "virtual_ground"):
             raise PreconditionError(f"unknown rank verification method: {method}")

@@ -66,6 +66,15 @@ def _certified(block: np.ndarray, what: str, err_cls) -> RankCertificate:
     return cert
 
 
+def _node_positions(y: AdmittanceMatrix, labels) -> dict[int, int]:
+    """Index of every node label of ``y``; refuses the first of ``labels`` it lacks."""
+    pos = {v: i for i, v in enumerate(y.node_order)}
+    for v in labels:
+        if v not in pos:
+            raise StructuralError(f"node {v} is not in the matrix node order")
+    return pos
+
+
 def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
     """Eliminate the given nodes of an admittance matrix by Schur complement.
 
@@ -83,11 +92,7 @@ def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
     if len(set(labels)) != len(labels):
         raise StructuralError("eliminate set contains duplicates")
 
-    pos = {v: i for i, v in enumerate(y.node_order)}
-    for v in labels:
-        if v not in pos:
-            raise StructuralError(f"node {v} is not in the matrix node order")
-
+    pos = _node_positions(y, labels)
     n = y.size
     if not labels:
         return ReductionResult(
