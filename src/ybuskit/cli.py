@@ -124,9 +124,9 @@ def cmd_kron(args) -> int:
     if args.eliminate is not None:
         eliminate = _parse_ints(args.eliminate, "--eliminate")
     else:
-        keep = set(_parse_ints(args.retain, "--retain"))
-        _node_positions(y, sorted(keep))  # refuses labels the matrix lacks, as --eliminate does
-        eliminate = [v for v in y.node_order if v not in keep]
+        retain = _parse_ints(args.retain, "--retain")
+        pos = _node_positions(y, retain)  # refuses the first label the matrix lacks, as --eliminate does
+        eliminate = sorted(pos.keys() - set(retain), key=pos.get)  # in matrix order
     result = kron_reduce_nodes(y, eliminate)
     fileio.save_matrix(args.out, result.reduced)
     recovery_out = args.recovery_out or _sidecar_path(args.out)

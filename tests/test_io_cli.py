@@ -442,7 +442,7 @@ class TestKronCommand:
         save_matrix(mpath, assemble(Network(2, (Branch(0, 1, 1.0),), ())))
         out = str(tmp_path / "r.json")
         for flag in ("--retain", "--eliminate"):
-            assert main(["kron", mpath, out, flag, "0,999"]) == 1
+            assert main(["kron", mpath, out, flag, "0,999,500"]) == 1
             assert capsys.readouterr().err == "error: node 999 is not in the matrix node order\n"
         assert not (tmp_path / "r.json").exists()
 
