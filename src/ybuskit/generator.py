@@ -7,6 +7,16 @@ self-loops and duplicate pairs.  All randomness flows through one
 ``numpy.random.default_rng`` (PCG64) instance seeded from
 ``GenSpec.seed``, so a ``GenSpec`` value determines the network
 completely.
+
+Extra edges are drawn as indices into the lexicographic list of the
+non-tree pairs, which is never built.  Among all N(N-1)/2 pairs, (i, j)
+with i < j has index i(2N - i - 1)/2 + j - i - 1.  The sorted draws are
+shifted past the tree pairs with one ``searchsorted`` over the tree's
+sorted indices, then decoded to (i, j) with one ``searchsorted`` over the
+row starts.  Admittances come from one block of uniform doubles, consumed
+in the order the scalar draws took them.  Generation therefore costs time
+and memory linear in nodes plus branches, and every seed gives the
+network the element-by-element construction gave.
 """
 
 from __future__ import annotations
@@ -91,22 +101,55 @@ def _tree_from_prufer(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _draw_admittance(rng: np.random.Generator, spec: GenSpec) -> complex:
+def _extra_pairs(picks: np.ndarray, tree: np.ndarray, n: int) -> np.ndarray:
+    """The non-tree pairs with the given ascending candidate indices, as (i, j) rows.
+
+    Candidate k is the k-th pair (i < j) in lexicographic order once the
+    tree pairs are skipped: a tree pair at lexicographic index ``t[r]`` (the
+    r-th smallest) precedes candidate k exactly when ``t[r] - r <= k``.
+    """
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # index of the pair (i, i + 1)
+    tree_idx = np.sort(starts[tree[:, 0]] + tree[:, 1] - tree[:, 0] - 1)
+    idx = picks + np.searchsorted(tree_idx - np.arange(tree_idx.size), picks, side="right")
+    i = np.searchsorted(starts, idx, side="right") - 1
+    return np.column_stack((i, idx - starts[i] + i + 1))
+
+
+def _draw_admittances(rng: np.random.Generator, spec: GenSpec, count: int) -> list[complex]:
+    """``count`` admittances from one ``rng.random`` call.
+
+    Each admittance takes two or three consecutive doubles of the stream:
+    log-uniform magnitudes (``rng.uniform(a, b)`` is ``a + (b - a) * u``)
+    and a sign (``u < 0.5``), or for ``arbitrary`` a uniform phase and then
+    a magnitude.  The arbitrary-phase product stays the scalar
+    ``float * complex(math.cos, math.sin)``, whose last bits NumPy's
+    vectorized cosine need not reproduce.
+    """
     lo, hi = spec.magnitude_range
     log_lo, log_hi = math.log(lo), math.log(hi)
+    width = 3 if spec.phase_policy == "re_positive" else 2
+    u = rng.random(count * width).reshape(count, width)
 
-    def magnitude() -> float:
-        return float(np.exp(rng.uniform(log_lo, log_hi)))
+    def magnitude(col: int) -> np.ndarray:
+        return np.exp(log_lo + (log_hi - log_lo) * u[:, col])
 
+    def sign(col: int) -> np.ndarray:
+        return np.where(u[:, col] < 0.5, 1.0, -1.0)
+
+    if spec.phase_policy == "arbitrary":
+        theta = -math.pi + (math.pi - -math.pi) * u[:, 0]  # rng.uniform(-pi, pi)
+        return [
+            m * complex(math.cos(t), math.sin(t))
+            for m, t in zip(magnitude(1).tolist(), theta.tolist())
+        ]
+    y = np.zeros(count, dtype=np.complex128)
     if spec.phase_policy == "re_positive":
-        re = magnitude()
-        im = magnitude() * (1.0 if rng.random() < 0.5 else -1.0)
-        return complex(re, im)
-    if spec.phase_policy == "pure_imaginary":
-        return complex(0.0, magnitude() * (1.0 if rng.random() < 0.5 else -1.0))
-    # arbitrary: magnitude in range, phase uniform on the circle
-    theta = rng.uniform(-math.pi, math.pi)
-    return magnitude() * complex(math.cos(theta), math.sin(theta))
+        y.real = magnitude(0)
+        y.imag = magnitude(1) * sign(2)
+    else:  # pure_imaginary
+        y.imag = magnitude(0) * sign(1)
+    return y.tolist()
 
 
 def generate(spec: GenSpec) -> Network:
@@ -116,7 +159,8 @@ def generate(spec: GenSpec) -> Network:
     guarantees connectivity; extra edges are sampled without replacement
     from the non-tree pairs; each node receives a shunt with probability
     ``shunt_probability`` (topped up to ``min_shunts`` if the draw came
-    up short).  Same spec, same network.
+    up short).  Same spec, same network.  Cost is linear in nodes plus
+    branches.
     """
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.node_range
@@ -125,31 +169,27 @@ def generate(spec: GenSpec) -> Network:
         raise StructuralError(f"min_shunts={spec.min_shunts} exceeds node count {n}")
 
     if n == 1:
-        edges: list[tuple[int, int]] = []
+        pairs = np.empty((0, 2), dtype=np.int64)
     else:
         prufer = rng.integers(0, n, size=max(n - 2, 0)).tolist()
-        edges = _tree_from_prufer(prufer, n)
+        pairs = np.array(_tree_from_prufer(prufer, n), dtype=np.int64)
 
-    tree_set = set(edges)
-    candidates = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree_set
-    ]
-    extra = int(round(spec.edge_density * len(candidates)))
+    candidates = n * (n - 1) // 2 - (n - 1)  # every pair but the n - 1 tree pairs
+    extra = int(round(spec.edge_density * candidates))
     if extra:
-        picks = rng.choice(len(candidates), size=extra, replace=False)
-        edges.extend(candidates[int(k)] for k in sorted(picks))
+        picks = np.sort(rng.choice(candidates, size=extra, replace=False))
+        pairs = np.concatenate((pairs, _extra_pairs(picks, pairs, n)))
 
-    branches = tuple(Branch(i, j, _draw_admittance(rng, spec)) for i, j in edges)
+    adms = _draw_admittances(rng, spec, len(pairs))
+    branches = tuple(map(Branch, pairs[:, 0].tolist(), pairs[:, 1].tolist(), adms))
 
     shunted = rng.random(n) < spec.shunt_probability
     deficit = spec.min_shunts - int(np.count_nonzero(shunted))
     if deficit > 0:
         bare = np.flatnonzero(~shunted)
-        for k in rng.choice(bare.size, size=deficit, replace=False):
-            shunted[bare[int(k)]] = True
-    shunts = tuple(
-        Shunt(int(v), _draw_admittance(rng, spec)) for v in np.flatnonzero(shunted)
-    )
+        shunted[bare[rng.choice(bare.size, size=deficit, replace=False)]] = True
+    nodes = np.flatnonzero(shunted)
+    shunts = tuple(map(Shunt, nodes.tolist(), _draw_admittances(rng, spec, nodes.size)))
     return Network(node_count=n, branches=branches, shunts=shunts)
 
 

@@ -157,7 +157,11 @@ def network_from_csv(text: str) -> Network:
     shunts: list[Shunt] = []
     max_node = -1
     reader = csv.reader(_io.StringIO(text))
-    for ln, row in enumerate(reader, start=1):
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a carriage return inside an unquoted field
+        raise FileFormatError(f"line {reader.line_num}: {exc}") from exc
+    for ln, row in enumerate(rows, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if row[0].lstrip().startswith("#"):
@@ -272,10 +276,18 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
+def _read_text(path: str) -> str:
+    """A file's text; bytes that are not UTF-8 raise FileFormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_json(path: str):
     """Parse a JSON file; malformed JSON and ``NaN``/``Infinity`` raise FileFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:  # bad JSON or constant, huge int, deep nesting
@@ -290,8 +302,7 @@ def _write_json(path: str, doc: dict) -> None:
 def load_network(path: str) -> Network:
     """Read a network file; ``.csv`` means branch-list CSV, anything else JSON."""
     if path.lower().endswith(".csv"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return network_from_csv(fh.read())
+        return network_from_csv(_read_text(path))
     return network_from_dict(_read_json(path))
 
 

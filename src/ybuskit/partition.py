@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError
-from .linalg_core import full_rank_certificate
+from .linalg_core import RankCertificate, full_rank_certificate
 from .network_model import DEFAULT_ZERO_TOL, Network, components, validate
 from .ybus import AdmittanceMatrix, _stamp, reorder
 
@@ -131,13 +131,18 @@ class ComponentReport:
 
 @dataclass(frozen=True)
 class ClassBlockReport:
-    """Verification outcome for one diagonal block."""
+    """Verification outcome for one diagonal block.
+
+    ``certificate`` is the block's full-rank certificate, which solves with
+    its LU factors; it stays out of the repr and of comparisons.
+    """
 
     class_index: int
     nodes: tuple[int, ...]
     components: tuple[ComponentReport, ...]
     each_component_full_rank: bool
     block_condition_estimate: float
+    certificate: RankCertificate = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -172,8 +177,10 @@ def verify_block_rank(
     Y is stamped once; each class is decomposed into the connected
     components of its induced subgraph, and since the block is
     block-diagonal across them every component sub-block gets its own LU
-    condition certificate.  The structural claim that every component
-    touches a boundary branch or a nonzero shunt is checked as well.
+    condition certificate.  The whole block's certificate is kept on its
+    report; when the class is one component, that component's serves.  The
+    structural claim that every component touches a boundary branch or a
+    nonzero shunt is checked as well.
     """
     if part.node_count != net.node_count:
         raise StructuralError(
@@ -197,7 +204,8 @@ def verify_block_rank(
     class_reports: list[ClassBlockReport] = []
     for ci, keep in enumerate(part.classes):
         comp_reports: list[ComponentReport] = []
-        for comp in components(net, keep):
+        comps = components(net, keep)
+        for comp in comps:
             cert = full_rank_certificate(y[np.ix_(comp.nodes, comp.nodes)])
             touched = any(grounded[v] for v in comp.nodes)
             comp_reports.append(
@@ -218,7 +226,10 @@ def verify_block_rank(
                     f"class {ci}: component {comp.nodes} touches no boundary branch or shunt"
                 )
 
-        block_cert = full_rank_certificate(y[np.ix_(keep, keep)])
+        if len(comps) == 1 and comps[0].nodes == keep:
+            block_cert = cert  # the component is the block, in the same order
+        else:
+            block_cert = full_rank_certificate(y[np.ix_(keep, keep)])
         class_reports.append(
             ClassBlockReport(
                 class_index=ci,
@@ -226,6 +237,7 @@ def verify_block_rank(
                 components=tuple(comp_reports),
                 each_component_full_rank=all(c.full_rank for c in comp_reports),
                 block_condition_estimate=block_cert.condition_estimate,
+                certificate=block_cert,
             )
         )
 

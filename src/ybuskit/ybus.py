@@ -67,24 +67,32 @@ def _stamp(net: Network, zero_tol: float) -> np.ndarray:
     """Stamp the nodal matrix of a network into a fresh, writable array.
 
     Branches with |y| <= ``zero_tol`` are refused (they violate the
-    nonzero-admittance hypothesis and would silently drop an edge).  Each
-    branch is stamped directly, which is O(|branches|) and bit-exactly
-    symmetric.
+    nonzero-admittance hypothesis and would silently drop an edge).  All
+    branches are stamped by one unbuffered ``np.add.at`` into the flat
+    matrix, in branch order, so every entry sums its terms in the same
+    order as stamping one branch at a time would: O(|branches|) work
+    besides the zeroed N x N array, and bit-exactly symmetric.
     """
-    for i, b in enumerate(net.branches):
+    branches = net.branches
+    adm = np.array([b.admittance for b in branches], dtype=np.complex128)
+    # |y| >= max(|Re y|, |Im y|), so only these can fail the check; the check
+    # itself stays Python's abs, which NumPy's complex abs can miss by an ulp
+    for k in np.flatnonzero(np.maximum(abs(adm.real), abs(adm.imag)) <= zero_tol).tolist():
+        b = branches[k]
         if abs(b.admittance) <= zero_tol:
             raise HypothesisError(
-                f"branch {i} ({b.from_node},{b.to_node}) has admittance {b.admittance} "
+                f"branch {k} ({b.from_node},{b.to_node}) has admittance {b.admittance} "
                 f"with magnitude <= {zero_tol}; zero-admittance branches are not representable"
             )
     n = net.node_count
+    ends = np.array([(b.from_node, b.to_node) for b in branches], dtype=np.intp)
+    i, j = ends.reshape(-1, 2).T
     y = np.zeros((n, n), dtype=np.complex128)
-    for b in net.branches:
-        i, j, adm = b.from_node, b.to_node, b.admittance
-        y[i, i] += adm
-        y[j, j] += adm
-        y[i, j] -= adm
-        y[j, i] -= adm
+    np.add.at(
+        y.reshape(-1),
+        np.column_stack((i * (n + 1), j * (n + 1), i * n + j, j * n + i)).ravel(),
+        np.column_stack((adm, adm, -adm, -adm)).ravel(),
+    )
     y[np.diag_indices(n)] += shunt_totals(net)
     return y
 

@@ -5,18 +5,22 @@ exact rational arithmetic instead of floating point, Warshall transitive
 closure instead of breadth-first search, whole-system dense solves
 instead of Schur complements, the incidence triple product instead of
 direct stamping, and an explicit grounded-equivalent network instead of a
-slice of the assembled matrix.  Values produced by these oracles are what
-the tests compare the library against.
+slice of the assembled matrix.  The element-by-element generator and
+stamping loops that the package's array code replaced are kept here too,
+as the bit-for-bit reference for it.  Values produced by these oracles are
+what the tests compare the library against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from ybuskit import (
     Branch,
+    HypothesisError,
     Network,
     PreconditionError,
     Shunt,
@@ -24,6 +28,7 @@ from ybuskit import (
     incidence_matrix,
     shunt_totals,
 )
+from ybuskit.generator import _tree_from_prufer
 
 
 class QC:
@@ -238,3 +243,77 @@ def random_rational_network(rng: np.random.Generator, n: int, *,
 def solve_full(y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Whole-system dense solve, the reference route for reduction checks."""
     return np.linalg.solve(y, rhs)
+
+
+def _loop_admittance(rng: np.random.Generator, spec) -> complex:
+    lo, hi = spec.magnitude_range
+    log_lo, log_hi = math.log(lo), math.log(hi)
+
+    def magnitude() -> float:
+        return float(np.exp(rng.uniform(log_lo, log_hi)))
+
+    if spec.phase_policy == "re_positive":
+        re = magnitude()
+        im = magnitude() * (1.0 if rng.random() < 0.5 else -1.0)
+        return complex(re, im)
+    if spec.phase_policy == "pure_imaginary":
+        return complex(0.0, magnitude() * (1.0 if rng.random() < 0.5 else -1.0))
+    theta = rng.uniform(-math.pi, math.pi)
+    return magnitude() * complex(math.cos(theta), math.sin(theta))
+
+
+def loop_generate(spec) -> Network:
+    """``generate`` one element at a time: the candidate-pair list and scalar draws.
+
+    The reference for the array generator, which must reproduce every
+    network of this loop from the same random stream.
+    """
+    rng = np.random.default_rng(spec.seed)
+    lo, hi = spec.node_range
+    n = int(rng.integers(lo, hi + 1))
+    if spec.min_shunts > n:
+        raise StructuralError(f"min_shunts={spec.min_shunts} exceeds node count {n}")
+    if n == 1:
+        edges: list[tuple[int, int]] = []
+    else:
+        prufer = rng.integers(0, n, size=max(n - 2, 0)).tolist()
+        edges = _tree_from_prufer(prufer, n)
+    tree_set = set(edges)
+    candidates = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree_set
+    ]
+    extra = int(round(spec.edge_density * len(candidates)))
+    if extra:
+        picks = rng.choice(len(candidates), size=extra, replace=False)
+        edges.extend(candidates[int(k)] for k in sorted(picks))
+    branches = tuple(Branch(i, j, _loop_admittance(rng, spec)) for i, j in edges)
+    shunted = rng.random(n) < spec.shunt_probability
+    deficit = spec.min_shunts - int(np.count_nonzero(shunted))
+    if deficit > 0:
+        bare = np.flatnonzero(~shunted)
+        for k in rng.choice(bare.size, size=deficit, replace=False):
+            shunted[bare[int(k)]] = True
+    shunts = tuple(
+        Shunt(int(v), _loop_admittance(rng, spec)) for v in np.flatnonzero(shunted)
+    )
+    return Network(node_count=n, branches=branches, shunts=shunts)
+
+
+def loop_stamp(net, zero_tol: float) -> np.ndarray:
+    """The nodal matrix stamped branch by branch, the reference for ``ybus._stamp``."""
+    for i, b in enumerate(net.branches):
+        if abs(b.admittance) <= zero_tol:
+            raise HypothesisError(
+                f"branch {i} ({b.from_node},{b.to_node}) has admittance {b.admittance} "
+                f"with magnitude <= {zero_tol}; zero-admittance branches are not representable"
+            )
+    n = net.node_count
+    y = np.zeros((n, n), dtype=np.complex128)
+    for b in net.branches:
+        i, j, adm = b.from_node, b.to_node, b.admittance
+        y[i, i] += adm
+        y[j, j] += adm
+        y[i, j] -= adm
+        y[j, i] -= adm
+    y[np.diag_indices(n)] += shunt_totals(net)
+    return y

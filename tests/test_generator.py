@@ -1,9 +1,16 @@
 """Random-network generation: determinism, topology, policies, adversarial case."""
 
+import hashlib
+import itertools
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ybuskit import (
+    DEFAULT_ZERO_TOL,
+    PHASE_POLICIES,
     GenSpec,
     Partition,
     StructuralError,
@@ -17,6 +24,27 @@ from ybuskit import (
     verify_block_rank,
     verify_rank,
 )
+from ybuskit.cli import main
+from ybuskit.io import emit_json, network_to_dict
+from ybuskit.ybus import _stamp
+
+from oracles import loop_generate, loop_stamp
+
+
+def _bits(net):
+    """Node count, then every element's nodes in order with the exact bits of its admittance.
+
+    Real and imaginary parts are packed as binary64, so a differing sign of
+    zero or last bit counts as a difference.
+    """
+    def pack(z):
+        return struct.pack("<dd", z.real, z.imag)
+
+    return (
+        net.node_count,
+        [(b.from_node, b.to_node, pack(b.admittance)) for b in net.branches],
+        [(s.node, pack(s.admittance)) for s in net.shunts],
+    )
 
 
 def test_same_seed_same_network():
@@ -204,3 +232,65 @@ class TestCounterexample:
     def test_partition_is_singletons(self):
         _, part = counterexample_block_singular()
         assert part == Partition(((0,), (1,)), 2)
+
+
+class TestSameNetworksAsThePerElementGenerator:
+    """The array generator and stamp reproduce the per-element loops bit for bit."""
+
+    @pytest.mark.parametrize("policy", PHASE_POLICIES)
+    def test_oracle_agreement(self, policy):
+        # 1040 specs per policy: single nodes, two nodes, trees, complete
+        # graphs, and shunt top-ups with and without a probability draw
+        for node_range, density, min_shunts, k in itertools.product(
+            ((1, 1), (2, 2), (1, 8), (3, 30), (31, 45)), (0.0, 0.15, 0.5, 1.0), (0, 3), range(26)
+        ):
+            spec = GenSpec(
+                node_range=node_range, edge_density=density,
+                shunt_probability=0.25 if k % 2 else 0.0, magnitude_range=(1e-3, 1e3),
+                phase_policy=policy, seed=7919 * k + 13, min_shunts=min(min_shunts, node_range[0]),
+            )
+            net = generate(spec)
+            assert _bits(net) == _bits(loop_generate(spec)), spec
+            stamped = _stamp(net, DEFAULT_ZERO_TOL)
+            assert stamped.tobytes() == loop_stamp(net, DEFAULT_ZERO_TOL).tobytes(), spec
+
+    def test_fixed_specs_keep_their_networks(self, tmp_path):
+        # SHA-256 of the network documents these specs gave before generation
+        # worked on whole arrays; the first is the README randgen example
+        out = tmp_path / "demo.json"
+        assert main(["randgen", str(out), "--nodes", "8,12", "--density", "0.2",
+                     "--shunt-prob", "0.3", "--seed", "3"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4a1e0c795374f7a8eb24f7f4cd34592bb0541d1c2e62f715fce441f67db202c9")
+        pinned = {
+            GenSpec(node_range=(40, 40), edge_density=0.3, shunt_probability=0.2,
+                    phase_policy="arbitrary", seed=2024, min_shunts=3):
+            "47b87fe21336cc49d49afc51c5ad5c7ccc01d4b015b1729b27056946102270e0",
+            GenSpec(node_range=(20, 60), edge_density=0.05, magnitude_range=(1e-6, 1e6),
+                    phase_policy="pure_imaginary", seed=99, min_shunts=4):
+            "594a1c0c091a5dbaf0cdcf6fee6dfe3cc12106d88aff87a1ad6eaa9cfe5dcad4",
+        }
+        for spec, digest in pinned.items():
+            text = emit_json(network_to_dict(generate(spec)))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, spec
+
+
+def test_generation_memory_is_linear_in_nodes_plus_branches():
+    # 20000 nodes and about 3 branches per node: the 2e8 non-tree pairs are
+    # never listed, so the traced peak stays near the network itself (about
+    # 16 MiB); listing the candidate pairs took 416 MiB already at 3000 nodes
+    n = 20000
+    spec = GenSpec(node_range=(n, n), edge_density=2e-4, shunt_probability=0.05, seed=1)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        net = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert 2.5 * n < len(net.branches) < 3.5 * n
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -5,10 +5,13 @@ stdout and written files; subprocess tests exercise the installed console
 script, ``python -m ybuskit`` and the modules a command loads.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,24 @@ DOCUMENT_FIELDS = [
     ("branches", 1, "y", 0), ("branches", 1, "y", 1), ("branches", 0, "extra"),
     ("shunts", 0), ("shunts", 0, "node"), ("shunts", 0, "y"), ("shunts", 0, "y", 1),
 ]
+#: A 2-node matrix document with a shunt at node 1, and key paths into it.
+MATRIX_FUZZ_BASE = {
+    "n": 2,
+    "node_order": [0, 1],
+    "entries": [[1.0, -2.0], [-1.0, 2.0], [-1.0, 2.0], [1.5, -2.0]],
+}
+MATRIX_FIELDS = [
+    ("n",), ("node_order",), ("entries",), ("extra",), ("node_order", 0), ("node_order", 1),
+    ("entries", 0), ("entries", 1), ("entries", 2, 0), ("entries", 3, 1),
+]
+#: A branch-list CSV as rows of cells; header, two branches and a shunt.
+CSV_FUZZ_BASE = [["from", "to", "re", "im"], ["0", "1", "1.0", "-2.0"],
+                 ["1", "2", "0.5", "0.0"], ["2", "-1", "0.0", "0.25"]]
+#: CSV cell text: anything short, plus numerals the parser must refuse or bound.
+CSV_CELLS = st.text(max_size=4) | st.sampled_from([
+    "nan", "inf", "-inf", "1e999", "1e-400", "-0.0", "-1", "-2", "0", "2", "1_0", "0x1",
+    " 3 ", "\u0663", "9" * 5000, "1" + "0" * 400, "#", "from", '"1"', "\r", "\x00",
+])
 
 
 def _child_env() -> dict:
@@ -91,6 +112,14 @@ def _count_calls(monkeypatch, module, name) -> list:
         if mod_name.split(".")[0] == "ybuskit" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def _run_cli(argv) -> tuple[int, str, str]:
+    """``main(argv)`` with its stdout and stderr captured, for tests that cannot use capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def _write(tmp_path, name, text):
@@ -205,6 +234,32 @@ class TestMatrixDocuments:
         with pytest.raises(FileFormatError):
             matrix_from_dict(doc)
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(field=st.sampled_from(MATRIX_FIELDS), value=JSON_VALUES)
+    def test_any_value_in_any_field_is_a_result_or_exit_1(self, field, value):
+        doc = json.loads(json.dumps(MATRIX_FUZZ_BASE))
+        *path, last = field
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+        try:
+            matrix_from_dict(doc)
+            typed = False
+        except (FileFormatError, StructuralError):
+            typed = True
+        with tempfile.TemporaryDirectory() as tmp:
+            mpath = os.path.join(tmp, "m.json")
+            with open(mpath, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for argv in (["rank", mpath, "--method", "both"],
+                         ["kron", mpath, os.path.join(tmp, "r.json"), "--retain", "1"]):
+                code, out, err = _run_cli(argv)
+                if typed:
+                    assert (code, out) == (1, "") and err.count("\n") == 1, (argv, err)
+                else:
+                    assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, err)
+
     def test_load_any_dispatches_on_keys(self, tmp_path):
         net = PATH3
         npath = _net_file(tmp_path, net)
@@ -235,6 +290,31 @@ class TestCsv:
     def test_malformed_rejected(self, bad):
         with pytest.raises(FileFormatError):
             network_from_csv(bad)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(row=st.integers(0, 3), col=st.integers(0, 4), cell=CSV_CELLS)
+    def test_any_text_in_any_cell_is_a_network_or_exit_1(self, row, col, cell):
+        rows = [list(r) for r in CSV_FUZZ_BASE]
+        if col < 4:
+            rows[row][col] = cell
+        else:  # one field too many
+            rows[row].append(cell)
+        text = "\n".join(",".join(r) for r in rows) + "\n"
+        try:
+            net = network_from_csv(text)
+        except (FileFormatError, StructuralError):
+            net = None
+        else:
+            assert isinstance(net, Network)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "net.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            code, out, err = _run_cli(["validate", path])
+        if net is None:
+            assert (code, out) == (1, "") and err.count("\n") == 1, err
+        else:
+            assert code in (0, 2) and "Traceback" not in err, err
 
     def test_csv_file_loads_as_network(self, tmp_path):
         p = _write(tmp_path, "net.csv", "0,1,1.0,0.0\n1,-1,2.0,0.0\n")
@@ -281,6 +361,20 @@ class TestValidateCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("name,data", [
+        ("net.json", b'{"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [1, \xff]}]}'),
+        ("net.csv", b"0,1,1.0,0.0\n1,\xff,1.0,0.0\n"),
+    ], ids=["json", "csv"])
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_non_finite_csv_exits_1(self, tmp_path, capsys):
         code = main(["validate", _write(tmp_path, "nan.csv", "0,1,NaN,0\n")])

@@ -16,6 +16,8 @@ from ybuskit import (
     numerical_rank,
     verify_block_rank,
 )
+from ybuskit import linalg_core
+from ybuskit.suites import run_suite
 
 from oracles import grounded_equivalent, random_rational_network
 
@@ -203,6 +205,37 @@ class TestVerifyBlockRank:
         inner = rep.classes[1]
         assert len(inner.components) == 1 and inner.components[0].full_rank
         assert rep.all_full_rank
+
+    def test_class_certificate_is_the_class_block(self):
+        net = Network(4, (Branch(0, 1, 1.0), Branch(1, 2, 2.0 + 1j), Branch(2, 3, 0.5)),
+                      (Shunt(3, 0.25),))
+        y = assemble(net).matrix
+        # one class of two components, and one class that is a single component
+        rep = verify_block_rank(net, Partition(((0, 3), (2, 1)), 4))
+        for cls in rep.classes:
+            block = y[np.ix_(cls.nodes, cls.nodes)]
+            assert cls.certificate.condition_estimate == cls.block_condition_estimate
+            x = cls.certificate.solve(np.ones(len(cls.nodes)))
+            np.testing.assert_allclose(block @ x, np.ones(len(cls.nodes)), rtol=1e-14)
+        assert "certificate" not in repr(rep.classes[0])
+
+    def test_theorem2_suite_factors_each_block_once(self, monkeypatch):
+        calls = []
+        original = linalg_core.lu_factor_checked
+
+        def counted(a):
+            calls.append(a.tobytes())
+            return original(a)
+
+        monkeypatch.setattr(linalg_core, "lu_factor_checked", counted)
+        assert run_suite("theorem2", 1, 5).passed
+        # one LU per component and per class of several components; the solve
+        # reuses the class certificate.  Factoring each class block again for
+        # the solve, and a one-component class twice, made 45.  Node 23 is a
+        # one-node component in two of the three partitions, so 32 LUs see
+        # 31 distinct matrices.
+        assert len(calls) == 32
+        assert len(set(calls)) == 31
 
     def test_reactive_cancellation_counterexample(self):
         net = Network(2, (Branch(0, 1, 1j),), (Shunt(0, -1j),))

@@ -15,7 +15,15 @@ from ybuskit import (
     shunt_vector,
 )
 
-from oracles import exact_assemble, exact_to_array, incidence_assemble, random_rational_network
+from ybuskit.ybus import _stamp
+
+from oracles import (
+    exact_assemble,
+    exact_to_array,
+    incidence_assemble,
+    loop_stamp,
+    random_rational_network,
+)
 
 
 def _draw_net(rng, n, extra_edges, shunt_count):
@@ -87,6 +95,25 @@ def test_zero_tol_widens_refusal():
     assemble(net)  # fine at the default tolerance of exact zero
     with pytest.raises(HypothesisError):
         assemble(net, zero_tol=1e-6)
+
+
+def test_refusal_matches_per_element_oracle():
+    # zero and near-tolerance branches, refused or kept exactly as stamping one
+    # branch at a time did: the tolerances sit on |y| and one ulp either side,
+    # where NumPy's complex abs may round differently from Python's abs
+    rng = np.random.default_rng(11)
+    for z in [0j, -0.0 + 0j, 1e-300j] + list(rng.standard_normal(60) + 1j * rng.standard_normal(60)):
+        z = complex(z) * 1e-12
+        net = Network(3, (Branch(0, 1, 1.0), Branch(1, 2, z), Branch(0, 2, z)), (Shunt(0, 1.0),))
+        m = abs(z)
+        for tol in (0.0, m, np.nextafter(m, 0.0), np.nextafter(m, 1.0), 1e-12):
+            outcomes = []
+            for stamp in (_stamp, loop_stamp):
+                try:
+                    outcomes.append(stamp(net, float(tol)).tobytes())
+                except HypothesisError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (z, tol)
 
 
 def test_incidence_route_matches_stamping():
