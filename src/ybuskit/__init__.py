@@ -15,6 +15,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
     SingularMatrixError,
+    SizeLimitError,
     StructuralError,
     YbusError,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "Shunt",
     "SingularMatrixError",
     "SolveResult",
+    "SizeLimitError",
     "StructuralError",
     "SuiteOutcome",
     "ValidationReport",

@@ -9,6 +9,10 @@ class StructuralError(YbusError, ValueError):
     """Malformed data: bad node references, dimension mismatches, bad permutations."""
 
 
+class SizeLimitError(StructuralError):
+    """A dense matrix would exceed the documented size limit."""
+
+
 class HypothesisError(YbusError, ValueError):
     """A branch violates the nonzero-admittance modeling hypothesis."""
 

@@ -1,18 +1,22 @@
-"""Dense complex matrix kernel: solves, numerical rank, conditioning.
+"""Complex matrix kernel: solves, numerical rank, conditioning.
 
-Backed by LAPACK through NumPy/SciPy.  SciPy is imported inside the LU
-routines only, so importing the package (and every command that never
-factors a matrix) loads NumPy alone.  No other module sees LU factors:
-every solve goes through the certificate of :func:`full_rank_certificate`.
-Matrices are 2-D ``complex128`` arrays.  The transpose used throughout
-the package is the plain one (no conjugation): nodal admittance matrices
-are complex symmetric, not Hermitian, and every identity here is stated
-for the plain transpose.
+Backed by LAPACK through NumPy/SciPy, and by SuperLU for large sparse
+blocks.  SciPy is imported inside the LU routines only, so importing the
+package (and every command that never factors a matrix) loads NumPy
+alone; ``scipy.sparse.linalg`` loads only when a block takes the sparse
+branch.  No other module sees LU factors: every solve goes through the
+certificate of :func:`full_rank_certificate`.  Matrices are 2-D
+``complex128`` arrays.  The transpose used throughout the package is the
+plain one (no conjugation): nodal admittance matrices are complex
+symmetric, not Hermitian, and every identity here is stated for the plain
+transpose.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +25,18 @@ from .errors import NumericalError, SingularMatrixError, StructuralError
 
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
+
+#: Blocks with fewer entries than SPARSE_MIN_ORDER**2, or with more than
+#: SPARSE_MAX_ROW_NNZ nonzeros per row on average, are factored densely.
+#: Both were measured on ``perfbench`` grid networks (README, *Sparse
+#: blocks*): the two certificates of a grid Y break even near order 350,
+#: and SuperLU's fill loses to LAPACK from about 10 nonzeros per row.
+SPARSE_MIN_ORDER = 300
+SPARSE_MAX_ROW_NNZ = 8
+#: SuperLU keeps a diagonal pivot that is at least this fraction of the
+#: largest entry in its column, which preserves the symmetric
+#: ``MMD_AT_PLUS_A`` ordering and bounds the growth per step by 1 + 1/0.1.
+SPARSE_PIVOT_THRESHOLD = 0.1
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -123,15 +139,79 @@ class RankCertificate:
     full_rank: bool
     condition_estimate: float
     failed_pivot: int | None
-    _factors: tuple | None = field(default=None, repr=False, compare=False)
+    _solve: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
-    def solve(self, b, transposed: bool = False) -> np.ndarray:
-        """A^{-1} B for the certified matrix A, or A^{-T} B (plain transpose)."""
-        import scipy.linalg
-
-        if self._factors is None:
+    def solve(self, b) -> np.ndarray:
+        """A^{-1} B for the certified matrix A."""
+        if self._solve is None:
             raise _zero_pivot(self.failed_pivot)
-        return scipy.linalg.lu_solve(self._factors, b, trans=int(transposed))
+        return self._solve(b)
+
+
+def _prefers_sparse(a: np.ndarray) -> bool:
+    """Whether a block is worth handling as a sparse matrix.
+
+    It must hold at least SPARSE_MIN_ORDER**2 entries and at most
+    SPARSE_MAX_ROW_NNZ nonzeros per row (per column, if it has more
+    columns) on average.
+    """
+    rows, cols = a.shape
+    return (rows * cols >= SPARSE_MIN_ORDER ** 2
+            and np.count_nonzero(a) <= SPARSE_MAX_ROW_NNZ * max(rows, cols))
+
+
+def _inverse_norm1(solve, n: int) -> float:
+    """Hager-Higham lower estimate of ||A^{-1}||_1 from solves with A and A^H.
+
+    The iteration of LAPACK's ``zlacn2`` (Higham, ACM TOMS 14(4), 1988),
+    keeping the largest ||A^{-1} x||_1 seen.  It starts from the constant
+    vector and reads no random state.
+    """
+    x = np.full(n, 1.0 / n, dtype=np.complex128)
+    y = solve(x, "N")
+    est = float(np.abs(y).sum())
+    j = -1
+    for _ in range(4):
+        mag = np.abs(y)
+        nonzero = mag > TINY
+        sign = np.where(nonzero, y / np.where(nonzero, mag, 1.0), 1.0)
+        zmag = np.abs(solve(sign, "H"))
+        j_new = int(np.argmax(zmag))
+        if j >= 0 and zmag[j] == zmag[j_new]:
+            break  # the gradient no longer points elsewhere
+        j = j_new
+        x = np.zeros(n, dtype=np.complex128)
+        x[j] = 1.0
+        y = solve(x, "N")
+        step = float(np.abs(y).sum())
+        if not step > est:
+            break
+        est = step
+    # the alternating-sign vector catches matrices the iteration misjudges
+    alt = (1.0 + np.arange(n) / max(n - 1, 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return max(est, 2.0 * float(np.abs(solve(alt.astype(np.complex128), "N")).sum()) / (3 * n))
+
+
+def _sparse_certificate(a: np.ndarray) -> RankCertificate | None:
+    """Certificate from SuperLU factors, or None at an exactly zero pivot."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    n = a.shape[0]
+    csc = scipy.sparse.csc_matrix(a)
+    try:
+        lu = scipy.sparse.linalg.splu(
+            csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=SPARSE_PIVOT_THRESHOLD,
+            options={"SymmetricMode": True})
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return None
+    norm_a = float(abs(csc).sum(axis=0).max())
+    with np.errstate(all="ignore"):  # a near-singular block overflows: cond is inf
+        cond = norm_a * _inverse_norm1(lu.solve, n)
+    if not np.isfinite(cond):
+        cond = float("inf")
+    return RankCertificate(cond < 1.0 / (n * EPS), cond, None, lu.solve)
 
 
 def full_rank_certificate(m) -> RankCertificate:
@@ -140,26 +220,38 @@ def full_rank_certificate(m) -> RankCertificate:
     Factorizes once and accepts when the 1-norm condition estimate stays
     below ``1 / (n * eps)``; an exactly zero pivot fails immediately.  The
     certificate solves with the factors.
+
+    A block of order at least ``SPARSE_MIN_ORDER`` with at most
+    ``SPARSE_MAX_ROW_NNZ`` nonzeros per row is factored by SuperLU, and
+    its condition is estimated by Hager-Higham from the sparse solves.
+    Every other block, and a sparse one whose SuperLU factorization meets
+    an exactly zero pivot, is factored densely by LAPACK, which names the
+    pivot and estimates the condition with ``gecon``.
     """
     a = as_cmatrix(m)
     if a.shape[0] != a.shape[1]:
         raise StructuralError(f"rank certification needs a square matrix, got {a.shape}")
+    if _prefers_sparse(a):
+        cert = _sparse_certificate(a)
+        if cert is not None:
+            return cert
     n = a.shape[0]
     try:
         factors = lu_factor_checked(a)
     except SingularMatrixError as exc:
         return RankCertificate(False, float("inf"), exc.pivot_index)
-    if n == 0:
-        return RankCertificate(True, 1.0, None, factors)
 
     import scipy.linalg
 
+    solve = functools.partial(scipy.linalg.lu_solve, factors)
+    if n == 0:
+        return RankCertificate(True, 1.0, None, solve)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (factors[0],))
     rcond, info = gecon(factors[0], float(np.linalg.norm(a, 1)), norm="1")
     if info != 0:
         raise NumericalError(f"condition estimation failed with LAPACK info={info}")
     cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)
-    return RankCertificate(cond < 1.0 / (n * EPS), cond, None, factors)
+    return RankCertificate(cond < 1.0 / (n * EPS), cond, None, solve)
 
 
 def lu_solve(a, b) -> SolveResult:

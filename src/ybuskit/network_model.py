@@ -148,12 +148,29 @@ def _component_labels(n: int, edges) -> list[int]:
     return labels
 
 
+def _component_count(net: Network) -> int:
+    """Number of connected components of the branch graph.
+
+    Shunts are ignored; a node with no branches is a component of its own.
+    Only nodes that end a branch are searched, so the cost is
+    O(|branches|) whatever the node count.
+    """
+    ends = sorted({v for b in net.branches for v in (b.from_node, b.to_node)})
+    local = {v: k for k, v in enumerate(ends)}
+    labels = _component_labels(
+        len(ends), ((local[b.from_node], local[b.to_node]) for b in net.branches))
+    return max(labels, default=-1) + 1 + net.node_count - len(ends)
+
+
 def is_connected(net: Network) -> bool:
     """True iff the branch graph is a single connected component.
 
-    Shunts are ignored; a single node with no branches is connected.
-    Runs in O(N + |branches|).
+    Shunts are ignored; a single node with no branches is connected.  A
+    network with more nodes than branches plus one is disconnected at
+    once; otherwise the search runs in O(N + |branches|) = O(|branches|).
     """
+    if net.node_count > len(net.branches) + 1:
+        return False  # a connected graph on N nodes needs N - 1 branches
     edges = ((b.from_node, b.to_node) for b in net.branches)
     return not any(_component_labels(net.node_count, edges))
 
@@ -217,8 +234,7 @@ def validate(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> ValidationRepo
 
     connected = is_connected(net)
     if not connected:
-        comps = components(net, range(net.node_count))
-        messages.append(f"graph is disconnected: {len(comps)} components")
+        messages.append(f"graph is disconnected: {_component_count(net)} components")
 
     hypothesis1_ok = True
     for i, b in enumerate(net.branches):

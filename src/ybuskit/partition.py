@@ -12,6 +12,7 @@ component by component.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,30 +94,48 @@ class Partition:
 
 @dataclass(frozen=True, eq=False)
 class BlockView:
-    """A matrix brought to block order under a partition.
+    """A matrix addressed in block order under a partition.
 
-    ``permuted`` reorders ``source`` so that class i occupies the
-    contiguous row/column range ``partition.span(i)``.
+    In block order class i occupies the contiguous row/column range
+    ``partition.span(i)``; ``positions[k]`` is the row of ``source`` that
+    block-order row k refers to.  Blocks are sliced out of ``source``
+    directly; ``permuted`` builds the reordered matrix only when asked.
     """
 
     source: AdmittanceMatrix
     partition: Partition
-    permuted: AdmittanceMatrix
+    positions: np.ndarray = field(repr=False)
+
+    @property
+    def node_order(self) -> tuple[int, ...]:
+        """Node labels in block order: the classes, concatenated."""
+        return tuple(v for c in self.partition.classes for v in c)
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """The block relating class-i currents to class-j voltages."""
-        p = self.partition
-        return self.permuted.matrix[p.span(i), p.span(j)].copy()
+        """The block relating class-i currents to class-j voltages (a copy)."""
+        p, pos = self.partition, self.positions
+        return self.source.matrix[np.ix_(pos[p.span(i)], pos[p.span(j)])]
+
+    @functools.cached_property
+    def permuted(self) -> AdmittanceMatrix:
+        """``source`` reordered so that class i occupies ``partition.span(i)``."""
+        return reorder(self.source, self.node_order)
 
 
 def block_view(source: AdmittanceMatrix, part: Partition) -> BlockView:
-    """Reorder a matrix into block form under a partition of its nodes."""
+    """Address a matrix in block form under a partition of its nodes."""
     if part.node_count != source.size:
         raise StructuralError(
             f"partition covers {part.node_count} nodes but matrix has {source.size}"
         )
-    permuted = reorder(source, [v for c in part.classes for v in c])
-    return BlockView(source=source, partition=part, permuted=permuted)
+    pos = {v: i for i, v in enumerate(source.node_order)}
+    if pos.keys() != set(range(part.node_count)):
+        raise StructuralError(
+            f"partition nodes 0..{part.node_count - 1} are not the matrix node order"
+        )
+    positions = np.array([pos[v] for c in part.classes for v in c], dtype=np.intp)
+    positions.flags.writeable = False
+    return BlockView(source=source, partition=part, positions=positions)
 
 
 @dataclass(frozen=True)

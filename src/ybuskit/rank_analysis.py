@@ -170,9 +170,10 @@ def rank_verdicts(source: Network | AdmittanceMatrix, methods) -> list[RankVerdi
     return _rank_verdicts(source, methods, DEFAULT_ZERO_TOL)
 
 
-def _rank_verdicts(source, methods, zero_tol: float) -> list[RankVerdict]:
+def _rank_verdicts(source, methods, zero_tol: float, assembled=None) -> list[RankVerdict]:
     # verify_rank and verify_rank_via_augmentation pass their own zero_tol here;
-    # it applies to networks only
+    # it applies to networks only.  ``assembled`` is the network's stamped Y
+    # when the caller has it already.
     for method in methods:
         if method not in ("direct", "virtual_ground"):
             raise PreconditionError(f"unknown rank verification method: {method}")
@@ -195,7 +196,10 @@ def _rank_verdicts(source, methods, zero_tol: float) -> list[RankVerdict]:
     if shuntless and "virtual_ground" in methods:
         raise PreconditionError("virtual-ground verification needs at least one nonzero shunt")
 
-    y = source.matrix if net is None else assemble(net, zero_tol=zero_tol).matrix
+    if net is None:
+        y = source.matrix
+    else:
+        y = assemble(net, zero_tol=zero_tol).matrix if assembled is None else assembled
     n = y.shape[0]
     verdicts = []
     for method in methods:

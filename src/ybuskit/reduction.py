@@ -5,7 +5,7 @@ partition of a connected, dissipative network is invertible.  Kron
 reduction eliminates a class of zero-injection nodes by taking the Schur
 complement with respect to its block; hybrid extraction instead solves
 one block row of I = Y V for the voltages of that class, producing a
-mixed current/voltage transfer matrix.
+mixed current/voltage transfer matrix.  One Schur kernel serves both.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotReducibleError, NotSolvableError, StructuralError
-from .linalg_core import RankCertificate, full_rank_certificate
+from .linalg_core import RankCertificate, _prefers_sparse, full_rank_certificate
 from .partition import BlockView, Partition
 from .ybus import AdmittanceMatrix
 
@@ -75,6 +75,38 @@ def _node_positions(y: AdmittanceMatrix, labels) -> dict[int, int]:
     return pos
 
 
+def _schur(m: np.ndarray, epos: np.ndarray, kpos: np.ndarray, what: str, err_cls):
+    """Certificate of Y_ee, W = Y_ee^{-1} Y_ek and S = Y_kk - Y_ke W.
+
+    ``epos`` and ``kpos`` index rows and columns of ``m``.  S is
+    symmetrized, since LU roundoff breaks its exact symmetry.  Y_ke W is
+    formed with a sparse Y_ke when the block is large and sparse.
+    """
+    cert = _certified(m[np.ix_(epos, epos)], what, err_cls)
+    w = cert.solve(m[np.ix_(epos, kpos)])
+    y_ke = m[np.ix_(kpos, epos)]
+    if _prefers_sparse(y_ke):
+        import scipy.sparse
+
+        y_ke = scipy.sparse.csr_matrix(y_ke)
+    s = m[np.ix_(kpos, kpos)]
+    s -= y_ke @ w
+    s += s.T
+    s *= 0.5
+    return cert, w, s
+
+
+def _reduce(y: AdmittanceMatrix, epos: np.ndarray, kpos: np.ndarray) -> ReductionResult:
+    """Eliminate rows/columns ``epos`` of ``y``, keeping ``kpos`` in that order."""
+    _, w, s = _schur(y.matrix, epos, kpos, "elimination block", NotReducibleError)
+    order = y.node_order
+    return ReductionResult(
+        reduced=AdmittanceMatrix(matrix=s, node_order=tuple(order[i] for i in kpos)),
+        eliminated_order=tuple(order[i] for i in epos),
+        recovery=-w,
+    )
+
+
 def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
     """Eliminate the given nodes of an admittance matrix by Schur complement.
 
@@ -104,25 +136,9 @@ def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
         raise NotReducibleError("cannot eliminate every node; at least one must remain")
 
     epos = np.array([pos[v] for v in labels], dtype=np.intp)
-    elim_set = set(epos.tolist())
-    rpos = np.array([i for i in range(n) if i not in elim_set], dtype=np.intp)
-    retained = tuple(y.node_order[i] for i in rpos)
-
-    m = y.matrix
-    y_ss = m[np.ix_(rpos, rpos)]
-    y_st = m[np.ix_(rpos, epos)]
-    y_ts = m[np.ix_(epos, rpos)]
-    y_tt = m[np.ix_(epos, epos)]
-
-    w = _certified(y_tt, "elimination block", NotReducibleError).solve(y_ts)
-    schur = y_ss - y_st @ w
-    # LU roundoff breaks exact symmetry of the Schur complement; restore it
-    schur = 0.5 * (schur + schur.T)
-    return ReductionResult(
-        reduced=AdmittanceMatrix(matrix=schur, node_order=retained),
-        eliminated_order=tuple(labels),
-        recovery=-w,
-    )
+    keep = np.ones(n, dtype=bool)
+    keep[epos] = False
+    return _reduce(y, epos, np.flatnonzero(keep))
 
 
 def kron_reduce(view: BlockView, t: int) -> ReductionResult:
@@ -132,7 +148,8 @@ def kron_reduce(view: BlockView, t: int) -> ReductionResult:
     class block must be invertible; otherwise the reduction does not exist
     and :class:`NotReducibleError` is raised.
     """
-    return kron_reduce_nodes(view.permuted, view.permuted.node_order[view.partition.span(t)])
+    st = view.partition.span(t)
+    return _reduce(view.source, view.positions[st], np.delete(view.positions, st))
 
 
 def recover_eliminated(result: ReductionResult, v_retained) -> np.ndarray:
@@ -206,50 +223,35 @@ class HybridResult:
 def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
     """Solve block row p of I = Y V for V_p, yielding hybrid parameters.
 
-    With W = Y_pp^{-1}: block (p, p) is W itself, block (p, k) is
-    -W Y_pk, block (q, p) is Y_qp W and block (q, k) is the Schur-style
-    update Y_qk - Y_qp W Y_pk.  A single factorization of Y_pp backs all
-    of them; only block (p, p) materializes the inverse, because the
-    inverse is the deliverable there.
+    With W = Y_pp^{-1} Y_pk over all other classes k, the Schur kernel of
+    Kron reduction gives every block: (p, p) is Y_pp^{-1}, (p, k) is -W,
+    the admittance blocks (q, k) are the Kron reduction of class p, and
+    since Y is complex symmetric, (q, p) = Y_qp Y_pp^{-1} = W^T, which is
+    -(H_pq)^T.  One factorization of Y_pp backs all of them; only block
+    (p, p) materializes the inverse, because the inverse is the
+    deliverable there.
     """
     part = view.partition
-    sp = part.span(p)
-    m = view.permuted.matrix
-    y_pp = m[sp, sp]
-    cert = _certified(y_pp, f"block ({p},{p})", NotSolvableError)
-
     n = part.node_count
-    h = np.zeros((n, n), dtype=np.complex128)
-    h[sp, sp] = cert.solve(np.eye(y_pp.shape[0], dtype=np.complex128))
-    roles: dict[tuple[int, int], str] = {(p, p): ROLE_IMPEDANCE}
+    sp = part.span(p)
+    others = np.r_[0:sp.start, sp.stop:n]
+    cert, w, s = _schur(view.source.matrix, view.positions[sp], view.positions[others],
+                        f"block ({p},{p})", NotSolvableError)
 
-    for k in range(part.class_count):
-        if k == p:
-            continue
-        sk = part.span(k)
-        w_k = cert.solve(m[sp, sk])  # Y_pp^{-1} Y_pk
-        h[sp, sk] = -w_k
-        roles[(p, k)] = ROLE_VOLTAGE_GAIN
-        for q in range(part.class_count):
-            if q == p:
-                continue
-            sq = part.span(q)
-            h[sq, sk] = m[sq, sk] - m[sq, sp] @ w_k
-            roles[(q, k)] = ROLE_ADMITTANCE
-
-    # the transposed solve applies the same factors from the right:
-    # H_qp = Y_qp Y_pp^{-1} = (Y_pp^{-T} Y_qp^{T})^{T}
-    for q in range(part.class_count):
-        if q == p:
-            continue
-        sq = part.span(q)
-        h[sq, sp] = cert.solve(m[sq, sp].T, transposed=True).T
-        roles[(q, p)] = ROLE_CURRENT_GAIN
-
+    h = np.empty((n, n), dtype=np.complex128)
+    h[sp, sp] = cert.solve(np.eye(sp.stop - sp.start, dtype=np.complex128))
+    h[sp, others] = -w
+    h[others, sp] = w.T
+    h[np.ix_(others, others)] = s
+    roles = {
+        (q, k): (ROLE_IMPEDANCE if k == p else ROLE_VOLTAGE_GAIN) if q == p
+        else (ROLE_CURRENT_GAIN if k == p else ROLE_ADMITTANCE)
+        for q in range(part.class_count) for k in range(part.class_count)
+    }
     return HybridResult(
         h=h,
         solved_class=p,
         partition=part,
-        node_order=view.permuted.node_order,
+        node_order=view.node_order,
         block_roles=roles,
     )

@@ -14,12 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, StructuralError
+from .errors import HypothesisError, SizeLimitError, StructuralError
 from .linalg_core import as_cmatrix
 from .network_model import DEFAULT_ZERO_TOL, Network, shunt_totals
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
 SYMMETRY_RTOL = 1e-14
+#: Rows per block of the symmetry check, which never holds more than this
+#: many rows of temporaries.
+_SYMMETRY_ROWS = 64
+#: Largest node count stamped into a dense matrix: 16384² complex entries
+#: take 4 GiB.
+MAX_DENSE_ORDER = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +53,7 @@ class AdmittanceMatrix:
         if len(set(order)) != len(order):
             raise StructuralError("node_order contains duplicate nodes")
         if m.size:
-            scale = float(np.abs(m).max())
-            asym = float(np.abs(m - m.T).max())
+            scale, asym = _scale_and_asymmetry(m)
             if asym > SYMMETRY_RTOL * scale:
                 raise StructuralError(
                     f"matrix is not complex symmetric: max|Y - Y^T| = {asym:.3e} "
@@ -63,6 +68,21 @@ class AdmittanceMatrix:
         return self.matrix.shape[0]
 
 
+def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
+    """max|Y| and max|Y - Y^T|, a block of rows at a time.
+
+    Rows r0:r1 are compared with columns r0:r1 from column r0 on, which
+    covers the upper triangle; |Y - Y^T| is symmetric, so its maximum there
+    is its maximum everywhere.
+    """
+    scale = asym = 0.0
+    for r0 in range(0, m.shape[0], _SYMMETRY_ROWS):
+        rows = m[r0:r0 + _SYMMETRY_ROWS]
+        scale = max(scale, float(np.abs(rows).max()))
+        asym = max(asym, float(np.abs(rows[:, r0:] - m[r0:, r0:r0 + _SYMMETRY_ROWS].T).max()))
+    return scale, asym
+
+
 def _stamp(net: Network, zero_tol: float) -> np.ndarray:
     """Stamp the nodal matrix of a network into a fresh, writable array.
 
@@ -71,8 +91,12 @@ def _stamp(net: Network, zero_tol: float) -> np.ndarray:
     branches are stamped by one unbuffered ``np.add.at`` into the flat
     matrix, in branch order, so every entry sums its terms in the same
     order as stamping one branch at a time would: O(|branches|) work
-    besides the zeroed N x N array, and bit-exactly symmetric.
+    besides the zeroed N x N array, and bit-exactly symmetric.  A node count
+    beyond ``MAX_DENSE_ORDER`` raises :class:`SizeLimitError` first.
     """
+    n = net.node_count
+    if n > MAX_DENSE_ORDER:
+        raise SizeLimitError(f"{n} nodes exceed the dense matrix limit of {MAX_DENSE_ORDER} nodes")
     branches = net.branches
     adm = np.array([b.admittance for b in branches], dtype=np.complex128)
     # |y| >= max(|Re y|, |Im y|), so only these can fail the check; the check
@@ -84,7 +108,6 @@ def _stamp(net: Network, zero_tol: float) -> np.ndarray:
                 f"branch {k} ({b.from_node},{b.to_node}) has admittance {b.admittance} "
                 f"with magnitude <= {zero_tol}; zero-admittance branches are not representable"
             )
-    n = net.node_count
     ends = np.array([(b.from_node, b.to_node) for b in branches], dtype=np.intp)
     i, j = ends.reshape(-1, 2).T
     y = np.zeros((n, n), dtype=np.complex128)

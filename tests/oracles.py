@@ -245,6 +245,35 @@ def solve_full(y: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(y, rhs)
 
 
+def blockwise_hybrid(m: np.ndarray, spans, p: int) -> np.ndarray:
+    """Hybrid parameters block by block, the reference for ``hybrid_parameters``.
+
+    ``m`` is Y in block order and ``spans[k]`` the slice of class k.  One
+    LU of Y_pp; block (p, p) is its inverse, each block (p, k) a solve,
+    each block (q, k) the update Y_qk - Y_qp W_k, and each block (q, p) a
+    transposed solve, Y_qp Y_pp^{-1} = (Y_pp^{-T} Y_qp^T)^T.  No Schur
+    complement, no symmetrization and no reciprocity are used.
+    """
+    import scipy.linalg
+
+    sp = spans[p]
+    lu = scipy.linalg.lu_factor(m[sp, sp])
+    h = np.zeros_like(m, dtype=np.complex128)
+    h[sp, sp] = scipy.linalg.lu_solve(lu, np.eye(sp.stop - sp.start, dtype=np.complex128))
+    for k, sk in enumerate(spans):
+        if k == p:
+            continue
+        w_k = scipy.linalg.lu_solve(lu, m[sp, sk])
+        h[sp, sk] = -w_k
+        for q, sq in enumerate(spans):
+            if q != p:
+                h[sq, sk] = m[sq, sk] - m[sq, sp] @ w_k
+    for q, sq in enumerate(spans):
+        if q != p:
+            h[sq, sp] = scipy.linalg.lu_solve(lu, m[sq, sp].T, trans=1).T
+    return h
+
+
 def _loop_admittance(rng: np.random.Generator, spec) -> complex:
     lo, hi = spec.magnitude_range
     log_lo, log_hi = math.log(lo), math.log(hi)

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,16 @@ def _run_cli(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _peak_bytes(fn):
+    """``fn()`` and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -183,7 +194,7 @@ class TestNetworkDocuments:
         with pytest.raises(FileFormatError):
             network_from_dict(doc)
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None)
     @given(field=st.sampled_from(DOCUMENT_FIELDS), value=JSON_VALUES)
     def test_any_value_in_any_field_is_a_network_or_a_typed_error(self, field, value):
         doc = json.loads(json.dumps(FUZZ_BASE))
@@ -234,7 +245,7 @@ class TestMatrixDocuments:
         with pytest.raises(FileFormatError):
             matrix_from_dict(doc)
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None)
     @given(field=st.sampled_from(MATRIX_FIELDS), value=JSON_VALUES)
     def test_any_value_in_any_field_is_a_result_or_exit_1(self, field, value):
         doc = json.loads(json.dumps(MATRIX_FUZZ_BASE))
@@ -291,7 +302,7 @@ class TestCsv:
         with pytest.raises(FileFormatError):
             network_from_csv(bad)
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None)
     @given(row=st.integers(0, 3), col=st.integers(0, 4), cell=CSV_CELLS)
     def test_any_text_in_any_cell_is_a_network_or_exit_1(self, row, col, cell):
         rows = [list(r) for r in CSV_FUZZ_BASE]
@@ -340,6 +351,19 @@ class TestValidateCommand:
         assert code == 2
         assert "connected: no" in out
         assert "finding:" in out
+
+    def test_huge_node_count_is_disconnected_without_per_node_work(self, tmp_path, capsys):
+        path = _write(tmp_path, "huge.json", '{"nodes": 10000000000, "branches": '
+                      '[{"from": 0, "to": 1, "y": [1.0, 0.0]}]}')
+        code, peak = _peak_bytes(lambda: main(["validate", path]))
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "connected: no" in out
+        assert "finding: graph is disconnected: 9999999999 components" in out
+        code, rank_peak = _peak_bytes(lambda: main(["rank", path]))
+        assert code == 2
+        assert "connected branch graph" in capsys.readouterr().err
+        assert max(peak, rank_peak) < 1 << 20
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["validate", str(tmp_path / "nope.json")])
@@ -420,13 +444,17 @@ class TestYbusCommand:
         assert main(["ybus", _net_file(tmp_path, net), str(tmp_path / "y.json")]) == 2
 
     def test_network_too_large_for_a_dense_matrix_exits_1(self, tmp_path, capsys):
-        # 10^7 nodes ask for a 1.42 PiB dense matrix; the allocation fails at once
-        big = tmp_path / "big.json"
-        big.write_text('{"nodes": 10000000}')
-        assert main(["ybus", str(big), str(tmp_path / "out.json")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        # the limit is checked before any N x N (or N-long) allocation
+        for nodes in (ybus.MAX_DENSE_ORDER + 1, 10**7, 10**10):
+            big = _write(tmp_path, "big.json", f'{{"nodes": {nodes}}}')
+            for argv in (["ybus", big, str(tmp_path / "out.json")],
+                         ["kron", big, str(tmp_path / "out.json"), "--eliminate", "0"]):
+                code, peak = _peak_bytes(lambda: main(argv))
+                assert code == 1
+                assert capsys.readouterr().err == (
+                    f"error: {nodes} nodes exceed the dense matrix limit of "
+                    f"{ybus.MAX_DENSE_ORDER} nodes\n")
+                assert peak < 1 << 20
         assert not (tmp_path / "out.json").exists()
 
 

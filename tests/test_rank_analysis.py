@@ -24,6 +24,8 @@ from ybuskit import (
     verify_rank,
     verify_rank_via_augmentation,
 )
+from ybuskit import ybus
+from ybuskit.suites import run_suite
 
 from oracles import exact_assemble, exact_rank, random_rational_network
 
@@ -307,3 +309,19 @@ def test_verdict_is_frozen():
     v = RankVerdict(2, 2, True, 0, "direct", float("inf"))
     with pytest.raises(AttributeError):
         v.agrees = False
+
+
+def test_theorem1_suite_stamps_each_network_once(monkeypatch):
+    stamped = []
+    original = ybus._stamp
+
+    def counted(net, zero_tol):
+        stamped.append(net.node_count)
+        return original(net, zero_tol)
+
+    monkeypatch.setattr(ybus, "_stamp", counted)
+    assert run_suite("theorem1", 1, 5).passed
+    # the shuntless sample's Y serves its verdict and its row sums; the
+    # shunted sample stamps its own Y and its virtual-ground network's
+    assert len(stamped) == 3
+    assert stamped[2] == stamped[1] + 1

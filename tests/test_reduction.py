@@ -31,6 +31,8 @@ from ybuskit import (
     recover_eliminated,
 )
 
+from oracles import blockwise_hybrid
+
 RNG = np.random.default_rng(61)
 
 
@@ -301,6 +303,22 @@ class TestHybridParameters:
             want[~mask] = i_other
             scale = max(np.linalg.norm(want), 1.0)
             assert np.linalg.norm(w - want) <= 1e-10 * scale
+
+    def test_matches_the_blockwise_formula(self):
+        # the Schur kernel plus reciprocity against one solve per block and a
+        # transposed solve per current-gain block
+        for seed in range(12):
+            net = _random_net(seed=500 + seed, n_lo=6, n_hi=30)
+            n = net.node_count
+            labels = np.random.default_rng(seed).integers(0, 3, size=n)
+            labels[:3] = [0, 1, 2]
+            part = Partition.from_labels(labels)
+            view = block_view(assemble(net), part)
+            p = seed % 3
+            res = hybrid_parameters(view, p)
+            want = blockwise_hybrid(view.permuted.matrix,
+                                    [part.span(k) for k in range(3)], p)
+            assert np.abs(res.h - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_singular_solve_block_refused(self):
         net, part = counterexample_block_singular()

@@ -9,13 +9,15 @@ from ybuskit import (
     HypothesisError,
     Network,
     Shunt,
+    SizeLimitError,
     StructuralError,
     assemble,
     reorder,
     shunt_vector,
 )
 
-from ybuskit.ybus import _stamp
+from ybuskit import ybus
+from ybuskit.ybus import MAX_DENSE_ORDER, SYMMETRY_RTOL, _stamp
 
 from oracles import (
     exact_assemble,
@@ -116,6 +118,12 @@ def test_refusal_matches_per_element_oracle():
             assert outcomes[0] == outcomes[1], (z, tol)
 
 
+def test_dense_size_limit_refuses_before_allocating():
+    # one node past the limit: stamping would ask for a 4 GiB array
+    with pytest.raises(SizeLimitError, match=f"limit of {MAX_DENSE_ORDER} nodes"):
+        assemble(Network(MAX_DENSE_ORDER + 1, (Branch(0, 1, 1.0),), ()))
+
+
 def test_incidence_route_matches_stamping():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -151,6 +159,24 @@ class TestAdmittanceMatrixInvariants:
     def test_rejects_asymmetric(self):
         with pytest.raises(StructuralError, match="symmetric"):
             AdmittanceMatrix(np.array([[1.0, 2.0], [3.0, 1.0]]), (0, 1))
+
+    @pytest.mark.parametrize("i, j", [(0, -1), (-1, 0), (-2, -1), (-1, -2)])
+    def test_asymmetry_one_ulp_past_the_threshold(self, i, j):
+        # the check runs over blocks of rows and finds a pair in the block of
+        # its smaller index: the first block for (0, N-1) and (N-1, 0), the
+        # last, short block for the other two pairs
+        n = 2 * ybus._SYMMETRY_ROWS + 44
+        m = np.diag(np.full(n, 0.5 + 0j))
+        m[5, 5] = 1.0  # max|Y| = 1, so the threshold is SYMMETRY_RTOL itself
+        m[i, j] = SYMMETRY_RTOL
+        AdmittanceMatrix(m, range(n))
+        m[i, j] = np.nextafter(SYMMETRY_RTOL, 1.0)
+        with pytest.raises(StructuralError) as err:
+            AdmittanceMatrix(m, range(n))
+        assert str(err.value) == (
+            f"matrix is not complex symmetric: max|Y - Y^T| = {np.abs(m - m.T).max():.3e} "
+            f"exceeds 1e-14 * max|Y| = {SYMMETRY_RTOL * np.abs(m).max():.3e}"
+        )
 
     def test_complex_symmetric_is_not_hermitian(self):
         # Equal (not conjugate) off-diagonal entries must be accepted.
