@@ -35,9 +35,7 @@ from .network_model import (
 from .linalg_core import (
     RankCertificate,
     RankResult,
-    SolveResult,
     full_rank_certificate,
-    lu_solve,
     numerical_rank,
 )
 from .ybus import AdmittanceMatrix, assemble, reorder, shunt_vector
@@ -106,7 +104,6 @@ __all__ = [
     "SUITE_NAMES",
     "Shunt",
     "SingularMatrixError",
-    "SolveResult",
     "SizeLimitError",
     "StructuralError",
     "SuiteOutcome",
@@ -125,7 +122,6 @@ __all__ = [
     "is_connected",
     "kron_reduce",
     "kron_reduce_nodes",
-    "lu_solve",
     "numerical_rank",
     "predict_rank",
     "random_partition",

@@ -2,8 +2,8 @@
 
 Subcommands wrap one library operation each; all randomness is seeded
 through flags, so output on stdout is reproducible byte for byte.
-Timing goes to stderr.  Exit codes: 0 success, 1 usage or I/O problem,
-2 theorem precondition unmet, 3 numerical disagreement.
+Timing goes to stderr.  Exit codes: 0 success, 1 usage, I/O or overflow
+problem, 2 theorem precondition unmet, 3 numerical disagreement.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import (
     HypothesisError,
     NotReducibleError,
     NotSolvableError,
+    NumericalError,
     PreconditionError,
     StructuralError,
     YbusError,
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileFormatError, StructuralError, OSError, MemoryError) as exc:
+    except (FileFormatError, StructuralError, NumericalError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionError, HypothesisError, NotReducibleError, NotSolvableError) as exc:

@@ -72,6 +72,8 @@ class GenSpec:
                 f"unknown phase policy {self.phase_policy!r}; choose from {PHASE_POLICIES}"
             )
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise StructuralError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "min_shunts", int(self.min_shunts))
         if self.min_shunts < 0:
             raise StructuralError("min_shunts must be nonnegative")

@@ -49,6 +49,13 @@ def as_cmatrix(a) -> np.ndarray:
     return arr
 
 
+def _finite(a, what: str):
+    """``a`` itself, once every entry is finite; an overflow raises :class:`NumericalError`."""
+    if not np.isfinite(a).all():
+        raise NumericalError(f"{what} overflows the floating-point range")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class RankResult:
     """Numerical rank plus the singular values it was decided from."""
@@ -58,26 +65,12 @@ class RankResult:
     tolerance_used: float
 
 
-@dataclass(frozen=True, eq=False)
-class SolveResult:
-    """Solution of a linear system with post-hoc quality measures.
+def numerical_rank(m) -> RankResult:
+    """Rank as the count of singular values above ``max(rows, cols) * eps * sigma_max``.
 
-    ``relative_residual`` is ||A X - B||_F / max(||B||_F, tiny) computed by
-    multiplying the solution back.  ``condition_estimate`` is the 1-norm
-    condition number estimated from the LU factors.
-    """
-
-    solution: np.ndarray
-    relative_residual: float
-    condition_estimate: float
-
-
-def numerical_rank(m, tol: float | None = None) -> RankResult:
-    """Rank as the count of singular values above a tolerance.
-
-    ``tol=None`` selects the conservative default
-    ``max(rows, cols) * sigma_max * eps``; pass a nonnegative float to fix
-    the threshold instead.  Singular values are returned for diagnostics.
+    Singular values are returned for diagnostics.  An SVD that does not
+    converge, or whose singular values overflow, raises
+    :class:`NumericalError`.
     """
     a = as_cmatrix(m)
     if a.size == 0:
@@ -89,15 +82,13 @@ def numerical_rank(m, tol: float | None = None) -> RankResult:
             raise NumericalError(
                 f"SVD did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}"
             ) from exc
-    if tol is None:
-        sigma_max = float(sigma[0]) if sigma.size else 0.0
-        tol = max(a.shape, default=0) * sigma_max * EPS
-    elif tol < 0:
-        raise StructuralError("rank tolerance must be nonnegative")
+        _finite(sigma, f"a singular value of the {a.shape[0]}x{a.shape[1]} matrix")
+    # eps is a power of two, so this is n * sigma_max * eps without its overflow
+    tol = max(a.shape, default=0) * EPS * (float(sigma[0]) if sigma.size else 0.0)
     rank = int(np.count_nonzero(sigma > tol))
     sigma = sigma.copy()
     sigma.flags.writeable = False
-    return RankResult(rank=rank, singular_values=sigma, tolerance_used=float(tol))
+    return RankResult(rank=rank, singular_values=sigma, tolerance_used=tol)
 
 
 def _zero_pivot(k: int) -> SingularMatrixError:
@@ -107,16 +98,13 @@ def _zero_pivot(k: int) -> SingularMatrixError:
 
 
 def lu_factor_checked(a: np.ndarray):
-    """Partial-pivoted LU factors of a square matrix.
+    """Partial-pivoted LU factors of a square matrix :func:`as_cmatrix` has checked.
 
     Raises :class:`SingularMatrixError` (carrying the pivot index) when the
     factorization produces an exactly zero pivot.
     """
     import scipy.linalg
 
-    a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise StructuralError(f"LU needs a square matrix, got {a.shape}")
     with warnings.catch_warnings():
         # scipy warns instead of raising on an exactly singular factorization
         warnings.simplefilter("ignore")
@@ -206,8 +194,8 @@ def _sparse_certificate(a: np.ndarray) -> RankCertificate | None:
             options={"SymmetricMode": True})
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
         return None
-    norm_a = float(abs(csc).sum(axis=0).max())
     with np.errstate(all="ignore"):  # a near-singular block overflows: cond is inf
+        norm_a = _finite(float(abs(csc).sum(axis=0).max()), "the 1-norm of the matrix")
         cond = norm_a * _inverse_norm1(lu.solve, n)
     if not np.isfinite(cond):
         cond = float("inf")
@@ -247,39 +235,10 @@ def full_rank_certificate(m) -> RankCertificate:
     if n == 0:
         return RankCertificate(True, 1.0, None, solve)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (factors[0],))
-    rcond, info = gecon(factors[0], float(np.linalg.norm(a, 1)), norm="1")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused next
+        norm_a = _finite(float(np.linalg.norm(a, 1)), "the 1-norm of the matrix")
+    rcond, info = gecon(factors[0], norm_a, norm="1")
     if info != 0:
         raise NumericalError(f"condition estimation failed with LAPACK info={info}")
     cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)
     return RankCertificate(cond < 1.0 / (n * EPS), cond, None, solve)
-
-
-def lu_solve(a, b) -> SolveResult:
-    """Solve A X = B via partial-pivoted LU.
-
-    ``b`` may be a vector or a matrix with matching row count; the solution
-    keeps its shape.  Works for general complex matrices, including the
-    complex-symmetric (non-Hermitian) ones this package produces.
-    """
-    a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise StructuralError(f"lu_solve needs a square matrix, got {a.shape}")
-    b_arr = np.asarray(b, dtype=np.complex128)
-    if b_arr.ndim not in (1, 2):
-        raise StructuralError(f"right-hand side must be 1-D or 2-D, got ndim={b_arr.ndim}")
-    if b_arr.size and not np.isfinite(b_arr).all():
-        raise StructuralError("right-hand side entries must be finite")
-    if b_arr.shape[0] != a.shape[0]:
-        raise StructuralError(
-            f"right-hand side rows {b_arr.shape[0]} do not match matrix size {a.shape[0]}"
-        )
-
-    cert = full_rank_certificate(a)
-    x = cert.solve(b_arr)
-    residual = float(np.linalg.norm(a @ x - b_arr))
-    scale = max(float(np.linalg.norm(b_arr)), TINY)
-    return SolveResult(
-        solution=x,
-        relative_residual=residual / scale,
-        condition_estimate=cert.condition_estimate,
-    )

@@ -221,15 +221,12 @@ def incidence_matrix(net: Network) -> np.ndarray:
     return a
 
 
-def validate(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> ValidationReport:
+def validate(net: Network) -> ValidationReport:
     """Check the modeling preconditions and report each one independently.
 
     Never raises on a precondition violation: the report carries the
-    findings.  ``zero_tol`` is the admittance magnitude below which a
-    branch counts as zero.
+    findings.  A branch counts as zero when |y| <= ``DEFAULT_ZERO_TOL``.
     """
-    if zero_tol < 0:
-        raise StructuralError("zero_tol must be nonnegative")
     messages: list[str] = []
 
     connected = is_connected(net)
@@ -238,7 +235,7 @@ def validate(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> ValidationRepo
 
     hypothesis1_ok = True
     for i, b in enumerate(net.branches):
-        if abs(b.admittance) <= zero_tol:
+        if abs(b.admittance) <= DEFAULT_ZERO_TOL:
             hypothesis1_ok = False
             messages.append(
                 f"branch {i} ({b.from_node},{b.to_node}) has near-zero admittance {b.admittance}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError
-from .linalg_core import RankCertificate, full_rank_certificate
+from .linalg_core import full_rank_certificate
 from .network_model import DEFAULT_ZERO_TOL, Network, components, validate
 from .ybus import AdmittanceMatrix, _stamp, reorder
 
@@ -150,18 +150,13 @@ class ComponentReport:
 
 @dataclass(frozen=True)
 class ClassBlockReport:
-    """Verification outcome for one diagonal block.
-
-    ``certificate`` is the block's full-rank certificate, which solves with
-    its LU factors; it stays out of the repr and of comparisons.
-    """
+    """Verification outcome for one diagonal block."""
 
     class_index: int
     nodes: tuple[int, ...]
     components: tuple[ComponentReport, ...]
     each_component_full_rank: bool
     block_condition_estimate: float
-    certificate: RankCertificate = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -184,11 +179,7 @@ class BlockRankReport:
         return all(c.each_component_full_rank for c in self.classes)
 
 
-def verify_block_rank(
-    net: Network,
-    part: Partition,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> BlockRankReport:
+def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     """Verify that every diagonal block of the partition has full rank.
 
     Grounding every other class turns boundary branches into shunts, so a
@@ -196,16 +187,16 @@ def verify_block_rank(
     Y is stamped once; each class is decomposed into the connected
     components of its induced subgraph, and since the block is
     block-diagonal across them every component sub-block gets its own LU
-    condition certificate.  The whole block's certificate is kept on its
-    report; when the class is one component, that component's serves.  The
-    structural claim that every component touches a boundary branch or a
-    nonzero shunt is checked as well.
+    condition certificate.  The whole block's condition estimate is
+    reported; when the class is one component, that component's serves.
+    The structural claim that every component touches a boundary branch or
+    a nonzero shunt is checked as well.
     """
     if part.node_count != net.node_count:
         raise StructuralError(
             f"partition covers {part.node_count} nodes but network has {net.node_count}"
         )
-    report = validate(net, zero_tol=zero_tol)
+    report = validate(net)
     findings = list(report.messages)
     y = _stamp(net, 0.0)
 
@@ -217,7 +208,7 @@ def verify_block_rank(
         if labels[b.from_node] != labels[b.to_node]:
             grounded[b.from_node] = grounded[b.to_node] = True
     for s in net.shunts:
-        if abs(s.admittance) > zero_tol:
+        if abs(s.admittance) > DEFAULT_ZERO_TOL:
             grounded[s.node] = True
 
     class_reports: list[ClassBlockReport] = []
@@ -256,7 +247,6 @@ def verify_block_rank(
                 components=tuple(comp_reports),
                 each_component_full_rank=all(c.full_rank for c in comp_reports),
                 block_condition_estimate=block_cert.condition_estimate,
-                certificate=block_cert,
             )
         )
 

@@ -2,8 +2,7 @@
 
 For a connected network with nonzero branch admittances, the nodal matrix
 has rank N-1 when every node's shunt total is zero and full rank N as soon
-as one shunt is present.  Two independent verification routes are
-implemented:
+as one shunt is present.  Two verification routes are implemented:
 
 * ``verify_rank`` measures the numerical rank of the assembled matrix
   directly.
@@ -11,7 +10,9 @@ implemented:
   virtual ground node, turning every shunt into a branch.  The augmented
   shuntless network must then exhibit rank (N+1)-1 = N, and its assembled
   matrix must equal the block form ``[[Y, -t], [-t^T, sum(t)]]`` built
-  from the original matrix and its shunt vector ``t``.
+  from the original matrix and its shunt vector ``t``.  Grounding the
+  virtual node of that matrix gives back Y, so this route is the direct
+  one plus the block-form match, not an independent check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg_core import TINY, numerical_rank
+from .linalg_core import TINY, _finite, numerical_rank
 from .network_model import (
     DEFAULT_ZERO_TOL,
     Branch,
@@ -59,19 +60,19 @@ class RankVerdict:
     block_form_max_rel_error: float | None = None
 
 
-def _checked_shunt_count(net: Network, zero_tol: float) -> int:
+def _checked_shunt_count(net: Network) -> int:
     """Count of nonzero shunt totals, once the theorem's preconditions hold."""
-    report = validate(net, zero_tol=zero_tol)
+    report = validate(net)
     if not report.connected:
         raise PreconditionError("rank prediction requires a connected branch graph")
     if not report.hypothesis1_ok:
         raise PreconditionError(
             "rank prediction requires nonzero branch admittances; " + "; ".join(report.messages)
         )
-    return int(np.count_nonzero(np.abs(shunt_totals(net)) > zero_tol))
+    return int(np.count_nonzero(np.abs(shunt_totals(net)) > DEFAULT_ZERO_TOL))
 
 
-def predict_rank(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
+def predict_rank(net: Network) -> int:
     """Rank the theory predicts: N-1 with all shunt totals zero, else N.
 
     Raises :class:`PreconditionError` when the network is disconnected or
@@ -79,7 +80,7 @@ def predict_rank(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
     there.
     """
     n = net.node_count
-    return n if _checked_shunt_count(net, zero_tol) else n - 1
+    return n if _checked_shunt_count(net) else n - 1
 
 
 def _gap(singular_values: np.ndarray, rank: int) -> float:
@@ -91,23 +92,23 @@ def _gap(singular_values: np.ndarray, rank: int) -> float:
     return float(singular_values[rank - 1]) / lower
 
 
-def verify_rank(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> RankVerdict:
+def verify_rank(net: Network) -> RankVerdict:
     """Measure the rank of the assembled matrix and compare with the prediction."""
-    return _rank_verdicts(net, ("direct",), zero_tol)[0]
+    return _rank_verdicts(net, ("direct",))[0]
 
 
-def augment_virtual_ground(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> Network:
+def augment_virtual_ground(net: Network) -> Network:
     """Rebuild the network over a virtual ground, absorbing all shunts.
 
     Node N of the result is the old ground; every shunt (n, y) with
-    |y| > ``zero_tol`` becomes a branch (n, N, y).  The result has no
+    |y| > ``DEFAULT_ZERO_TOL`` becomes a branch (n, N, y).  The result has no
     shunts, and it is connected whenever the input is.  Requires at least
     one nonzero shunt entry (the construction is vacuous otherwise).
     """
     ground = net.node_count
     new_branches = list(net.branches)
     for s in net.shunts:
-        if abs(s.admittance) > zero_tol:
+        if abs(s.admittance) > DEFAULT_ZERO_TOL:
             new_branches.append(Branch(s.node, ground, s.admittance))
     if len(new_branches) == len(net.branches):
         raise PreconditionError(
@@ -132,9 +133,7 @@ def block_form_matrix(matrix: np.ndarray, shunts: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_rank_via_augmentation(
-    net: Network, zero_tol: float = DEFAULT_ZERO_TOL
-) -> RankVerdict:
+def verify_rank_via_augmentation(net: Network) -> RankVerdict:
     """Verify full rank through the virtual-ground construction.
 
     Asserts numerically that the augmented shuntless network has rank
@@ -142,7 +141,7 @@ def verify_rank_via_augmentation(
     form entrywise to ``EQ_BLOCK_RTOL`` relative.  ``agrees`` requires
     both.
     """
-    return _rank_verdicts(net, ("virtual_ground",), zero_tol)[0]
+    return _rank_verdicts(net, ("virtual_ground",))[0]
 
 
 def _pattern_connected(matrix: np.ndarray) -> bool:
@@ -167,13 +166,11 @@ def rank_verdicts(source: Network | AdmittanceMatrix, methods) -> list[RankVerdi
     them (preconditions checked, Y stamped, shunts counted), and every
     precondition is checked before any rank is measured.
     """
-    return _rank_verdicts(source, methods, DEFAULT_ZERO_TOL)
+    return _rank_verdicts(source, methods)
 
 
-def _rank_verdicts(source, methods, zero_tol: float, assembled=None) -> list[RankVerdict]:
-    # verify_rank and verify_rank_via_augmentation pass their own zero_tol here;
-    # it applies to networks only.  ``assembled`` is the network's stamped Y
-    # when the caller has it already.
+def _rank_verdicts(source, methods, assembled=None) -> list[RankVerdict]:
+    # ``assembled`` is the network's stamped Y when the caller has it already
     for method in methods:
         if method not in ("direct", "virtual_ground"):
             raise PreconditionError(f"unknown rank verification method: {method}")
@@ -185,13 +182,15 @@ def _rank_verdicts(source, methods, zero_tol: float, assembled=None) -> list[Ran
             raise PreconditionError(
                 "matrix off-diagonal pattern is disconnected; rank prediction does not apply"
             )
-        t = shunt_vector(source)
-        fro = max(float(np.linalg.norm(source.matrix)), TINY)
-        shuntless = float(np.linalg.norm(t)) <= MATRIX_SHUNTLESS_RTOL * fro
+        with np.errstate(over="ignore"):  # an overflowing norm is refused
+            t = shunt_vector(source)
+            fro = _finite(max(float(np.linalg.norm(source.matrix)), TINY),
+                          "the Frobenius norm of the matrix")
+            shuntless = float(np.linalg.norm(t)) <= MATRIX_SHUNTLESS_RTOL * fro
         per_node_tol = MATRIX_SHUNTLESS_RTOL * fro / max(np.sqrt(source.size), 1.0)
         shunt_count = 0 if shuntless else int(np.count_nonzero(np.abs(t) > per_node_tol))
     else:
-        shunt_count = _checked_shunt_count(net, zero_tol)
+        shunt_count = _checked_shunt_count(net)
         shuntless = shunt_count == 0
     if shuntless and "virtual_ground" in methods:
         raise PreconditionError("virtual-ground verification needs at least one nonzero shunt")
@@ -199,7 +198,7 @@ def _rank_verdicts(source, methods, zero_tol: float, assembled=None) -> list[Ran
     if net is None:
         y = source.matrix
     else:
-        y = assemble(net, zero_tol=zero_tol).matrix if assembled is None else assembled
+        y = assemble(net).matrix if assembled is None else assembled
     n = y.shape[0]
     verdicts = []
     for method in methods:
@@ -210,7 +209,7 @@ def _rank_verdicts(source, methods, zero_tol: float, assembled=None) -> list[Ran
             measured = block_form_matrix(y, t)
         else:
             # the augmented network is assembled on its own and checked against the block form
-            measured = assemble(augment_virtual_ground(net, zero_tol), zero_tol=zero_tol).matrix
+            measured = assemble(augment_virtual_ground(net)).matrix
             block_err = _block_form_error(measured, y, shunt_totals(net))
         rr = numerical_rank(measured)
         verdicts.append(RankVerdict(
@@ -234,4 +233,4 @@ def verify_matrix_rank(y: AdmittanceMatrix, method: str = "direct") -> RankVerdi
     pattern (exactly cancelling parallel branches would be invisible
     here).  ``method`` is "direct" or "virtual_ground".
     """
-    return _rank_verdicts(y, (method,), DEFAULT_ZERO_TOL)[0]
+    return _rank_verdicts(y, (method,))[0]

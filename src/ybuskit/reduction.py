@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotReducibleError, NotSolvableError, StructuralError
-from .linalg_core import RankCertificate, _prefers_sparse, full_rank_certificate
+from .linalg_core import RankCertificate, _finite, _prefers_sparse, full_rank_certificate
 from .partition import BlockView, Partition
 from .ybus import AdmittanceMatrix
 
@@ -80,20 +80,22 @@ def _schur(m: np.ndarray, epos: np.ndarray, kpos: np.ndarray, what: str, err_cls
 
     ``epos`` and ``kpos`` index rows and columns of ``m``.  S is
     symmetrized, since LU roundoff breaks its exact symmetry.  Y_ke W is
-    formed with a sparse Y_ke when the block is large and sparse.
+    formed with a sparse Y_ke when the block is large and sparse.  A W or
+    S that overflows raises :class:`NumericalError`.
     """
     cert = _certified(m[np.ix_(epos, epos)], what, err_cls)
-    w = cert.solve(m[np.ix_(epos, kpos)])
+    w = _finite(cert.solve(m[np.ix_(epos, kpos)]), f"{what}: W = Y_ee^-1 Y_ek")
     y_ke = m[np.ix_(kpos, epos)]
     if _prefers_sparse(y_ke):
         import scipy.sparse
 
         y_ke = scipy.sparse.csr_matrix(y_ke)
     s = m[np.ix_(kpos, kpos)]
-    s -= y_ke @ w
-    s += s.T
-    s *= 0.5
-    return cert, w, s
+    with np.errstate(all="ignore"):  # an overflow is refused just below
+        s -= y_ke @ w
+        s += s.T
+        s *= 0.5
+    return cert, w, _finite(s, f"{what}: the Schur complement")
 
 
 def _reduce(y: AdmittanceMatrix, epos: np.ndarray, kpos: np.ndarray) -> ReductionResult:
@@ -239,7 +241,8 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
                         f"block ({p},{p})", NotSolvableError)
 
     h = np.empty((n, n), dtype=np.complex128)
-    h[sp, sp] = cert.solve(np.eye(sp.stop - sp.start, dtype=np.complex128))
+    h[sp, sp] = _finite(cert.solve(np.eye(sp.stop - sp.start, dtype=np.complex128)),
+                        f"block ({p},{p}): the inverse")
     h[sp, others] = -w
     h[others, sp] = w.T
     h[np.ix_(others, others)] = s

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, SizeLimitError, StructuralError
-from .linalg_core import as_cmatrix
+from .linalg_core import _finite, as_cmatrix
 from .network_model import DEFAULT_ZERO_TOL, Network, shunt_totals
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
@@ -92,7 +92,8 @@ def _stamp(net: Network, zero_tol: float) -> np.ndarray:
     matrix, in branch order, so every entry sums its terms in the same
     order as stamping one branch at a time would: O(|branches|) work
     besides the zeroed N x N array, and bit-exactly symmetric.  A node count
-    beyond ``MAX_DENSE_ORDER`` raises :class:`SizeLimitError` first.
+    beyond ``MAX_DENSE_ORDER`` raises :class:`SizeLimitError` first, and a
+    sum that overflows raises :class:`NumericalError`.
     """
     n = net.node_count
     if n > MAX_DENSE_ORDER:
@@ -110,22 +111,23 @@ def _stamp(net: Network, zero_tol: float) -> np.ndarray:
             )
     ends = np.array([(b.from_node, b.to_node) for b in branches], dtype=np.intp)
     i, j = ends.reshape(-1, 2).T
+    flat = np.column_stack((i * (n + 1), j * (n + 1), i * n + j, j * n + i)).ravel()
     y = np.zeros((n, n), dtype=np.complex128)
-    np.add.at(
-        y.reshape(-1),
-        np.column_stack((i * (n + 1), j * (n + 1), i * n + j, j * n + i)).ravel(),
-        np.column_stack((adm, adm, -adm, -adm)).ravel(),
-    )
-    y[np.diag_indices(n)] += shunt_totals(net)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused next
+        np.add.at(y.reshape(-1), flat, np.column_stack((adm, adm, -adm, -adm)).ravel())
+        y[np.diag_indices(n)] += shunt_totals(net)
+    # only the stamped entries and the diagonal hold sums that can overflow
+    _finite(np.concatenate((y.reshape(-1)[flat], y.diagonal())), "a stamped nodal matrix entry")
     return y
 
 
-def assemble(net: Network, zero_tol: float = DEFAULT_ZERO_TOL) -> AdmittanceMatrix:
+def assemble(net: Network) -> AdmittanceMatrix:
     """Assemble the nodal admittance matrix of a network.
 
-    Branches with |y| <= ``zero_tol`` raise :class:`HypothesisError`.
+    Branches with |y| <= ``DEFAULT_ZERO_TOL`` raise :class:`HypothesisError`.
     """
-    return AdmittanceMatrix(matrix=_stamp(net, zero_tol), node_order=tuple(range(net.node_count)))
+    return AdmittanceMatrix(matrix=_stamp(net, DEFAULT_ZERO_TOL),
+                            node_order=tuple(range(net.node_count)))
 
 
 def shunt_vector(y: AdmittanceMatrix) -> np.ndarray:

@@ -186,6 +186,7 @@ class TestGenSpecValidation:
             dict(magnitude_range=(1.0, float("inf"))),
             dict(phase_policy="positive"),
             dict(min_shunts=-1),
+            dict(seed=-1),
         ],
     )
     def test_rejects(self, kwargs):

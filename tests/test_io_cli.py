@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,15 @@ from ybuskit import (
     FileFormatError,
     GenSpec,
     Network,
+    PHASE_POLICIES,
+    SUITE_NAMES,
     Shunt,
     StructuralError,
     assemble,
     counterexample_block_singular,
     generate,
 )
-from ybuskit import network_model, rank_analysis, ybus
+from ybuskit import linalg_core, network_model, rank_analysis, ybus
 from ybuskit.cli import main
 from ybuskit.io import (
     emit_json,
@@ -88,6 +91,50 @@ CSV_CELLS = st.text(max_size=4) | st.sampled_from([
     "nan", "inf", "-inf", "1e999", "1e-400", "-0.0", "-1", "-2", "0", "2", "1_0", "0x1",
     " 3 ", "\u0663", "9" * 5000, "1" + "0" * 400, "#", "from", '"1"', "\r", "\x00",
 ])
+
+#: Finite documents whose arithmetic overflows binary64: a 3-node matrix
+#: with entries from 1e-300 to 1.7e308, a 2-node matrix whose norm is
+#: 3.4e308, a network with a stamped diagonal entry of 2e308, and one
+#: whose largest singular value is 3.4e308.
+BIG_MATRIX = {"n": 3, "node_order": [0, 1, 2], "entries": [
+    [1.7e308, 0], [-1.7e308, 0], [0, 0], [-1.7e308, 0], [1e-300, 0], [-1e-300, 0],
+    [0, 0], [-1e-300, 0], [1.5e300, 0]]}
+OVERFLOWING_NORM = {"n": 2, "node_order": [0, 1],
+                    "entries": [[1.7e308, 0], [-1.7e308, 0], [-1.7e308, 0], [1.7e308, 1]]}
+OVERFLOWING_SUM = {"nodes": 3, "branches": [{"from": 0, "to": 1, "y": [1e308, 0]},
+                                            {"from": 1, "to": 2, "y": [1e308, 0]}]}
+OVERFLOWING_SVD = {"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [1.7e308, 0]}]}
+#: (document, command line with {src} and {out}, the stage the error names)
+OVERFLOW_CASES = [
+    (BIG_MATRIX, ["hybrid", "{src}", "{out}", "--partition", "0,1,0", "--solve-class", "1"],
+     "block (1,1): W = Y_ee^-1 Y_ek"),
+    (BIG_MATRIX, ["kron", "{src}", "{out}", "--eliminate", "1"], "elimination block: W"),
+    (BIG_MATRIX, ["kron", "{src}", "{out}", "--eliminate", "0,1"], "the 1-norm"),
+    (OVERFLOWING_NORM, ["rank", "{src}"], "the Frobenius norm"),
+    (OVERFLOWING_SUM, ["ybus", "{src}", "{out}"], "a stamped nodal matrix entry"),
+    (OVERFLOWING_SUM, ["rank", "{src}"], "a stamped nodal matrix entry"),
+    (OVERFLOWING_SVD, ["rank", "{src}"], "a singular value of the 2x2 matrix"),
+]
+
+#: Text for a command-line flag: anything short, and numerals of every sign and size.
+FLAG_TEXT = st.text(max_size=6) | st.integers().map(str) | st.floats().map(str)
+#: Text for a flag that sizes the work (``--nodes``, ``--samples``): a small
+#: integer, or text without a numeral, so that no large run can start.
+SMALL_COUNT = st.integers(-1, 2).map(str) | st.text(max_size=4).filter(
+    lambda s: not any(c.isnumeric() for c in s))
+
+
+def _flag(parsed):
+    """Flag text drawn from ``parsed`` (values the parser accepts) half the time.
+
+    Without it, almost every run stops at the first flag that fails to
+    parse, and few get through to the library.
+    """
+    return st.booleans().flatmap(lambda ok: parsed if ok else FLAG_TEXT)
+
+
+#: Seeds of either sign and of more than 64 bits.
+SEEDS = st.integers(-2**65, 2**65).map(str)
 
 
 def _child_env() -> dict:
@@ -495,6 +542,15 @@ class TestRankCommand:
         assert code == 2
         assert "precondition" in capsys.readouterr().err
 
+    def test_svd_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(linalg_core.np.linalg, "svd", no_convergence)
+        assert main(["rank", _net_file(tmp_path, PATH3)]) == 1
+        assert capsys.readouterr().err == (
+            "error: SVD did not converge on a 3x3 matrix: SVD did not converge\n")
+
     def test_empty_matrix_exits_1(self, tmp_path, capsys):
         mpath = _write(tmp_path, "empty.json", '{"n": 0, "node_order": [], "entries": []}')
         code = main(["rank", mpath, "--method", "both"])
@@ -633,6 +689,20 @@ class TestHybridCommand:
         assert code == 2
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("doc, argv, stage", OVERFLOW_CASES)
+    def test_exits_1_with_one_line_and_no_file(self, tmp_path, doc, argv, stage):
+        src = _write(tmp_path, "in.json", json.dumps(doc))
+        argv = [a.format(src=src, out=tmp_path / "out.json") for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {stage}") and err.count("\n") == 1, err
+        assert err.endswith(" overflows the floating-point range\n"), err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
         code = main(["verify", "--suite", "lemma2", "--samples", "3", "--seed", "7"])
@@ -659,6 +729,21 @@ class TestVerifyCommand:
             run_suite("bogus", 5, 1)
         with pytest.raises(StructuralError):
             run_suite("lemma2", 0, 1)
+        with pytest.raises(StructuralError):
+            run_suite("lemma2", 1, -1)
+
+    def test_negative_seed_exits_1(self, capsys):
+        assert main(["verify", "--suite", "lemma2", "--samples", "1", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: seed must be nonnegative, got -1\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(flags=st.fixed_dictionaries({"--samples": SMALL_COUNT}, optional={
+        "--suite": _flag(st.sampled_from(SUITE_NAMES + ("all",))),
+        "--seed": _flag(SEEDS)}))
+    def test_any_flag_text_exits_with_a_documented_code(self, flags):
+        code, out, err = _run_cli(["verify"] + [f"{k}={v}" for k, v in flags.items()])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, (flags, err)
 
 
 class TestRandgenCommand:
@@ -682,6 +767,29 @@ class TestRandgenCommand:
         assert main(["randgen", out, "--nodes", "x"]) == 1
         assert main(["randgen", out, "--nodes", "1,2,3"]) == 1
         assert main(["randgen", out, "--density", "7"]) == 1  # StructuralError
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert main(["randgen", str(out), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: seed must be nonnegative, got -1\n")
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(flags=st.fixed_dictionaries({}, optional={
+        "--nodes": SMALL_COUNT | st.tuples(st.integers(-2, 30), st.integers(-2, 30)).map(
+            lambda lh: f"{lh[0]},{lh[1]}"),
+        "--density": _flag(st.floats(0, 1).map(str)),
+        "--shunt-prob": _flag(st.floats(0, 1).map(str)),
+        "--magnitude": _flag(st.floats(1e-3, 1e3).map(str)),
+        "--phase": _flag(st.sampled_from(PHASE_POLICIES)),
+        "--seed": _flag(SEEDS),
+        "--min-shunts": _flag(st.integers(0, 3).map(str))}))
+    def test_any_flag_text_exits_with_a_documented_code(self, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["randgen", os.path.join(tmp, "r.json")]
+            code, out, err = _run_cli(argv + [f"{k}={v}" for k, v in flags.items()])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, (flags, err)
 
 
 class TestTopLevel:

@@ -6,11 +6,11 @@ import pytest
 from ybuskit import (
     Branch,
     Network,
+    NumericalError,
     Shunt,
     SingularMatrixError,
     StructuralError,
     full_rank_certificate,
-    lu_solve,
     numerical_rank,
 )
 from ybuskit.linalg_core import as_cmatrix
@@ -43,10 +43,15 @@ class TestNumericalRank:
         assert r.rank == int(np.count_nonzero(r.singular_values > r.tolerance_used))
         assert r.rank == 2
 
-    def test_fixed_tolerance_override(self):
-        m = np.diag([1.0, 1e-3])
-        assert numerical_rank(m, tol=1e-2).rank == 1
-        assert numerical_rank(m, tol=1e-6).rank == 2
+    def test_tolerance_stays_finite_near_the_float_limit(self):
+        # n * sigma_max would overflow before the factor eps brought it down
+        r = numerical_rank(np.diag([1e308, 1e308]))
+        assert r.rank == 2 and r.tolerance_used == 2 * np.finfo(float).eps * 1e308
+
+    def test_overflowing_singular_values_raise(self):
+        # finite entries whose largest singular value, 3.4e308, does not fit
+        with pytest.raises(NumericalError, match="singular value"):
+            numerical_rank([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
 
     def test_path_matrix_rank_matches_exact_elimination(self):
         net = Network(4, branches=tuple(Branch(i, i + 1, 1 + 0j) for i in range(3)))
@@ -71,29 +76,30 @@ class TestNumericalRank:
             assert got == want, f"instance {k}: numerical {got} vs exact {want}"
 
 
+def _relative_residual(a, x, b) -> float:
+    return float(np.linalg.norm(a @ x - b) / np.linalg.norm(b))
+
+
 class TestLuSolve:
+    """The solve of the certificate, with the LU factors it was read from."""
+
     def test_scalar_case(self):
-        res = lu_solve([[2.0]], [[4.0]])
-        np.testing.assert_array_equal(res.solution, [[2.0 + 0j]])
-        assert res.relative_residual == 0.0
+        x = full_rank_certificate([[2.0]]).solve([[4.0]])
+        np.testing.assert_array_equal(x, [[2.0 + 0j]])
 
     def test_identity_returns_rhs(self):
         rng = np.random.default_rng(3)
         b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        res = lu_solve(np.eye(4), b)
-        np.testing.assert_allclose(res.solution, b, rtol=0, atol=0)
+        np.testing.assert_array_equal(full_rank_certificate(np.eye(4)).solve(b), b)
 
     def test_random_complex_systems_meet_residual_contract(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            res = lu_solve(a, b)
-            # multiply back: the oracle for the reported residual
-            direct = np.linalg.norm(a @ res.solution - b) / np.linalg.norm(b)
-            assert res.relative_residual <= 1e-12
-            assert abs(res.relative_residual - direct) <= 1e-15
-            assert np.isfinite(res.condition_estimate)
+            cert = full_rank_certificate(a)
+            assert _relative_residual(a, cert.solve(b), b) <= 1e-12
+            assert cert.full_rank and np.isfinite(cert.condition_estimate)
 
     def test_complex_symmetric_non_hermitian_instance(self):
         # symmetric under plain transpose, NOT equal to its conjugate transpose
@@ -103,22 +109,22 @@ class TestLuSolve:
         assert np.allclose(a, a.T)
         assert not np.allclose(a, a.conj().T)
         b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert lu_solve(a, b).relative_residual <= 1e-12
+        assert _relative_residual(a, full_rank_certificate(a).solve(b), b) <= 1e-12
 
     def test_exactly_singular_matrix_names_the_pivot(self):
+        cert = full_rank_certificate(np.zeros((2, 2)))
         with pytest.raises(SingularMatrixError) as err:
-            lu_solve(np.zeros((2, 2)), np.ones(2))
-        assert err.value.pivot_index is not None
+            cert.solve(np.ones(2))
+        assert err.value.pivot_index == cert.failed_pivot == 0
 
     def test_shape_mismatch(self):
+        with pytest.raises(ValueError):  # SciPy's own refusal
+            full_rank_certificate(np.eye(3)).solve(np.ones(4))
         with pytest.raises(StructuralError):
-            lu_solve(np.eye(3), np.ones(4))
-        with pytest.raises(StructuralError):
-            lu_solve(np.ones((2, 3)), np.ones(2))
+            full_rank_certificate(np.ones((2, 3)))
 
     def test_vector_rhs_keeps_shape(self):
-        res = lu_solve(np.eye(3), np.ones(3))
-        assert res.solution.shape == (3,)
+        assert full_rank_certificate(np.eye(3)).solve(np.ones(3)).shape == (3,)
 
 
 def _rank_r_real(rng, m, n, r):

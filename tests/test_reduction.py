@@ -16,7 +16,9 @@ from ybuskit import (
     Network,
     NotReducibleError,
     NotSolvableError,
+    NumericalError,
     Partition,
+    RankCertificate,
     ReductionResult,
     Shunt,
     StructuralError,
@@ -30,6 +32,7 @@ from ybuskit import (
     kron_reduce_nodes,
     recover_eliminated,
 )
+from ybuskit import reduction
 
 from oracles import blockwise_hybrid
 
@@ -103,6 +106,12 @@ class TestKronReduce:
         estimate = f"(condition estimate {cert.condition_estimate:.3e})"
         assert str(kron_exc.value) == f"elimination block is numerically singular {estimate}"
         assert str(hybrid_exc.value) == f"block (0,0) is numerically singular {estimate}"
+
+    def test_overflowing_schur_complement_refused(self):
+        # W = 1e200 is finite; S = 1 - 1e200 * 1e200 is not
+        y = AdmittanceMatrix(np.array([[1, 1e200], [1e200, 1]], dtype=complex), (0, 1))
+        with pytest.raises(NumericalError, match="elimination block: the Schur complement"):
+            kron_reduce_nodes(y, [0])
 
     def test_class_route_matches_node_route(self):
         net = _random_net(seed=11, n_lo=8, n_hi=8)
@@ -324,6 +333,16 @@ class TestHybridParameters:
         net, part = counterexample_block_singular()
         view = block_view(assemble(net), part)
         with pytest.raises(NotSolvableError):
+            hybrid_parameters(view, 0)
+
+    def test_overflowing_inverse_refused(self, monkeypatch):
+        # LAPACK's gecon reports rcond = 0 before an inverse overflows, so the
+        # certificate of a block whose inverse overflows is forged here
+        forged = RankCertificate(True, 1.0, None, lambda b: np.where(b == 1, np.inf, b))
+        monkeypatch.setattr(reduction, "full_rank_certificate", lambda a: forged)
+        net = Network(3, (Branch(0, 1, 1.0), Branch(1, 2, 1.0)), (Shunt(0, 1.0),))
+        view = block_view(assemble(net), Partition(((0,), (1, 2)), 3))
+        with pytest.raises(NumericalError, match=r"block \(0,0\): the inverse"):
             hybrid_parameters(view, 0)
 
     def test_class_index_validation(self):

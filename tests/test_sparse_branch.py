@@ -18,6 +18,7 @@ from ybuskit import (
     AdmittanceMatrix,
     GenSpec,
     NotReducibleError,
+    NumericalError,
     NotSolvableError,
     Partition,
     assemble,
@@ -133,6 +134,17 @@ class TestCertificate:
         assert calls == [a.shape]
         assert not cert.full_rank and cert.failed_pivot is None
         assert cert.condition_estimate >= 1.0 / (400 * EPS)
+
+    def test_overflowing_norm_raises_on_both_branches(self, monkeypatch):
+        # an interior column's |entries| sum to 1.81e308, past the binary64 limit
+        a = _tridiagonal(400, diag=10.0) * 1.5e307
+        calls = _sparse_calls(monkeypatch)
+        with pytest.raises(NumericalError, match="the 1-norm of the matrix overflows"):
+            full_rank_certificate(a)
+        assert calls == [a.shape]
+        _dense_only(monkeypatch)
+        with pytest.raises(NumericalError, match="the 1-norm of the matrix overflows"):
+            full_rank_certificate(a)
 
     def test_no_global_random_state_is_read_or_drawn(self):
         y = assemble(_grid(600, seed=2))
