@@ -22,11 +22,9 @@ from .errors import (
 from .network_model import (
     DEFAULT_ZERO_TOL,
     Branch,
-    Component,
     Network,
     Shunt,
     ValidationReport,
-    components,
     incidence_matrix,
     is_connected,
     shunt_totals,
@@ -83,7 +81,6 @@ __all__ = [
     "BlockView",
     "Branch",
     "ClassBlockReport",
-    "Component",
     "ComponentReport",
     "DEFAULT_ZERO_TOL",
     "FileFormatError",
@@ -113,7 +110,6 @@ __all__ = [
     "augment_virtual_ground",
     "block_form_matrix",
     "block_view",
-    "components",
     "counterexample_block_singular",
     "full_rank_certificate",
     "generate",

@@ -276,9 +276,16 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
+def _open(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except ValueError as exc:  # a NUL byte: no file can have that path
+        raise FileFormatError(f"{path!r}: {exc}") from exc
+
+
 def _read_text(path: str) -> str:
     """A file's text; bytes that are not UTF-8 raise FileFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "r") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -295,7 +302,7 @@ def _read_json(path: str):
 
 
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         fh.write(emit_json(doc))
 
 

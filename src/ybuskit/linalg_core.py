@@ -14,7 +14,6 @@ transpose.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -131,10 +130,19 @@ class RankCertificate:
         default=None, repr=False, compare=False)
 
     def solve(self, b) -> np.ndarray:
-        """A^{-1} B for the certified matrix A."""
+        """A^{-1} B for the certified matrix A and a finite vector or matrix B."""
         if self._solve is None:
             raise _zero_pivot(self.failed_pivot)
         return self._solve(b)
+
+
+def _checked_rhs(b, n: int) -> np.ndarray:
+    """``b`` as a complex array, once it is a finite vector or matrix of ``n`` rows."""
+    arr = np.asarray(b, dtype=np.complex128)
+    if arr.ndim not in (1, 2) or arr.shape[0] != n or not np.isfinite(arr).all():
+        raise StructuralError(f"a right-hand side must be a finite vector or matrix of "
+                              f"{n} rows, got shape {arr.shape}")
+    return arr
 
 
 def _prefers_sparse(a: np.ndarray) -> bool:
@@ -199,7 +207,8 @@ def _sparse_certificate(a: np.ndarray) -> RankCertificate | None:
         cond = norm_a * _inverse_norm1(lu.solve, n)
     if not np.isfinite(cond):
         cond = float("inf")
-    return RankCertificate(cond < 1.0 / (n * EPS), cond, None, lu.solve)
+    return RankCertificate(cond < 1.0 / (n * EPS), cond, None,
+                           lambda b: lu.solve(_checked_rhs(b, n)))
 
 
 def full_rank_certificate(m) -> RankCertificate:
@@ -231,7 +240,9 @@ def full_rank_certificate(m) -> RankCertificate:
 
     import scipy.linalg
 
-    solve = functools.partial(scipy.linalg.lu_solve, factors)
+    def solve(b):
+        return scipy.linalg.lu_solve(factors, _checked_rhs(b, n), check_finite=False)
+
     if n == 0:
         return RankCertificate(True, 1.0, None, solve)
     gecon = scipy.linalg.get_lapack_funcs("gecon", (factors[0],))

@@ -102,18 +102,6 @@ class ValidationReport:
     messages: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Component:
-    """One connected component of an induced subgraph.
-
-    ``branch_indices`` point into the originating network's branch list and
-    select the branches with both endpoints inside this component.
-    """
-
-    nodes: tuple[int, ...]
-    branch_indices: tuple[int, ...]
-
-
 def shunt_totals(net: Network) -> np.ndarray:
     """Per-node sums of shunt admittances, as a complex vector of length N."""
     totals = np.zeros(net.node_count, dtype=np.complex128)
@@ -163,48 +151,8 @@ def _component_count(net: Network) -> int:
 
 
 def is_connected(net: Network) -> bool:
-    """True iff the branch graph is a single connected component.
-
-    Shunts are ignored; a single node with no branches is connected.  A
-    network with more nodes than branches plus one is disconnected at
-    once; otherwise the search runs in O(N + |branches|) = O(|branches|).
-    """
-    if net.node_count > len(net.branches) + 1:
-        return False  # a connected graph on N nodes needs N - 1 branches
-    edges = ((b.from_node, b.to_node) for b in net.branches)
-    return not any(_component_labels(net.node_count, edges))
-
-
-def components(net: Network, node_subset) -> list[Component]:
-    """Connected components of the subgraph induced by ``node_subset``.
-
-    Only branches with both endpoints in the subset are kept.  Components
-    are returned sorted by their smallest node; node and branch listings
-    are ascending.  The union of the returned node sets equals the subset.
-    """
-    nodes = sorted(set(int(v) for v in node_subset))
-    for v in nodes:
-        if v < 0 or v >= net.node_count:
-            raise StructuralError(f"subset node {v} outside [0, {net.node_count})")
-
-    local = {v: k for k, v in enumerate(nodes)}
-    induced: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for i, b in enumerate(net.branches):
-        if b.from_node in local and b.to_node in local:
-            induced.append(i)
-            edges.append((local[b.from_node], local[b.to_node]))
-    labels = _component_labels(len(nodes), edges)
-
-    count = max(labels, default=-1) + 1
-    comp_nodes: list[list[int]] = [[] for _ in range(count)]
-    comp_branches: list[list[int]] = [[] for _ in range(count)]
-    for v, lab in zip(nodes, labels):
-        comp_nodes[lab].append(v)
-    for i, (u, _) in zip(induced, edges):
-        comp_branches[labels[u]].append(i)
-    return [Component(nodes=tuple(c), branch_indices=tuple(b))
-            for c, b in zip(comp_nodes, comp_branches)]
+    """True iff the branch graph, shunts ignored, is one component; O(|branches|)."""
+    return _component_count(net) == 1
 
 
 def incidence_matrix(net: Network) -> np.ndarray:
@@ -229,9 +177,10 @@ def validate(net: Network) -> ValidationReport:
     """
     messages: list[str] = []
 
-    connected = is_connected(net)
+    count = _component_count(net)
+    connected = count == 1
     if not connected:
-        messages.append(f"graph is disconnected: {_component_count(net)} components")
+        messages.append(f"graph is disconnected: {count} components")
 
     hypothesis1_ok = True
     for i, b in enumerate(net.branches):

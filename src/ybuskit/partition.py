@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .linalg_core import full_rank_certificate
-from .network_model import DEFAULT_ZERO_TOL, Network, components, validate
+from .network_model import DEFAULT_ZERO_TOL, Network, _component_labels, validate
 from .ybus import AdmittanceMatrix, _stamp, reorder
 
 
@@ -150,13 +150,12 @@ class ComponentReport:
 
 @dataclass(frozen=True)
 class ClassBlockReport:
-    """Verification outcome for one diagonal block."""
+    """Verification outcome for one diagonal block, one report per component."""
 
     class_index: int
     nodes: tuple[int, ...]
     components: tuple[ComponentReport, ...]
     each_component_full_rank: bool
-    block_condition_estimate: float
 
 
 @dataclass(frozen=True)
@@ -183,14 +182,13 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     """Verify that every diagonal block of the partition has full rank.
 
     Grounding every other class turns boundary branches into shunts, so a
-    diagonal block of Y is the nodal matrix of that grounded equivalent.
-    Y is stamped once; each class is decomposed into the connected
-    components of its induced subgraph, and since the block is
-    block-diagonal across them every component sub-block gets its own LU
-    condition certificate.  The whole block's condition estimate is
-    reported; when the class is one component, that component's serves.
-    The structural claim that every component touches a boundary branch or
-    a nonzero shunt is checked as well.
+    diagonal block of Y is the nodal matrix of that grounded equivalent,
+    and it is block-diagonal across the connected components of the
+    class's induced subgraph.  Y is stamped once, the components of every
+    class are labelled in one pass over the class-internal branches, and
+    each component sub-block gets its own LU condition certificate; no
+    other factorization runs.  The structural claim that every component
+    touches a boundary branch or a nonzero shunt is checked as well.
     """
     if part.node_count != net.node_count:
         raise StructuralError(
@@ -200,55 +198,45 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     findings = list(report.messages)
     y = _stamp(net, 0.0)
 
-    # a node is grounded when a branch leaves its class there, or when it
-    # carries a nonzero shunt of its own
+    # a branch inside a class joins two nodes of its grounded equivalent; a
+    # branch between classes grounds both of its ends, as does a nonzero shunt
     labels = part.labels()
     grounded = [False] * net.node_count
+    internal: list[tuple[int, int]] = []
     for b in net.branches:
-        if labels[b.from_node] != labels[b.to_node]:
+        if labels[b.from_node] == labels[b.to_node]:
+            internal.append((b.from_node, b.to_node))
+        else:
             grounded[b.from_node] = grounded[b.to_node] = True
     for s in net.shunts:
         if abs(s.admittance) > DEFAULT_ZERO_TOL:
             grounded[s.node] = True
+    # numbered by smallest node, so grouping a class's sorted nodes by label
+    # lists its components in order of their smallest node
+    piece = _component_labels(net.node_count, internal)
 
     class_reports: list[ClassBlockReport] = []
     for ci, keep in enumerate(part.classes):
+        pieces: dict[int, list[int]] = {}
+        for v in sorted(keep):
+            pieces.setdefault(piece[v], []).append(v)
         comp_reports: list[ComponentReport] = []
-        comps = components(net, keep)
-        for comp in comps:
-            cert = full_rank_certificate(y[np.ix_(comp.nodes, comp.nodes)])
-            touched = any(grounded[v] for v in comp.nodes)
+        for nodes in map(tuple, pieces.values()):
+            cert = full_rank_certificate(y[np.ix_(nodes, nodes)])
+            touched = any(grounded[v] for v in nodes)
             comp_reports.append(
-                ComponentReport(
-                    nodes=comp.nodes,
-                    full_rank=cert.full_rank,
-                    grounded=touched,
-                    condition_estimate=cert.condition_estimate,
-                )
-            )
+                ComponentReport(nodes, cert.full_rank, touched, cert.condition_estimate))
             if not cert.full_rank:
                 findings.append(
-                    f"class {ci}: component {comp.nodes} is rank deficient "
+                    f"class {ci}: component {nodes} is rank deficient "
                     f"(condition estimate {cert.condition_estimate:.3e})"
                 )
             if not touched:
                 findings.append(
-                    f"class {ci}: component {comp.nodes} touches no boundary branch or shunt"
+                    f"class {ci}: component {nodes} touches no boundary branch or shunt"
                 )
-
-        if len(comps) == 1 and comps[0].nodes == keep:
-            block_cert = cert  # the component is the block, in the same order
-        else:
-            block_cert = full_rank_certificate(y[np.ix_(keep, keep)])
-        class_reports.append(
-            ClassBlockReport(
-                class_index=ci,
-                nodes=keep,
-                components=tuple(comp_reports),
-                each_component_full_rank=all(c.full_rank for c in comp_reports),
-                block_condition_estimate=block_cert.condition_estimate,
-            )
-        )
+        class_reports.append(ClassBlockReport(
+            ci, keep, tuple(comp_reports), all(c.full_rank for c in comp_reports)))
 
     return BlockRankReport(
         connected=report.connected,

@@ -18,7 +18,6 @@ from ybuskit import (
     NotReducibleError,
     assemble,
     block_view,
-    components,
     counterexample_block_singular,
     full_rank_certificate,
     generate,
@@ -147,7 +146,7 @@ def test_criterion_05_diagonal_blocks_invertible_and_component_pattern():
                                  if blk[a, b] != 0]
                 from_pattern = set(closure_components(sz, pattern_edges))
                 from_graph = {frozenset(pos[v] for v in comp.nodes)
-                              for comp in components(net, cls)}
+                              for comp in rep.classes[ci].components}
                 assert from_pattern == from_graph, \
                     f"sample {i}, class {ci}: component mismatch"
     print("criterion 5: PASS (200 dissipative nets x 3 partitions, all diagonal "

@@ -104,6 +104,13 @@ OVERFLOWING_NORM = {"n": 2, "node_order": [0, 1],
 OVERFLOWING_SUM = {"nodes": 3, "branches": [{"from": 0, "to": 1, "y": [1e308, 0]},
                                             {"from": 1, "to": 2, "y": [1e308, 0]}]}
 OVERFLOWING_SVD = {"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [1.7e308, 0]}]}
+#: A matrix whose squared entries overflow although its Frobenius norm
+#: (3.2e200) and its singular values (3e200, 1e200) are representable, and
+#: one whose squared entries underflow to zero.
+HUGE_ENTRIES = {"n": 2, "node_order": [0, 1],
+                "entries": [[2e200, 0], [-1e200, 0], [-1e200, 0], [2e200, 0]]}
+TINY_ENTRIES = {"n": 2, "node_order": [0, 1],
+                "entries": [[2e-310, 0], [-1e-310, 0], [-1e-310, 0], [2e-310, 0]]}
 #: (document, command line with {src} and {out}, the stage the error names)
 OVERFLOW_CASES = [
     (BIG_MATRIX, ["hybrid", "{src}", "{out}", "--partition", "0,1,0", "--solve-class", "1"],
@@ -135,6 +142,26 @@ def _flag(parsed):
 
 #: Seeds of either sign and of more than 64 bits.
 SEEDS = st.integers(-2**65, 2**65).map(str)
+#: Text for a node list or a class label list: small ids, or text without
+#: a numeral, so that no large label reaches the library.
+SMALL_IDS = st.lists(st.integers(-2, 6).map(str), max_size=7).map(",".join) | SMALL_COUNT
+#: Text for a path, joined to a directory it cannot leave.
+PATH_TEXT = st.text(max_size=6).filter(lambda s: "/" not in s)
+#: The flags of each file command on an input of n nodes, with those it
+#: requires; ``--class`` repeats, and ``--partition`` mostly has n labels.
+FILE_COMMAND_FLAGS = {
+    "validate": lambda n: st.just({}),
+    "ybus": lambda n: st.just({}),
+    "rank": lambda n: st.fixed_dictionaries({}, optional={
+        "--method": _flag(st.sampled_from(("direct", "virtual-ground", "both")))}),
+    "kron": lambda n: st.sampled_from(("--eliminate", "--retain")).flatmap(
+        lambda k: st.fixed_dictionaries({k: SMALL_IDS}, optional={"--recovery-out": PATH_TEXT})),
+    "hybrid": lambda n: st.fixed_dictionaries(
+        {"--solve-class": st.integers(-1, 3).map(str) | SMALL_COUNT},
+        optional={"--partition": st.lists(st.integers(0, 2).map(str), min_size=n, max_size=n)
+                  .map(",".join) | SMALL_IDS,
+                  "--class": st.lists(SMALL_IDS, max_size=3)}),
+}
 
 
 def _child_env() -> dict:
@@ -701,6 +728,65 @@ class TestOverflow:
         assert err.startswith(f"error: {stage}") and err.count("\n") == 1, err
         assert err.endswith(" overflows the floating-point range\n"), err
         assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+    @pytest.mark.parametrize("doc", [HUGE_ENTRIES, TINY_ENTRIES])
+    def test_entries_whose_squares_overflow_or_underflow_are_decided(self, tmp_path, doc):
+        src = _write(tmp_path, "in.json", json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run_cli(["rank", src, "--method", "both"])
+        assert (code, err) == (0, "")
+        assert out == ("direct: predicted 2, measured 2, agrees (nonzero shunt totals 2)\n"
+                       "virtual-ground: predicted 2, measured 2, agrees "
+                       "(nonzero shunt totals 2)\n")
+
+
+@pytest.fixture(scope="module")
+def file_inputs(tmp_path_factory) -> list[tuple[str, int]]:
+    """Small seeded input files of every kind the file commands read, with their node counts."""
+    root = tmp_path_factory.mktemp("inputs")
+    net = generate(GenSpec(node_range=(6, 6), edge_density=0.3, shunt_probability=0.4,
+                           min_shunts=1, seed=21))
+    singular, _ = counterexample_block_singular()
+    paths = [_net_file(root, net), _net_file(root, PATH3, "shuntless.json"),
+             _net_file(root, singular, "singular.json")]
+    save_matrix(str(root / "y.json"), assemble(net))
+    paths.append(str(root / "y.json"))
+    paths.append(_write(root, "net.csv", "\n".join(",".join(r) for r in CSV_FUZZ_BASE)))
+    for k, doc in enumerate((BIG_MATRIX, OVERFLOWING_NORM, OVERFLOWING_SUM,
+                             OVERFLOWING_SVD, HUGE_ENTRIES)):
+        paths.append(_write(root, f"overflow{k}.json", json.dumps(doc)))
+    return [(p, doc.node_count if isinstance(doc, Network) else doc.size)
+            for p, doc in ((p, load_any(p)) for p in paths)]
+
+
+class TestFileCommandArgv:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(sorted(FILE_COMMAND_FLAGS)),
+           out=PATH_TEXT)
+    def test_any_flag_text_exits_with_a_documented_code(self, file_inputs, data, command, out):
+        with tempfile.TemporaryDirectory() as tmp:
+            if data.draw(st.integers(0, 3)):  # a seeded input, three times in four
+                src, n = data.draw(st.sampled_from(file_inputs))
+            else:
+                src, n = os.path.join(tmp, data.draw(PATH_TEXT)), 3
+            argv = [command, src]
+            if command not in ("rank", "validate"):
+                argv.append(os.path.join(tmp, out))
+            for k, values in data.draw(FILE_COMMAND_FLAGS[command](n)).items():
+                for v in [values] if isinstance(values, str) else values:
+                    argv.append(f"{k}={os.path.join(tmp, v) if k == '--recovery-out' else v}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, _, err = _run_cli(argv)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, err)
+
+    def test_nul_byte_in_a_path_exits_1(self, file_inputs, tmp_path):
+        for argv in (["validate", str(tmp_path / "in\0.json")],
+                     ["ybus", file_inputs[0][0], str(tmp_path / "out\0.json")]):
+            code, out, err = _run_cli(argv)
+            assert (code, out) == (1, "") and err.endswith(": embedded null byte\n"), err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerifyCommand:

@@ -13,6 +13,7 @@ from ybuskit import (
     full_rank_certificate,
     numerical_rank,
 )
+from ybuskit import linalg_core
 from ybuskit.linalg_core import as_cmatrix
 from ybuskit.ybus import assemble
 from oracles import exact_assemble, exact_rank, random_rational_network
@@ -118,10 +119,24 @@ class TestLuSolve:
         assert err.value.pivot_index == cert.failed_pivot == 0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):  # SciPy's own refusal
+        with pytest.raises(StructuralError, match=r"of 3 rows, got shape \(4,\)"):
             full_rank_certificate(np.eye(3)).solve(np.ones(4))
         with pytest.raises(StructuralError):
             full_rank_certificate(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n", [3, 400])  # a dense and a sparse certificate
+    def test_bad_right_hand_sides_refused_on_both_branches(self, n):
+        a = 4 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        assert linalg_core._prefers_sparse(a) == (n == 400)
+        cert = full_rank_certificate(a)
+        nan = np.ones(n)
+        nan[-1] = np.nan
+        for b in (np.ones(n + 1), np.ones((n, 2, 2)), np.ones(()), nan,
+                  np.full((n, 2), np.inf)):
+            with pytest.raises(StructuralError):
+                cert.solve(b)
+        x = cert.solve(np.ones((n, 2)))
+        assert _relative_residual(a, x, np.ones((n, 2))) <= 1e-12
 
     def test_vector_rhs_keeps_shape(self):
         assert full_rank_certificate(np.eye(3)).solve(np.ones(3)).shape == (3,)

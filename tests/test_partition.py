@@ -207,15 +207,18 @@ class TestVerifyBlockRank:
         assert len(inner.components) == 1 and inner.components[0].full_rank
         assert rep.all_full_rank
 
-    def test_class_certificate_is_the_class_block(self):
+    def test_component_certificate_is_the_component_block(self):
         net = Network(4, (Branch(0, 1, 1.0), Branch(1, 2, 2.0 + 1j), Branch(2, 3, 0.5)),
                       (Shunt(3, 0.25),))
         y = assemble(net).matrix
         # one class of two components, and one class that is a single component
         rep = verify_block_rank(net, Partition(((0, 3), (2, 1)), 4))
+        assert [[c.nodes for c in cls.components] for cls in rep.classes] == \
+            [[(0,), (3,)], [(1, 2)]]
         for cls in rep.classes:
-            block = y[np.ix_(cls.nodes, cls.nodes)]
-            assert cls.block_condition_estimate == full_rank_certificate(block).condition_estimate
+            for c in cls.components:
+                sub = y[np.ix_(c.nodes, c.nodes)]
+                assert c.condition_estimate == full_rank_certificate(sub).condition_estimate
         assert not hasattr(rep.classes[0], "certificate")  # no LU factors outlive the check
 
     def test_theorem2_suite_factors_each_block_once(self, monkeypatch):
@@ -228,11 +231,11 @@ class TestVerifyBlockRank:
 
         monkeypatch.setattr(linalg_core, "lu_factor_checked", counted)
         assert run_suite("theorem2", 1, 5).passed
-        # one LU per component and per class of several components; the
-        # residual solve is NumPy's.  Node 23 is a one-node component in two
-        # of the three partitions, so 32 LUs see 31 distinct matrices.
-        assert len(calls) == 32
-        assert len(set(calls)) == 31
+        # one LU per component and nothing else; the residual solve is
+        # NumPy's.  Node 23 is a one-node component in two of the three
+        # partitions, so 25 LUs see 24 distinct matrices.
+        assert len(calls) == 25
+        assert len(set(calls)) == 24
 
     def test_reactive_cancellation_counterexample(self):
         net = Network(2, (Branch(0, 1, 1j),), (Shunt(0, -1j),))
@@ -272,18 +275,18 @@ class TestVerifyBlockRank:
             assert rep.branches_re_positive
             assert rep.all_full_rank
             for cr in rep.classes:
-                assert np.isfinite(cr.block_condition_estimate)
+                assert all(np.isfinite(c.condition_estimate) for c in cr.components)
 
     def test_cross_component_entries_exactly_zero(self):
         rng = np.random.default_rng(53)
-        from ybuskit import components
         for _ in range(8):
             n = int(rng.integers(5, 12))
             net = _draw_net(rng, n, 2, 1, re_positive=True)
             part = _random_partition(rng, n, 2)
             view = block_view(assemble(net), part)
+            rep = verify_block_rank(net, part)
             for p, cls in enumerate(part.classes):
-                comps = components(net, cls)
+                comps = rep.classes[p].components
                 if len(comps) < 2:
                     continue
                 blk = view.block(p, p)
