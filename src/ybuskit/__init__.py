@@ -71,7 +71,7 @@ from .generator import (
     generate,
     random_partition,
 )
-from .suites import SUITE_NAMES, SuiteOutcome, run_suite, run_suites
+from .suites import SUITE_NAMES, SuiteOutcome, run_suite
 
 __version__ = "0.1.0"
 
@@ -125,7 +125,6 @@ __all__ = [
     "recover_eliminated",
     "reorder",
     "run_suite",
-    "run_suites",
     "shunt_totals",
     "shunt_vector",
     "validate",

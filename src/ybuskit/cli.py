@@ -9,6 +9,7 @@ problem, 2 theorem precondition unmet, 3 numerical disagreement.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from .network_model import Network, validate
 from .partition import Partition, block_view
 from .rank_analysis import RankVerdict, rank_verdicts
 from .reduction import _node_positions, hybrid_parameters, kron_reduce_nodes
-from .suites import SUITE_NAMES, run_suites
+from .suites import SUITE_NAMES, run_suite
 from .ybus import AdmittanceMatrix, assemble
 
 EXIT_OK = 0
@@ -131,7 +132,11 @@ def cmd_kron(args) -> int:
     result = kron_reduce_nodes(y, eliminate)
     fileio.save_matrix(args.out, result.reduced)
     recovery_out = args.recovery_out or _sidecar_path(args.out)
-    fileio.save_recovery(recovery_out, result)
+    try:
+        fileio.save_recovery(recovery_out, result)
+    except BaseException:  # a failed command leaves no partial output
+        os.remove(args.out)
+        raise
     print(
         f"eliminated {len(result.eliminated_order)} nodes, kept {result.reduced.size}; "
         f"wrote {args.out} and {recovery_out}"
@@ -145,6 +150,8 @@ def _sidecar_path(out: str) -> str:
 
 
 def cmd_hybrid(args) -> int:
+    if args.partition is not None and args.cls:
+        raise UsageError("give --partition or --class flags, not both")
     y = _as_matrix(fileio.load_any(args.path))
     if args.partition is not None:
         labels = _parse_ints(args.partition, "--partition")
@@ -170,7 +177,7 @@ def cmd_hybrid(args) -> int:
 
 def cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    outcomes = run_suites(names, args.samples, args.seed)
+    outcomes = [run_suite(name, args.samples, args.seed) for name in names]
     for o in outcomes:
         print(
             f"suite {o.name}: {o.samples} samples, {o.checks} checks, "

@@ -4,7 +4,9 @@ Each suite draws fresh random instances from a master seed, evaluates the
 relevant identities at fixed tolerances, and reports every violation with
 the child seed that reproduces it.  The suites are the engine behind the
 ``verify`` command; the same checks exist independently in the test
-suite.
+suite.  Each suite is a private generator over one sample that yields
+``(failed, message)`` per check; ``run_suite`` is the one loop that draws
+the child seeds, counts the checks, keeps the failures and times the run.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ class SuiteOutcome:
         return not self.failures
 
 
-def _child_seeds(seed: int, count: int) -> list[int]:
-    rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
-
-
 def _rel(err: float, scale: float) -> float:
     return err / max(scale, TINY)
 
@@ -57,114 +54,80 @@ def _random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def suite_theorem1(samples: int, seed: int) -> SuiteOutcome:
+def _theorem1(i: int, seed: int, samples: int):
     """Rank of the assembled matrix: N-1 without shunts, N with.
 
-    Shuntless samples alternate between dissipative and arbitrary-phase
-    admittances and must also satisfy the zero-row-sum identity; shunted
-    samples are verified both directly and through the virtual-ground
-    construction, whose assembled matrix must match the bordered block
-    form.
+    Samples below ``samples`` are shuntless; they alternate between
+    dissipative and arbitrary-phase admittances and must also satisfy the
+    zero-row-sum identity.  The rest are shunted and are verified both
+    directly and through the virtual-ground construction, whose assembled
+    matrix must match the bordered block form.
     """
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
-    seeds = _child_seeds(seed, 2 * samples)
-
-    for i in range(samples):
+    if i < samples:
         policy = "re_positive" if i % 2 == 0 else "arbitrary"
         net = generate(GenSpec(
             node_range=(5, 50), edge_density=0.15, shunt_probability=0.0,
-            magnitude_range=(1e-2, 1e2), phase_policy=policy, seed=seeds[i],
+            magnitude_range=(1e-2, 1e2), phase_policy=policy, seed=seed,
         ))
         y = assemble(net).matrix
         v = _rank_verdicts(net, ("direct",), assembled=y)[0]  # stamped once
-        checks += 1
-        if not v.agrees or v.predicted_rank != net.node_count - 1:
-            failures.append(
-                f"shuntless sample {i} (seed {seeds[i]}): predicted {v.predicted_rank}, "
-                f"measured {v.measured_rank}"
-            )
-        checks += 1
+        yield (not v.agrees or v.predicted_rank != net.node_count - 1,
+               f"shuntless sample {i} (seed {seed}): predicted {v.predicted_rank}, "
+               f"measured {v.measured_rank}")
         row_sum = float(np.linalg.norm(y.sum(axis=1)))
-        if _rel(row_sum, float(np.linalg.norm(y))) > RESIDUAL_RTOL:
-            failures.append(
-                f"shuntless sample {i} (seed {seeds[i]}): nonzero row sums |Y*1|={row_sum:.3e}"
-            )
+        yield (_rel(row_sum, float(np.linalg.norm(y))) > RESIDUAL_RTOL,
+               f"shuntless sample {i} (seed {seed}): nonzero row sums |Y*1|={row_sum:.3e}")
+        return
 
-    for i in range(samples):
-        s = seeds[samples + i]
-        net = generate(GenSpec(
-            node_range=(5, 50), edge_density=0.15, shunt_probability=0.3,
-            magnitude_range=(1e-2, 1e2), phase_policy="re_positive", seed=s,
-            min_shunts=1,
-        ))
-        direct, aug = rank_verdicts(net, ("direct", "virtual_ground"))
-        checks += 2
-        if not direct.agrees or direct.predicted_rank != net.node_count:
-            failures.append(
-                f"shunted sample {i} (seed {s}): predicted {direct.predicted_rank}, "
-                f"measured {direct.measured_rank}"
-            )
-        if not aug.agrees or aug.measured_rank != direct.measured_rank:
-            failures.append(
-                f"shunted sample {i} (seed {s}): virtual-ground disagrees "
-                f"(measured {aug.measured_rank}, block error {aug.block_form_max_rel_error:.3e})"
-            )
-
-    return SuiteOutcome("theorem1", 2 * samples, checks, tuple(failures),
-                        time.perf_counter() - t0)
+    i -= samples
+    net = generate(GenSpec(
+        node_range=(5, 50), edge_density=0.15, shunt_probability=0.3,
+        magnitude_range=(1e-2, 1e2), phase_policy="re_positive", seed=seed,
+        min_shunts=1,
+    ))
+    direct, aug = rank_verdicts(net, ("direct", "virtual_ground"))
+    yield (not direct.agrees or direct.predicted_rank != net.node_count,
+           f"shunted sample {i} (seed {seed}): predicted {direct.predicted_rank}, "
+           f"measured {direct.measured_rank}")
+    yield (not aug.agrees or aug.measured_rank != direct.measured_rank,
+           f"shunted sample {i} (seed {seed}): virtual-ground disagrees "
+           f"(measured {aug.measured_rank}, block error {aug.block_form_max_rel_error:.3e})")
 
 
-def suite_theorem2(samples: int, seed: int) -> SuiteOutcome:
+def _theorem2(i: int, seed: int, samples: int):
     """Diagonal blocks of dissipative networks are invertible.
 
     Every class block of three random partitions per network must pass the
     full-rank certificate componentwise, and NumPy's solve of the block for
     a random right-hand side must leave a small relative residual.
     """
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
-    seeds = _child_seeds(seed, samples)
-
-    for i in range(samples):
-        net = generate(GenSpec(
-            node_range=(5, 50), edge_density=0.15, shunt_probability=0.2,
-            magnitude_range=(1e-2, 1e2), phase_policy="re_positive", seed=seeds[i],
-        ))
-        rng = np.random.default_rng(seeds[i])
-        y = assemble(net).matrix
-        for want in (2, 3, 5):
-            k = min(want, net.node_count)
-            if k < 2:
-                continue
-            part = random_partition(net.node_count, k, rng)
-            report = verify_block_rank(net, part)
-            checks += 1
-            if not report.all_full_rank:
-                failures.append(
-                    f"sample {i} (seed {seeds[i]}), |P|={k}: a diagonal block "
-                    f"failed the full-rank certificate"
-                )
-            for ci, cls in enumerate(report.classes):
-                y_cc = y[np.ix_(cls.nodes, cls.nodes)]
-                rhs = _random_complex(rng, y_cc.shape[0])
-                x = np.linalg.solve(y_cc, rhs)
-                residual = _rel(float(np.linalg.norm(y_cc @ x - rhs)),
-                                float(np.linalg.norm(rhs)))
-                checks += 1
-                if residual > RESIDUAL_RTOL:
-                    failures.append(
-                        f"sample {i} (seed {seeds[i]}), |P|={k}, class {ci}: "
-                        f"solve residual {residual:.3e}"
-                    )
-
-    return SuiteOutcome("theorem2", samples, checks, tuple(failures),
-                        time.perf_counter() - t0)
+    net = generate(GenSpec(
+        node_range=(5, 50), edge_density=0.15, shunt_probability=0.2,
+        magnitude_range=(1e-2, 1e2), phase_policy="re_positive", seed=seed,
+    ))
+    rng = np.random.default_rng(seed)
+    y = assemble(net).matrix
+    for want in (2, 3, 5):
+        k = min(want, net.node_count)
+        if k < 2:
+            continue
+        part = random_partition(net.node_count, k, rng)
+        report = verify_block_rank(net, part)
+        yield (not report.all_full_rank,
+               f"sample {i} (seed {seed}), |P|={k}: a diagonal block "
+               f"failed the full-rank certificate")
+        for ci, cls in enumerate(report.classes):
+            y_cc = y[np.ix_(cls.nodes, cls.nodes)]
+            rhs = _random_complex(rng, y_cc.shape[0])
+            x = np.linalg.solve(y_cc, rhs)
+            residual = _rel(float(np.linalg.norm(y_cc @ x - rhs)),
+                            float(np.linalg.norm(rhs)))
+            yield (residual > RESIDUAL_RTOL,
+                   f"sample {i} (seed {seed}), |P|={k}, class {ci}: "
+                   f"solve residual {residual:.3e}")
 
 
-def suite_kron(samples: int, seed: int) -> SuiteOutcome:
+def _kron(i: int, seed: int, samples: int):
     """Kron reduction keeps the port behaviour of the retained nodes.
 
     For a random eliminated set: the full system driven by recovered
@@ -172,67 +135,49 @@ def suite_kron(samples: int, seed: int) -> SuiteOutcome:
     interior current residual must vanish, and eliminating in two stages
     must equal eliminating at once.
     """
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
-    seeds = _child_seeds(seed, samples)
+    rng = np.random.default_rng(seed)
+    net = generate(GenSpec(
+        node_range=(5, 40), edge_density=0.2, shunt_probability=0.4,
+        magnitude_range=(1e-1, 1e1), phase_policy="re_positive", seed=seed,
+        min_shunts=1,
+    ))
+    n = net.node_count
+    y = assemble(net)
+    m = y.matrix
+    t_count = int(rng.integers(1, n - 1))
+    t_nodes = sorted(int(v) for v in rng.permutation(n)[:t_count])
+    result = kron_reduce_nodes(y, t_nodes)
+    s_nodes = list(result.reduced.node_order)
 
-    for i in range(samples):
-        rng = np.random.default_rng(seeds[i])
-        net = generate(GenSpec(
-            node_range=(5, 40), edge_density=0.2, shunt_probability=0.4,
-            magnitude_range=(1e-1, 1e1), phase_policy="re_positive", seed=seeds[i],
-            min_shunts=1,
-        ))
-        n = net.node_count
-        y = assemble(net)
-        m = y.matrix
-        t_count = int(rng.integers(1, n - 1))
-        t_nodes = sorted(int(v) for v in rng.permutation(n)[:t_count])
-        result = kron_reduce_nodes(y, t_nodes)
-        s_nodes = list(result.reduced.node_order)
+    v_s = _random_complex(rng, len(s_nodes))
+    v_t = recover_eliminated(result, v_s)
+    v_full = np.zeros(n, dtype=np.complex128)
+    v_full[s_nodes] = v_s
+    v_full[t_nodes] = v_t
+    i_full = m @ v_full
 
-        v_s = _random_complex(rng, len(s_nodes))
-        v_t = recover_eliminated(result, v_s)
-        v_full = np.zeros(n, dtype=np.complex128)
-        v_full[s_nodes] = v_s
-        v_full[t_nodes] = v_t
-        i_full = m @ v_full
+    reduced_currents = result.reduced.matrix @ v_s
+    err = float(np.linalg.norm(i_full[s_nodes] - reduced_currents))
+    scale = max(float(np.linalg.norm(i_full[s_nodes])),
+                float(np.linalg.norm(reduced_currents)))
+    yield (_rel(err, scale) > RESIDUAL_RTOL,
+           f"sample {i} (seed {seed}): port mismatch {_rel(err, scale):.3e}")
 
-        reduced_currents = result.reduced.matrix @ v_s
-        checks += 1
-        err = float(np.linalg.norm(i_full[s_nodes] - reduced_currents))
-        scale = max(float(np.linalg.norm(i_full[s_nodes])),
-                    float(np.linalg.norm(reduced_currents)))
-        if _rel(err, scale) > RESIDUAL_RTOL:
-            failures.append(
-                f"sample {i} (seed {seeds[i]}): port mismatch {_rel(err, scale):.3e}"
-            )
+    res_t = float(np.linalg.norm(i_full[t_nodes]))
+    scale_t = float(np.linalg.norm(m[t_nodes, :])) * float(np.linalg.norm(v_full))
+    yield (_rel(res_t, scale_t) > RESIDUAL_RTOL,
+           f"sample {i} (seed {seed}): interior current residual {res_t:.3e}")
 
-        checks += 1
-        res_t = float(np.linalg.norm(i_full[t_nodes]))
-        scale_t = float(np.linalg.norm(m[t_nodes, :])) * float(np.linalg.norm(v_full))
-        if _rel(res_t, scale_t) > RESIDUAL_RTOL:
-            failures.append(
-                f"sample {i} (seed {seeds[i]}): interior current residual {res_t:.3e}"
-            )
-
-        if t_count >= 2:
-            half = t_count // 2
-            first, second = t_nodes[:half], t_nodes[half:]
-            staged = kron_reduce_nodes(kron_reduce_nodes(y, first).reduced, second)
-            checks += 1
-            diff = float(np.abs(staged.reduced.matrix - result.reduced.matrix).max())
-            if _rel(diff, float(np.abs(result.reduced.matrix).max())) > RESIDUAL_RTOL:
-                failures.append(
-                    f"sample {i} (seed {seeds[i]}): staged elimination differs by {diff:.3e}"
-                )
-
-    return SuiteOutcome("kron", samples, checks, tuple(failures),
-                        time.perf_counter() - t0)
+    if t_count >= 2:
+        half = t_count // 2
+        first, second = t_nodes[:half], t_nodes[half:]
+        staged = kron_reduce_nodes(kron_reduce_nodes(y, first).reduced, second)
+        diff = float(np.abs(staged.reduced.matrix - result.reduced.matrix).max())
+        yield (_rel(diff, float(np.abs(result.reduced.matrix).max())) > RESIDUAL_RTOL,
+               f"sample {i} (seed {seed}): staged elimination differs by {diff:.3e}")
 
 
-def suite_hybrid(samples: int, seed: int) -> SuiteOutcome:
+def _hybrid(i: int, seed: int, samples: int):
     """Hybrid parameters agree with constrained full solves and with Kron reduction.
 
     The solved block times its inverse must be the identity; the
@@ -243,123 +188,101 @@ def suite_hybrid(samples: int, seed: int) -> SuiteOutcome:
     from an independent solve of the full system with I_p prescribed and
     the other voltages enforced.
     """
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
-    seeds = _child_seeds(seed, samples)
+    rng = np.random.default_rng(seed)
+    net = generate(GenSpec(
+        node_range=(5, 40), edge_density=0.2, shunt_probability=0.4,
+        magnitude_range=(0.5, 2.0), phase_policy="re_positive", seed=seed,
+        min_shunts=1,
+    ))
+    n = net.node_count
+    k = min(int(rng.integers(2, 4)), n)
+    part = random_partition(n, k, rng)
+    view = block_view(assemble(net), part)
+    p = int(rng.integers(0, part.class_count))
+    hy = hybrid_parameters(view, p)
 
-    for i in range(samples):
-        rng = np.random.default_rng(seeds[i])
-        net = generate(GenSpec(
-            node_range=(5, 40), edge_density=0.2, shunt_probability=0.4,
-            magnitude_range=(0.5, 2.0), phase_policy="re_positive", seed=seeds[i],
-            min_shunts=1,
-        ))
-        n = net.node_count
-        k = min(int(rng.integers(2, 4)), n)
-        part = random_partition(n, k, rng)
-        view = block_view(assemble(net), part)
-        p = int(rng.integers(0, part.class_count))
-        hy = hybrid_parameters(view, p)
+    y_pp = view.block(p, p)
+    h_pp = hy.block(p, p)
+    inv_err = float(np.abs(h_pp @ y_pp - np.eye(y_pp.shape[0])).max())
+    yield (inv_err > IDENTITY_RTOL,
+           f"sample {i} (seed {seed}): H_pp*Y_pp deviates from I by {inv_err:.3e}")
 
-        y_pp = view.block(p, p)
-        h_pp = hy.block(p, p)
-        checks += 1
-        inv_err = float(np.abs(h_pp @ y_pp - np.eye(y_pp.shape[0])).max())
-        if inv_err > IDENTITY_RTOL:
-            failures.append(
-                f"sample {i} (seed {seeds[i]}): H_pp*Y_pp deviates from I by {inv_err:.3e}"
-            )
+    m = view.permuted.matrix
+    sp = part.span(p)
+    mask = np.zeros(n, dtype=bool)
+    mask[sp] = True
+    h_qp, h_pq = hy.h[np.ix_(~mask, mask)], hy.h[np.ix_(mask, ~mask)]
+    recip = max(float(np.abs(h_qp + h_pq.T).max()),
+                float(np.abs(h_qp - m[np.ix_(~mask, mask)] @ h_pp).max()))
+    yield (_rel(recip, float(np.abs(h_qp).max())) > RESIDUAL_RTOL,
+           f"sample {i} (seed {seed}): current gain breaks reciprocity by {recip:.3e}")
 
-        m = view.permuted.matrix
-        sp = part.span(p)
-        mask = np.zeros(n, dtype=bool)
-        mask[sp] = True
-        h_qp, h_pq = hy.h[np.ix_(~mask, mask)], hy.h[np.ix_(mask, ~mask)]
-        checks += 1
-        recip = max(float(np.abs(h_qp + h_pq.T).max()),
-                    float(np.abs(h_qp - m[np.ix_(~mask, mask)] @ h_pp).max()))
-        if _rel(recip, float(np.abs(h_qp).max())) > RESIDUAL_RTOL:
-            failures.append(
-                f"sample {i} (seed {seeds[i]}): current gain breaks reciprocity by {recip:.3e}"
-            )
+    red = kron_reduce(view, p)
+    kron_err = max(float(np.abs(hy.h[np.ix_(~mask, ~mask)] - red.reduced.matrix).max()),
+                   float(np.abs(h_pq - red.recovery).max()))
+    yield (_rel(kron_err, float(np.abs(hy.h).max())) > IDENTITY_RTOL,
+           f"sample {i} (seed {seed}): hybrid differs from Kron reduction by "
+           f"{kron_err:.3e}")
 
-        red = kron_reduce(view, p)
-        checks += 1
-        kron_err = max(float(np.abs(hy.h[np.ix_(~mask, ~mask)] - red.reduced.matrix).max()),
-                       float(np.abs(h_pq - red.recovery).max()))
-        if _rel(kron_err, float(np.abs(hy.h).max())) > IDENTITY_RTOL:
-            failures.append(
-                f"sample {i} (seed {seeds[i]}): hybrid differs from Kron reduction by "
-                f"{kron_err:.3e}"
-            )
-
-        # mixed input: currents at class p, voltages elsewhere
-        u = _random_complex(rng, n)
-        w = hy.apply(u)
-        rhs = u[sp] - m[np.ix_(mask, ~mask)] @ u[~mask]
-        v_p = np.linalg.solve(m[np.ix_(mask, mask)], rhs)  # independent of hy's certificate
-        i_q = m[np.ix_(~mask, mask)] @ v_p + m[np.ix_(~mask, ~mask)] @ u[~mask]
-        ref = np.empty(n, dtype=np.complex128)
-        ref[mask] = v_p
-        ref[~mask] = i_q
-        checks += 1
-        err = float(np.linalg.norm(w - ref))
-        if _rel(err, float(np.linalg.norm(ref))) > RESIDUAL_RTOL:
-            failures.append(
-                f"sample {i} (seed {seeds[i]}): hybrid transfer off by {err:.3e}"
-            )
-
-    return SuiteOutcome("hybrid", samples, checks, tuple(failures),
-                        time.perf_counter() - t0)
+    # mixed input: currents at class p, voltages elsewhere
+    u = _random_complex(rng, n)
+    w = hy.apply(u)
+    rhs = u[sp] - m[np.ix_(mask, ~mask)] @ u[~mask]
+    v_p = np.linalg.solve(m[np.ix_(mask, mask)], rhs)  # independent of hy's certificate
+    i_q = m[np.ix_(~mask, mask)] @ v_p + m[np.ix_(~mask, ~mask)] @ u[~mask]
+    ref = np.empty(n, dtype=np.complex128)
+    ref[mask] = v_p
+    ref[~mask] = i_q
+    err = float(np.linalg.norm(w - ref))
+    yield (_rel(err, float(np.linalg.norm(ref))) > RESIDUAL_RTOL,
+           f"sample {i} (seed {seed}): hybrid transfer off by {err:.3e}")
 
 
-def suite_lemma2(samples: int, seed: int) -> SuiteOutcome:
+def _lemma2(i: int, seed: int, samples: int):
     """Row and column sums of the assembled matrix equal the shunt totals."""
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    checks = 0
-    seeds = _child_seeds(seed, samples)
-    policies = ("re_positive", "arbitrary", "pure_imaginary")
-
-    for i in range(samples):
-        net = generate(GenSpec(
-            node_range=(5, 50), edge_density=0.15, shunt_probability=0.5,
-            magnitude_range=(1e-2, 1e2), phase_policy=policies[i % 3], seed=seeds[i],
-        ))
-        y = assemble(net).matrix
-        t = shunt_totals(net)
-        scale = max(float(np.abs(y).max()), TINY)
-        checks += 2
-        row_err = float(np.abs(y.sum(axis=1) - t).max())
-        col_err = float(np.abs(y.sum(axis=0) - t).max())
-        if row_err / scale > IDENTITY_RTOL:
-            failures.append(f"sample {i} (seed {seeds[i]}): row sums off by {row_err:.3e}")
-        if col_err / scale > IDENTITY_RTOL:
-            failures.append(f"sample {i} (seed {seeds[i]}): column sums off by {col_err:.3e}")
-
-    return SuiteOutcome("lemma2", samples, checks, tuple(failures),
-                        time.perf_counter() - t0)
+    net = generate(GenSpec(
+        node_range=(5, 50), edge_density=0.15, shunt_probability=0.5,
+        magnitude_range=(1e-2, 1e2), seed=seed,
+        phase_policy=("re_positive", "arbitrary", "pure_imaginary")[i % 3],
+    ))
+    y = assemble(net).matrix
+    t = shunt_totals(net)
+    scale = max(float(np.abs(y).max()), TINY)
+    row_err = float(np.abs(y.sum(axis=1) - t).max())
+    col_err = float(np.abs(y.sum(axis=0) - t).max())
+    yield (row_err / scale > IDENTITY_RTOL,
+           f"sample {i} (seed {seed}): row sums off by {row_err:.3e}")
+    yield (col_err / scale > IDENTITY_RTOL,
+           f"sample {i} (seed {seed}): column sums off by {col_err:.3e}")
 
 
+#: name -> (generator over one sample ``(i, child seed, samples)``, child seeds per sample)
 _SUITES = {
-    "theorem1": suite_theorem1,
-    "theorem2": suite_theorem2,
-    "kron": suite_kron,
-    "hybrid": suite_hybrid,
-    "lemma2": suite_lemma2,
+    "theorem1": (_theorem1, 2),
+    "theorem2": (_theorem2, 1),
+    "kron": (_kron, 1),
+    "hybrid": (_hybrid, 1),
+    "lemma2": (_lemma2, 1),
 }
 
 
 def run_suite(name: str, samples: int, seed: int) -> SuiteOutcome:
+    """Run ``samples`` samples of one suite (theorem1: twice that), each from a child seed."""
     if name not in _SUITES:
         raise StructuralError(f"unknown suite {name!r}; choose from {SUITE_NAMES} or 'all'")
     if samples < 1:
         raise StructuralError("samples must be positive")
     if seed < 0:
         raise StructuralError(f"seed must be nonnegative, got {seed}")
-    return _SUITES[name](samples, seed)
-
-
-def run_suites(names, samples: int, seed: int) -> list[SuiteOutcome]:
-    return [run_suite(name, samples, seed) for name in names]
+    sample, per = _SUITES[name]
+    t0 = time.perf_counter()
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=per * samples)
+    checks = 0
+    failures: list[str] = []
+    for i, child in enumerate(seeds.tolist()):
+        for failed, message in sample(i, child, samples):
+            checks += 1
+            if failed:
+                failures.append(message)
+    return SuiteOutcome(name, per * samples, checks, tuple(failures),
+                        time.perf_counter() - t0)

@@ -664,6 +664,14 @@ class TestKronCommand:
         assert code == 2
         assert "precondition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("recovery", [".", "missing/rec.json", "rec\0.json"])
+    def test_failed_sidecar_write_leaves_no_output(self, tmp_path, recovery):
+        npath = _net_file(tmp_path, PATH3)
+        code, out, err = _run_cli(["kron", npath, str(tmp_path / "out.json"), "--eliminate", "1",
+                                   "--recovery-out", str(tmp_path / recovery)])
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
+
     def test_matrix_file_input(self, tmp_path):
         mpath = str(tmp_path / "m.json")
         save_matrix(mpath, assemble(PATH3))
@@ -708,6 +716,15 @@ class TestHybridCommand:
         assert main(["hybrid", npath, out, "--partition", "0,1,1",
                      "--solve-class", "0"]) == 1
         assert main(["hybrid", npath, out, "--partition", "0,1"]) == 1  # missing P
+
+    def test_partition_and_class_together_exit_1(self, tmp_path):
+        out = str(tmp_path / "h.json")
+        for npath in (self._two_node(tmp_path), str(tmp_path / "absent.json")):
+            code, stdout, err = _run_cli(["hybrid", npath, out, "--partition", "0,1",
+                                          "--class", "0", "--class", "1", "--solve-class", "0"])
+            assert (code, stdout) == (1, "") and err.count("\n") == 1, err
+            assert err.startswith("error: ") and "--partition" in err and "--class" in err
+        assert not (tmp_path / "h.json").exists()
 
     def test_singular_solve_block_exits_2(self, tmp_path):
         net, _ = counterexample_block_singular()
@@ -804,6 +821,33 @@ class TestVerifyCommand:
         first = capsys.readouterr().out
         main(["verify", "--suite", "kron", "--samples", "4", "--seed", "11"])
         assert capsys.readouterr().out == first
+
+    def test_check_counts_pinned(self):
+        from ybuskit.suites import run_suite
+        assert [run_suite(n, 50, 42).checks for n in SUITE_NAMES] == [200, 650, 146, 200, 100]
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_every_tolerance_check_can_fail(self, name, monkeypatch):
+        argv = ["verify", "--suite", name, "--samples", "2", "--seed", "3"]
+        code, out, _ = _run_cli(argv)
+        assert code == 0
+        head = out.splitlines()[0]
+        samples, checks = (int(head.split(", ")[k].split()[-2]) for k in (0, 1))
+        monkeypatch.setattr("ybuskit.suites.RESIDUAL_RTOL", -1.0)
+        monkeypatch.setattr("ybuskit.suites.IDENTITY_RTOL", -1.0)
+        code, out, _ = _run_cli(argv)
+        lines = out.splitlines()
+        assert code == 3 and lines[0] == head.replace("PASS", "FAIL")
+        failures = [line for line in lines[1:] if line.startswith("  failure: ")]
+        assert failures == lines[1:]
+        # every check but the rank verdicts and the block certificates compares to a tolerance
+        tolerance_checks = {"theorem1": 2, "theorem2": checks - 3 * 2}.get(name, checks)
+        assert len(failures) == tolerance_checks
+        seeds = np.random.default_rng(3).integers(0, 2**63 - 1, samples).tolist()
+        for line in failures:
+            i = int(line.split("sample ")[1].split()[0])
+            offset = samples // 2 if line.startswith("  failure: shunted") else 0
+            assert f"sample {i} (seed {seeds[offset + i]})" in line, line
 
     def test_unknown_suite_rejected(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 1
