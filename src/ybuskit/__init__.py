@@ -25,7 +25,6 @@ from .network_model import (
     Network,
     Shunt,
     ValidationReport,
-    incidence_matrix,
     is_connected,
     shunt_totals,
     validate,
@@ -36,7 +35,7 @@ from .linalg_core import (
     full_rank_certificate,
     numerical_rank,
 )
-from .ybus import AdmittanceMatrix, assemble, reorder, shunt_vector
+from .ybus import AdmittanceMatrix, assemble, shunt_vector
 from .rank_analysis import (
     RankVerdict,
     augment_virtual_ground,
@@ -114,7 +113,6 @@ __all__ = [
     "full_rank_certificate",
     "generate",
     "hybrid_parameters",
-    "incidence_matrix",
     "is_connected",
     "kron_reduce",
     "kron_reduce_nodes",
@@ -123,7 +121,6 @@ __all__ = [
     "random_partition",
     "rank_verdicts",
     "recover_eliminated",
-    "reorder",
     "run_suite",
     "shunt_totals",
     "shunt_vector",

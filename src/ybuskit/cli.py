@@ -153,16 +153,18 @@ def cmd_hybrid(args) -> int:
     if args.partition is not None and args.cls:
         raise UsageError("give --partition or --class flags, not both")
     y = _as_matrix(fileio.load_any(args.path))
-    if args.partition is not None:
+    if args.partition is not None:  # one class label per row, in the file's node order
         labels = _parse_ints(args.partition, "--partition")
         if len(labels) != y.size:
             raise UsageError(
                 f"--partition lists {len(labels)} labels for a {y.size}-node matrix"
             )
         part = Partition.from_labels(labels)
-    elif args.cls:
-        classes = tuple(tuple(_parse_ints(c, "--class")) for c in args.cls)
-        part = Partition(classes=classes, node_count=y.size)
+    elif args.cls:  # node labels, found in the matrix node order
+        classes = [_parse_ints(c, "--class") for c in args.cls]
+        pos = _node_positions(y, [v for c in classes for v in c])
+        part = Partition(classes=tuple(tuple(pos[v] for v in c) for c in classes),
+                         node_count=y.size)
     else:
         raise UsageError("give --partition or at least two --class flags")
     view = block_view(y, part)

@@ -218,6 +218,7 @@ def matrix_from_dict(doc) -> AdmittanceMatrix:
     if not isinstance(entries, list) or len(entries) != n * n:
         raise FileFormatError(f'"entries" must hold exactly {n * n} [re, im] pairs')
     m = _complex_entries(entries).reshape(n, n)
+    m.flags.writeable = False  # adopted as the dense view, not copied
     return AdmittanceMatrix(matrix=m, node_order=tuple(order))
 
 

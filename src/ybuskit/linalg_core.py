@@ -6,10 +6,10 @@ package (and every command that never factors a matrix) loads NumPy
 alone; ``scipy.sparse.linalg`` loads only when a block takes the sparse
 branch.  No other module sees LU factors: every solve goes through the
 certificate of :func:`full_rank_certificate`.  Matrices are 2-D
-``complex128`` arrays.  The transpose used throughout the package is the
-plain one (no conjugation): nodal admittance matrices are complex
-symmetric, not Hermitian, and every identity here is stated for the plain
-transpose.
+``complex128`` arrays, or sparse blocks as :class:`Triplets`.  The
+transpose used throughout the package is the plain one (no conjugation):
+nodal admittance matrices are complex symmetric, not Hermitian, and every
+identity here is stated for the plain transpose.
 """
 
 from __future__ import annotations
@@ -53,6 +53,49 @@ def _finite(a, what: str):
     if not np.isfinite(a).all():
         raise NumericalError(f"{what} overflows the floating-point range")
     return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when read-only (the package marks what it builds), else a read-only copy."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """A sparse block of ``shape``: ``data[k]`` at ``(rows[k], cols[k])``, zero elsewhere.
+
+    No position appears twice.  :meth:`dense` and :meth:`tosparse` build
+    the dense array or the SciPy matrix that a branch needs.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out[self.rows, self.cols] = self.data
+        return out
+
+    def tosparse(self, fmt: str):
+        """The SciPy matrix in format ``fmt`` ("csr" or "csc"), with sorted indices."""
+        import scipy.sparse
+
+        coo = scipy.sparse.coo_matrix((self.data, (self.rows, self.cols)), shape=self.shape)
+        return coo.asformat(fmt)
+
+
+def _dense(a) -> np.ndarray:
+    """A block, dense or :class:`Triplets`, as a dense array."""
+    return a.dense() if isinstance(a, Triplets) else a
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,16 +188,18 @@ def _checked_rhs(b, n: int) -> np.ndarray:
     return arr
 
 
-def _prefers_sparse(a: np.ndarray) -> bool:
-    """Whether a block is worth handling as a sparse matrix.
+def _prefers_sparse(a) -> bool:
+    """Whether a block, dense or :class:`Triplets`, is worth handling as a sparse matrix.
 
     It must hold at least SPARSE_MIN_ORDER**2 entries and at most
     SPARSE_MAX_ROW_NNZ nonzeros per row (per column, if it has more
     columns) on average.
     """
     rows, cols = a.shape
-    return (rows * cols >= SPARSE_MIN_ORDER ** 2
-            and np.count_nonzero(a) <= SPARSE_MAX_ROW_NNZ * max(rows, cols))
+    if rows * cols < SPARSE_MIN_ORDER ** 2:
+        return False
+    nnz = a.nnz if isinstance(a, Triplets) else np.count_nonzero(a)
+    return nnz <= SPARSE_MAX_ROW_NNZ * max(rows, cols)
 
 
 def _inverse_norm1(solve, n: int) -> float:
@@ -189,13 +234,13 @@ def _inverse_norm1(solve, n: int) -> float:
     return max(est, 2.0 * float(np.abs(solve(alt.astype(np.complex128), "N")).sum()) / (3 * n))
 
 
-def _sparse_certificate(a: np.ndarray) -> RankCertificate | None:
+def _sparse_certificate(a) -> RankCertificate | None:
     """Certificate from SuperLU factors, or None at an exactly zero pivot."""
     import scipy.sparse
     import scipy.sparse.linalg
 
     n = a.shape[0]
-    csc = scipy.sparse.csc_matrix(a)
+    csc = a.tosparse("csc") if isinstance(a, Triplets) else scipy.sparse.csc_matrix(a)
     try:
         lu = scipy.sparse.linalg.splu(
             csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=SPARSE_PIVOT_THRESHOLD,
@@ -212,7 +257,7 @@ def _sparse_certificate(a: np.ndarray) -> RankCertificate | None:
 
 
 def full_rank_certificate(m) -> RankCertificate:
-    """Certify that a square matrix has full rank.
+    """Certify that a square matrix, dense or :class:`Triplets`, has full rank.
 
     Factorizes once and accepts when the 1-norm condition estimate stays
     below ``1 / (n * eps)``; an exactly zero pivot fails immediately.  The
@@ -225,13 +270,14 @@ def full_rank_certificate(m) -> RankCertificate:
     an exactly zero pivot, is factored densely by LAPACK, which names the
     pivot and estimates the condition with ``gecon``.
     """
-    a = as_cmatrix(m)
+    a = m if isinstance(m, Triplets) else as_cmatrix(m)
     if a.shape[0] != a.shape[1]:
         raise StructuralError(f"rank certification needs a square matrix, got {a.shape}")
     if _prefers_sparse(a):
         cert = _sparse_certificate(a)
         if cert is not None:
             return cert
+    a = _dense(a)
     n = a.shape[0]
     try:
         factors = lu_factor_checked(a)

@@ -155,20 +155,6 @@ def is_connected(net: Network) -> bool:
     return _component_count(net) == 1
 
 
-def incidence_matrix(net: Network) -> np.ndarray:
-    """Branch-by-node incidence matrix, shape (|branches|, N), dtype int64.
-
-    Row l carries +1 at the branch's ``from_node`` and -1 at its
-    ``to_node``.  The orientation convention is arbitrary but fixed; the
-    assembled nodal matrix does not depend on it.
-    """
-    a = np.zeros((len(net.branches), net.node_count), dtype=np.int64)
-    for l, b in enumerate(net.branches):
-        a[l, b.from_node] = 1
-        a[l, b.to_node] = -1
-    return a
-
-
 def validate(net: Network) -> ValidationReport:
     """Check the modeling preconditions and report each one independently.
 

@@ -1,6 +1,6 @@
 """Node partitions, block addressing and diagonal-block rank verification.
 
-Partitioning the node set and reordering the nodal matrix accordingly
+Partitioning the rows of the nodal matrix and ordering them class by class
 exposes blocks Y_ij relating the currents of class i to the voltages of
 class j.  When the network is connected, branch admittances are nonzero
 and every branch has positive real part, each diagonal block is
@@ -12,23 +12,23 @@ component by component.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StructuralError
-from .linalg_core import full_rank_certificate
+from .linalg_core import _dense, full_rank_certificate
 from .network_model import DEFAULT_ZERO_TOL, Network, _component_labels, validate
-from .ybus import AdmittanceMatrix, _stamp, reorder
+from .ybus import AdmittanceMatrix, _stamp
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered partition of the node set into at least two nonempty classes.
+    """Ordered partition of the positions 0..N-1 into at least two nonempty classes.
 
-    In block order class i occupies the contiguous row/column range
-    starting at ``offsets[i]``.
+    A position is a row of the matrix, so a class names rows, not node
+    labels; for a network's matrix the two coincide.  In block order class
+    i occupies the contiguous row/column range starting at ``offsets[i]``.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -49,21 +49,21 @@ class Partition:
                 raise StructuralError(f"partition class {i} is empty")
             for v in c:
                 if v in seen:
-                    raise StructuralError(f"node {v} appears in more than one class")
+                    raise StructuralError(f"position {v} appears in more than one class")
                 seen.add(v)
             offsets.append(total)
             total += len(c)
         if total != self.node_count or seen != set(range(self.node_count)):
             raise StructuralError(
-                f"classes must cover exactly the nodes 0..{self.node_count - 1}"
+                f"classes must cover exactly the positions 0..{self.node_count - 1}"
             )
         object.__setattr__(self, "offsets", tuple(offsets))
 
     @classmethod
     def from_labels(cls, labels) -> "Partition":
-        """Build from a per-node class-label vector.
+        """Build from a class label per position.
 
-        Classes are ordered by ascending label; nodes within a class keep
+        Classes are ordered by ascending label; positions within a class keep
         ascending order.
         """
         labels = [int(x) for x in labels]
@@ -78,7 +78,7 @@ class Partition:
         return len(self.classes)
 
     def labels(self) -> list[int]:
-        """Per-node class-index vector (inverse of :meth:`from_labels`)."""
+        """Class index per position (inverse of :meth:`from_labels`)."""
         out = [0] * self.node_count
         for i, c in enumerate(self.classes):
             for v in c:
@@ -98,8 +98,8 @@ class BlockView:
 
     In block order class i occupies the contiguous row/column range
     ``partition.span(i)``; ``positions[k]`` is the row of ``source`` that
-    block-order row k refers to.  Blocks are sliced out of ``source``
-    directly; ``permuted`` builds the reordered matrix only when asked.
+    block-order row k refers to.  Blocks are sliced out of ``source`` one
+    at a time; no reordered copy is built.
     """
 
     source: AdmittanceMatrix
@@ -108,32 +108,23 @@ class BlockView:
 
     @property
     def node_order(self) -> tuple[int, ...]:
-        """Node labels in block order: the classes, concatenated."""
-        return tuple(v for c in self.partition.classes for v in c)
+        """Node labels in block order: the labels of the classes' rows, concatenated."""
+        order = self.source.node_order
+        return tuple(order[k] for k in self.positions.tolist())
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """The block relating class-i currents to class-j voltages (a copy)."""
+        """The block relating class-i currents to class-j voltages, as a dense array."""
         p, pos = self.partition, self.positions
-        return self.source.matrix[np.ix_(pos[p.span(i)], pos[p.span(j)])]
-
-    @functools.cached_property
-    def permuted(self) -> AdmittanceMatrix:
-        """``source`` reordered so that class i occupies ``partition.span(i)``."""
-        return reorder(self.source, self.node_order)
+        return _dense(self.source._block(pos[p.span(i)], pos[p.span(j)]))
 
 
 def block_view(source: AdmittanceMatrix, part: Partition) -> BlockView:
-    """Address a matrix in block form under a partition of its nodes."""
+    """Address a matrix in block form under a partition of its rows."""
     if part.node_count != source.size:
         raise StructuralError(
             f"partition covers {part.node_count} nodes but matrix has {source.size}"
         )
-    pos = {v: i for i, v in enumerate(source.node_order)}
-    if pos.keys() != set(range(part.node_count)):
-        raise StructuralError(
-            f"partition nodes 0..{part.node_count - 1} are not the matrix node order"
-        )
-    positions = np.array([pos[v] for c in part.classes for v in c], dtype=np.intp)
+    positions = np.array([k for c in part.classes for k in c], dtype=np.intp)
     positions.flags.writeable = False
     return BlockView(source=source, partition=part, positions=positions)
 
@@ -186,9 +177,10 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     and it is block-diagonal across the connected components of the
     class's induced subgraph.  Y is stamped once, the components of every
     class are labelled in one pass over the class-internal branches, and
-    each component sub-block gets its own LU condition certificate; no
-    other factorization runs.  The structural claim that every component
-    touches a boundary branch or a nonzero shunt is checked as well.
+    each component sub-block, sliced from the compressed rows, gets its
+    own LU condition certificate; no other factorization runs.  The
+    structural claim that every component touches a boundary branch or a
+    nonzero shunt is checked as well.
     """
     if part.node_count != net.node_count:
         raise StructuralError(
@@ -222,7 +214,7 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
             pieces.setdefault(piece[v], []).append(v)
         comp_reports: list[ComponentReport] = []
         for nodes in map(tuple, pieces.values()):
-            cert = full_rank_certificate(y[np.ix_(nodes, nodes)])
+            cert = full_rank_certificate(y._block(nodes, nodes))
             touched = any(grounded[v] for v in nodes)
             comp_reports.append(
                 ComponentReport(nodes, cert.full_rank, touched, cert.condition_estimate))

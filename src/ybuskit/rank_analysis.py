@@ -144,10 +144,12 @@ def verify_rank_via_augmentation(net: Network) -> RankVerdict:
     return _rank_verdicts(net, ("virtual_ground",))[0]
 
 
-def _pattern_connected(matrix: np.ndarray) -> bool:
-    """Connectivity of the graph read off the nonzero off-diagonal pattern."""
-    rows, cols = np.nonzero(np.triu(matrix, 1))
-    return not any(_component_labels(matrix.shape[0], zip(rows.tolist(), cols.tolist())))
+def _pattern_connected(y: AdmittanceMatrix) -> bool:
+    """Connectivity of the graph read off the stored off-diagonal entries, O(nnz)."""
+    rows = y._rows()
+    upper = y.indices > rows
+    return not any(_component_labels(y.size, zip(rows[upper].tolist(),
+                                                  y.indices[upper].tolist())))
 
 
 def _block_form_error(augmented: np.ndarray, y: np.ndarray, shunts: np.ndarray) -> float:
@@ -183,7 +185,7 @@ def _rank_verdicts(source, methods, assembled=None) -> list[RankVerdict]:
     if net is None:  # shunts inferred from row sums, connectivity from the zero pattern
         if source.size == 0:
             raise PreconditionError("rank verification needs a matrix with at least one node")
-        if not _pattern_connected(source.matrix):
+        if not _pattern_connected(source):
             raise PreconditionError(
                 "matrix off-diagonal pattern is disconnected; rank prediction does not apply"
             )

@@ -15,9 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotReducibleError, NotSolvableError, StructuralError
-from .linalg_core import RankCertificate, _finite, _prefers_sparse, full_rank_certificate
+from .linalg_core import (
+    RankCertificate,
+    Triplets,
+    _dense,
+    _finite,
+    _frozen,
+    _prefers_sparse,
+    full_rank_certificate,
+)
 from .partition import BlockView, Partition
-from .ybus import AdmittanceMatrix
+from .ybus import _SYMMETRY_ROWS, AdmittanceMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,9 +48,7 @@ class ReductionResult:
                 f"recovery shape {rec.shape} does not match "
                 f"{len(self.eliminated_order)} eliminated x {self.reduced.size} retained"
             )
-        rec = rec.copy()
-        rec.flags.writeable = False
-        object.__setattr__(self, "recovery", rec)
+        object.__setattr__(self, "recovery", _frozen(rec))
         object.__setattr__(self, "eliminated_order", tuple(int(v) for v in self.eliminated_order))
 
     @property
@@ -54,7 +60,7 @@ class ReductionResult:
         return self.reduced.node_order
 
 
-def _certified(block: np.ndarray, what: str, err_cls) -> RankCertificate:
+def _certified(block, what: str, err_cls) -> RankCertificate:
     """Certify an elimination/solve block invertible; the certificate solves with it."""
     cert = full_rank_certificate(block)
     if cert.failed_pivot is not None:
@@ -75,38 +81,82 @@ def _node_positions(y: AdmittanceMatrix, labels) -> dict[int, int]:
     return pos
 
 
-def _schur(m: np.ndarray, epos: np.ndarray, kpos: np.ndarray, what: str, err_cls):
-    """Certificate of Y_ee, W = Y_ee^{-1} Y_ek and S = Y_kk - Y_ke W.
+def _times(a, b: np.ndarray) -> np.ndarray:
+    """The dense product of a block and ``b``, through SciPy when the block is large and sparse."""
+    return (a.tosparse("csr") if _prefers_sparse(a) else _dense(a)) @ b
 
-    ``epos`` and ``kpos`` index rows and columns of ``m``.  S is
-    symmetrized, since LU roundoff breaks its exact symmetry.  Y_ke W is
-    formed with a sparse Y_ke when the block is large and sparse.  A W or
-    S that overflows raises :class:`NumericalError`.
+
+def _solve(cert: RankCertificate, b) -> np.ndarray:
+    """Y_ee^{-1} B, solving a sparse B for its nonzero columns only."""
+    if not isinstance(b, Triplets):
+        return cert.solve(b)
+    cols, where = np.unique(b.cols, return_inverse=True)
+    out = np.zeros(b.shape, dtype=np.complex128)
+    out[:, cols] = cert.solve(Triplets((b.shape[0], cols.size), b.rows, where, b.data).dense())
+    return out
+
+
+def _symmetrize(s: np.ndarray) -> None:
+    """s <- (s + s^T) / 2 in place, a stripe of rows at a time (no n x n temporary)."""
+    rows = _SYMMETRY_ROWS
+    for r0 in range(0, s.shape[0], rows):
+        stripe = s[r0:r0 + rows, r0:]  # its diagonal block overlaps the transpose: NumPy copies
+        stripe += s[r0:, r0:r0 + rows].T
+        stripe *= 0.5
+        s[r0 + rows:, r0:r0 + rows] = stripe[:, rows:].T
+
+
+def _schur(y: AdmittanceMatrix, epos, kpos, what: str, err_cls, inverse: bool = False):
+    """Y_ee^{-1} (with ``inverse``, else None), W = Y_ee^{-1} Y_ek and S = Y_kk - Y_ke W.
+
+    Blocks are sliced from ``y`` at positions ``epos`` and ``kpos``.  W
+    comes from solves with the certificate of Y_ee or, with ``inverse``,
+    as (Y_ke Y_ee^{-1})^T.  S is a SciPy CSR matrix when W is large and
+    sparse, else a dense array, and is symmetrized exactly, since LU
+    roundoff breaks its symmetry.  A W or S that overflows raises
+    :class:`NumericalError`.
     """
-    cert = _certified(m[np.ix_(epos, epos)], what, err_cls)
-    w = _finite(cert.solve(m[np.ix_(epos, kpos)]), f"{what}: W = Y_ee^-1 Y_ek")
-    y_ke = m[np.ix_(kpos, epos)]
-    if _prefers_sparse(y_ke):
-        import scipy.sparse
+    cert = _certified(y._block(epos, epos), what, err_cls)
+    y_ke, y_kk = y._block(kpos, epos), y._block(kpos, kpos)
+    inv = None
+    with np.errstate(all="ignore"):  # an overflow is refused just after it happens
+        if inverse:
+            inv = _finite(cert.solve(np.eye(len(epos), dtype=np.complex128)),
+                          f"{what}: the inverse")
+            w = _times(y_ke, inv).T
+        else:
+            w = _solve(cert, y._block(epos, kpos))
+        _finite(w, f"{what}: W = Y_ee^-1 Y_ek")
+        if _prefers_sparse(w):
+            import scipy.sparse
 
-        y_ke = scipy.sparse.csr_matrix(y_ke)
-    s = m[np.ix_(kpos, kpos)]
-    with np.errstate(all="ignore"):  # an overflow is refused just below
-        s -= y_ke @ w
-        s += s.T
-        s *= 0.5
-    return cert, w, _finite(s, f"{what}: the Schur complement")
+            s = y_kk.tosparse("csr") - y_ke.tosparse("csr") @ scipy.sparse.csr_matrix(w)
+            s = (s + s.T) * 0.5
+            s.eliminate_zeros()  # a halved subnormal
+            s.sort_indices()
+            _finite(s.data, f"{what}: the Schur complement")
+        else:
+            s = _dense(y_kk)
+            s -= _times(y_ke, w)
+            _symmetrize(s)
+            _finite(s, f"{what}: the Schur complement")
+    return inv, w, s
 
 
 def _reduce(y: AdmittanceMatrix, epos: np.ndarray, kpos: np.ndarray) -> ReductionResult:
     """Eliminate rows/columns ``epos`` of ``y``, keeping ``kpos`` in that order."""
-    _, w, s = _schur(y.matrix, epos, kpos, "elimination block", NotReducibleError)
+    _, w, s = _schur(y, epos, kpos, "elimination block", NotReducibleError)
     order = y.node_order
-    return ReductionResult(
-        reduced=AdmittanceMatrix(matrix=s, node_order=tuple(order[i] for i in kpos)),
-        eliminated_order=tuple(order[i] for i in epos),
-        recovery=-w,
-    )
+    kept = tuple(order[i] for i in kpos)
+    if isinstance(s, np.ndarray):
+        s.flags.writeable = False
+        reduced = AdmittanceMatrix(s, kept)
+    else:
+        reduced = AdmittanceMatrix._adopt(s.indptr.astype(np.intp), s.indices.astype(np.intp),
+                                          s.data, kept)
+    np.negative(w, out=w)
+    w.flags.writeable = False
+    return ReductionResult(reduced, tuple(order[i] for i in epos), w)
 
 
 def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
@@ -199,9 +249,7 @@ class HybridResult:
         m = np.asarray(self.h, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != self.partition.node_count:
             raise StructuralError(f"hybrid matrix shape {m.shape} does not match partition")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "h", m)
+        object.__setattr__(self, "h", _frozen(m))
 
     def block(self, q: int, k: int) -> np.ndarray:
         p = self.partition
@@ -225,27 +273,27 @@ class HybridResult:
 def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
     """Solve block row p of I = Y V for V_p, yielding hybrid parameters.
 
-    With W = Y_pp^{-1} Y_pk over all other classes k, the Schur kernel of
-    Kron reduction gives every block: (p, p) is Y_pp^{-1}, (p, k) is -W,
-    the admittance blocks (q, k) are the Kron reduction of class p, and
-    since Y is complex symmetric, (q, p) = Y_qp Y_pp^{-1} = W^T, which is
-    -(H_pq)^T.  One factorization of Y_pp backs all of them; only block
-    (p, p) materializes the inverse, because the inverse is the
-    deliverable there.
+    With H_pp = Y_pp^{-1} and W = H_pp Y_pk over all other classes k, the
+    Schur kernel of Kron reduction gives every block: (p, p) is H_pp,
+    (p, k) is -W, the admittance blocks (q, k) are the Kron reduction of
+    class p, and since Y is complex symmetric, (q, p) = Y_qp H_pp = W^T,
+    which is -(H_pq)^T.  One factorization of Y_pp forms H_pp, the
+    deliverable of block (p, p); the current-gain blocks are then its
+    product with the sparse Y_qp, not a solve per column of Y_pk.
     """
     part = view.partition
     n = part.node_count
     sp = part.span(p)
     others = np.r_[0:sp.start, sp.stop:n]
-    cert, w, s = _schur(view.source.matrix, view.positions[sp], view.positions[others],
-                        f"block ({p},{p})", NotSolvableError)
+    h_pp, w, s = _schur(view.source, view.positions[sp], view.positions[others],
+                        f"block ({p},{p})", NotSolvableError, inverse=True)
 
     h = np.empty((n, n), dtype=np.complex128)
-    h[sp, sp] = _finite(cert.solve(np.eye(sp.stop - sp.start, dtype=np.complex128)),
-                        f"block ({p},{p}): the inverse")
+    h[sp, sp] = h_pp
     h[sp, others] = -w
     h[others, sp] = w.T
-    h[np.ix_(others, others)] = s
+    h[np.ix_(others, others)] = s if isinstance(s, np.ndarray) else s.toarray()
+    h.flags.writeable = False
     roles = {
         (q, k): (ROLE_IMPEDANCE if k == p else ROLE_VOLTAGE_GAIN) if q == p
         else (ROLE_CURRENT_GAIN if k == p else ROLE_ADMITTANCE)

@@ -207,7 +207,7 @@ def _hybrid(i: int, seed: int, samples: int):
     yield (inv_err > IDENTITY_RTOL,
            f"sample {i} (seed {seed}): H_pp*Y_pp deviates from I by {inv_err:.3e}")
 
-    m = view.permuted.matrix
+    m = view.source.matrix[np.ix_(view.positions, view.positions)]  # Y in block order
     sp = part.span(p)
     mask = np.zeros(n, dtype=bool)
     mask[sp] = True

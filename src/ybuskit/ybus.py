@@ -1,71 +1,134 @@
-"""Nodal admittance matrix assembly, shunt recovery and reordering.
+"""Nodal admittance matrix assembly and shunt recovery.
 
 The nodal matrix relates injected nodal currents to nodal voltages,
 ``I = Y V``, with ground as the implicit voltage reference.  Each branch
 (i, j, y) contributes +y to both diagonal entries and -y to both
 off-diagonal entries; each shunt adds to its node's diagonal.  The result
 is complex symmetric, and its row sums (equally, column sums) recover the
-per-node shunt totals.
+per-node shunt totals.  It is stored in compressed sparse rows: a grid's Y
+has a handful of nonzeros per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import HypothesisError, SizeLimitError, StructuralError
-from .linalg_core import _finite, as_cmatrix
+from .linalg_core import SPARSE_MIN_ORDER, Triplets, _finite, _frozen, as_cmatrix
 from .network_model import DEFAULT_ZERO_TOL, Network, shunt_totals
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
 SYMMETRY_RTOL = 1e-14
-#: Rows per block of the symmetry check, which never holds more than this
-#: many rows of temporaries.
+#: Rows per block of the symmetry check and of the Schur complement's
+#: symmetrization, which never hold more than this many rows of temporaries.
 _SYMMETRY_ROWS = 64
-#: Largest node count stamped into a dense matrix: 16384² complex entries
-#: take 4 GiB.
+#: Largest node count stamped into a matrix, whose dense view of 16384²
+#: complex entries takes 4 GiB.
 MAX_DENSE_ORDER = 16384
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class AdmittanceMatrix:
-    """A nodal admittance matrix together with its node labeling.
+    """A nodal admittance matrix in compressed sparse rows, with its node labeling.
 
-    ``node_order[k]`` is the node whose current and voltage the k-th row
-    and column refer to.  The matrix must be square, finite and complex
+    ``node_order[k]`` is the node that row and column k refer to.  Row k
+    holds ``data[indptr[k]:indptr[k + 1]]`` in the ascending columns
+    ``indices[indptr[k]:indptr[k + 1]]``, with no stored zero.  A dense
+    ``matrix`` given to the constructor must be square, finite and complex
     symmetric (plain transpose) to within ``SYMMETRY_RTOL`` of its largest
-    entry.  The stored array is read-only.
+    entry, and is kept as the dense view (adopted when read-only, else
+    copied); otherwise ``matrix``, the read-only dense view, is built on
+    first access.  Compressed rows come only from the package itself (the
+    stamp and the sparse Schur complement), which makes them finite and
+    exactly symmetric.
     """
 
-    matrix: np.ndarray
     node_order: tuple[int, ...]
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        m = as_cmatrix(self.matrix).copy()
-        if m.shape[0] != m.shape[1]:
-            raise StructuralError(f"admittance matrix must be square, got {m.shape}")
-        order = tuple(int(v) for v in self.node_order)
-        if len(order) != m.shape[0]:
-            raise StructuralError(
-                f"node_order length {len(order)} does not match matrix size {m.shape[0]}"
-            )
-        if len(set(order)) != len(order):
-            raise StructuralError("node_order contains duplicate nodes")
-        if m.size:
-            scale, asym = _scale_and_asymmetry(m)
-            if asym > SYMMETRY_RTOL * scale:
+    def __init__(self, matrix, node_order):
+        self.__post_init__(matrix, node_order, None)
+
+    @classmethod
+    def _adopt(cls, indptr, indices, data, node_order) -> "AdmittanceMatrix":
+        """Take over compressed rows the package built and checked.
+
+        They must be canonical (intp, ascending columns, no stored zero),
+        finite and exactly symmetric, as the stamp and the symmetrized
+        Schur complement are; nothing is checked again.
+        """
+        y = cls.__new__(cls)
+        y.__post_init__(None, node_order, (indptr, indices, data))
+        return y
+
+    def __post_init__(self, matrix, node_order, csr):
+        order = tuple(map(int, node_order))
+        if csr is None:
+            m = _frozen(as_cmatrix(matrix))
+            if m.shape[0] != m.shape[1]:
+                raise StructuralError(f"admittance matrix must be square, got {m.shape}")
+            if len(order) != m.shape[0]:
                 raise StructuralError(
-                    f"matrix is not complex symmetric: max|Y - Y^T| = {asym:.3e} "
-                    f"exceeds {SYMMETRY_RTOL:.0e} * max|Y| = {SYMMETRY_RTOL * scale:.3e}"
+                    f"node_order length {len(order)} does not match matrix size {m.shape[0]}"
                 )
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+            if len(set(order)) != len(order):
+                raise StructuralError("node_order contains duplicate nodes")
+            if m.size:
+                scale, asym = _scale_and_asymmetry(m)
+                if asym > SYMMETRY_RTOL * scale:
+                    raise StructuralError(
+                        f"matrix is not complex symmetric: max|Y - Y^T| = {asym:.3e} "
+                        f"exceeds {SYMMETRY_RTOL:.0e} * max|Y| = {SYMMETRY_RTOL * scale:.3e}"
+                    )
+            rows, indices = np.nonzero(m)
+            csr = np.searchsorted(rows, np.arange(m.shape[0] + 1)), indices, m[rows, indices]
+            self.__dict__["matrix"] = m
         object.__setattr__(self, "node_order", order)
+        for name, a in zip(("indptr", "indices", "data"), csr):
+            a.flags.writeable = False  # built here, or taken over
+            object.__setattr__(self, name, a)
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.indptr.size - 1
+
+    def _rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.size), self.indptr[1:] - self.indptr[:-1])
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense N x N view, read-only."""
+        m = np.zeros((self.size, self.size), dtype=np.complex128)
+        m[self._rows(), self.indices] = self.data
+        m.flags.writeable = False
+        return m
+
+    def _block(self, rows, cols):
+        """Rows ``rows`` and columns ``cols`` (positions) as :class:`Triplets`.
+
+        The block is gathered from the compressed rows in O(nnz of those
+        rows).  Below ``SPARSE_MIN_ORDER`` nodes no block can take a sparse
+        branch, and it is a slice of the dense view instead.
+        """
+        if self.size < SPARSE_MIN_ORDER:
+            return self.matrix[np.ix_(rows, cols)]
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        where = np.full(self.size, -1, dtype=np.intp)
+        where[cols] = np.arange(cols.size)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        ends = np.cumsum(counts)
+        take = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
+        c = where[self.indices[take]]
+        keep = c >= 0
+        r = np.repeat(np.arange(rows.size), counts)
+        return Triplets((rows.size, cols.size), r[keep], c[keep], self.data[take[keep]])
 
 
 def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
@@ -83,17 +146,19 @@ def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
     return scale, asym
 
 
-def _stamp(net: Network, zero_tol: float) -> np.ndarray:
-    """Stamp the nodal matrix of a network into a fresh, writable array.
+def _stamp(net: Network, zero_tol: float) -> AdmittanceMatrix:
+    """Stamp the nodal matrix of a network into compressed rows.
 
     Branches with |y| <= ``zero_tol`` are refused (they violate the
-    nonzero-admittance hypothesis and would silently drop an edge).  All
-    branches are stamped by one unbuffered ``np.add.at`` into the flat
-    matrix, in branch order, so every entry sums its terms in the same
-    order as stamping one branch at a time would: O(|branches|) work
-    besides the zeroed N x N array, and bit-exactly symmetric.  A node count
-    beyond ``MAX_DENSE_ORDER`` raises :class:`SizeLimitError` first, and a
-    sum that overflows raises :class:`NumericalError`.
+    nonzero-admittance hypothesis and would silently drop an edge).  Every
+    entry a branch touches, and the diagonal, gets one slot in row-major
+    order; one unbuffered ``np.add.at`` stamps all branches into the slots
+    in branch order, then the shunt totals are added, so each entry sums
+    its terms in the order a dense stamp one branch at a time does: bit
+    for bit the same, and exactly symmetric, in O(|branches| log
+    |branches|).  Entries that cancel exactly are not stored.  A node
+    count beyond ``MAX_DENSE_ORDER`` raises :class:`SizeLimitError` first,
+    and a sum that overflows raises :class:`NumericalError`.
     """
     n = net.node_count
     if n > MAX_DENSE_ORDER:
@@ -109,16 +174,21 @@ def _stamp(net: Network, zero_tol: float) -> np.ndarray:
                 f"branch {k} ({b.from_node},{b.to_node}) has admittance {b.admittance} "
                 f"with magnitude <= {zero_tol}; zero-admittance branches are not representable"
             )
-    ends = np.array([(b.from_node, b.to_node) for b in branches], dtype=np.intp)
-    i, j = ends.reshape(-1, 2).T
-    flat = np.column_stack((i * (n + 1), j * (n + 1), i * n + j, j * n + i)).ravel()
-    y = np.zeros((n, n), dtype=np.complex128)
+    ends = np.empty((len(branches), 2), dtype=np.intp)
+    ends[:, 0] = [b.from_node for b in branches]
+    ends[:, 1] = [b.to_node for b in branches]
+    # the keys row * n + col of (i, i), (j, j), (i, j) and (j, i), with values y, y, -y, -y
+    flat = (ends @ np.array([[n + 1, 0, n, 1], [0, n + 1, 1, n]])).ravel()
+    keys, slot = np.unique(np.concatenate((flat, np.arange(n) * (n + 1))), return_inverse=True)
+    data = np.zeros(keys.size, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused next
-        np.add.at(y.reshape(-1), flat, np.column_stack((adm, adm, -adm, -adm)).ravel())
-        y[np.diag_indices(n)] += shunt_totals(net)
-    # only the stamped entries and the diagonal hold sums that can overflow
-    _finite(np.concatenate((y.reshape(-1)[flat], y.diagonal())), "a stamped nodal matrix entry")
-    return y
+        np.add.at(data, slot[:flat.size], np.column_stack((adm, adm, -adm, -adm)).ravel())
+        data[slot[flat.size:]] += shunt_totals(net)
+    _finite(data, "a stamped nodal matrix entry")
+    if not data.all():  # entries that cancel exactly are not stored
+        keys, data = keys[data != 0], data[data != 0]
+    indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n))
+    return AdmittanceMatrix._adopt(indptr, keys % n, data, range(n))
 
 
 def assemble(net: Network) -> AdmittanceMatrix:
@@ -126,8 +196,7 @@ def assemble(net: Network) -> AdmittanceMatrix:
 
     Branches with |y| <= ``DEFAULT_ZERO_TOL`` raise :class:`HypothesisError`.
     """
-    return AdmittanceMatrix(matrix=_stamp(net, DEFAULT_ZERO_TOL),
-                            node_order=tuple(range(net.node_count)))
+    return _stamp(net, DEFAULT_ZERO_TOL)
 
 
 def shunt_vector(y: AdmittanceMatrix) -> np.ndarray:
@@ -135,24 +204,7 @@ def shunt_vector(y: AdmittanceMatrix) -> np.ndarray:
 
     For any assembled nodal matrix this recovers the per-node shunt
     admittance totals, so it works on matrices loaded from files with no
-    network provenance attached.
+    network provenance attached.  The sums run over the dense view, as the
+    rank verdicts that use them measure it.
     """
     return np.asarray(y.matrix.sum(axis=1))
-
-
-def reorder(y: AdmittanceMatrix, perm) -> AdmittanceMatrix:
-    """Symmetrically permute rows and columns to a new node order.
-
-    ``perm`` lists the desired node order and must be a bijection on the
-    current ``node_order``.  Row k of the result refers to node
-    ``perm[k]``.
-    """
-    order = tuple(int(v) for v in perm)
-    current = y.node_order
-    if sorted(order) != sorted(current):
-        raise StructuralError(
-            f"perm {order} is not a bijection on node_order {current}"
-        )
-    pos = {node: k for k, node in enumerate(current)}
-    idx = np.array([pos[node] for node in order], dtype=np.intp)
-    return AdmittanceMatrix(matrix=y.matrix[np.ix_(idx, idx)], node_order=order)

@@ -7,7 +7,8 @@ instead of Schur complements, the incidence triple product instead of
 direct stamping, and an explicit grounded-equivalent network instead of a
 slice of the assembled matrix.  The element-by-element generator and
 stamping loops that the package's array code replaced are kept here too,
-as the bit-for-bit reference for it.  Values produced by these oracles are
+as the bit-for-bit reference for it, and so are the dense N x N stamp and
+permuted copy that compressed-row storage replaced.  Values produced by these oracles are
 what the tests compare the library against.
 """
 
@@ -19,13 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from ybuskit import (
+    AdmittanceMatrix,
     Branch,
     HypothesisError,
     Network,
     PreconditionError,
     Shunt,
     StructuralError,
-    incidence_matrix,
     shunt_totals,
 )
 from ybuskit.generator import _tree_from_prufer
@@ -125,6 +126,20 @@ def exact_assemble(net) -> list[list[QC]]:
         z = QC.from_complex(s.admittance)
         y[s.node][s.node] = y[s.node][s.node] + z
     return y
+
+
+def incidence_matrix(net: Network) -> np.ndarray:
+    """Branch-by-node incidence matrix, shape (|branches|, N), dtype int64.
+
+    Row l carries +1 at the branch's ``from_node`` and -1 at its
+    ``to_node``.  The orientation convention is arbitrary but fixed; the
+    assembled nodal matrix does not depend on it.
+    """
+    a = np.zeros((len(net.branches), net.node_count), dtype=np.int64)
+    for l, b in enumerate(net.branches):
+        a[l, b.from_node] = 1
+        a[l, b.to_node] = -1
+    return a
 
 
 def incidence_assemble(net) -> np.ndarray:
@@ -329,7 +344,7 @@ def loop_generate(spec) -> Network:
 
 
 def loop_stamp(net, zero_tol: float) -> np.ndarray:
-    """The nodal matrix stamped branch by branch, the reference for ``ybus._stamp``."""
+    """The nodal matrix stamped branch by branch, the reference for :func:`dense_stamp`."""
     for i, b in enumerate(net.branches):
         if abs(b.admittance) <= zero_tol:
             raise HypothesisError(
@@ -346,3 +361,96 @@ def loop_stamp(net, zero_tol: float) -> np.ndarray:
         y[j, i] -= adm
     y[np.diag_indices(n)] += shunt_totals(net)
     return y
+
+
+def dense_stamp(net, zero_tol: float) -> np.ndarray:
+    """The nodal matrix stamped into a dense N x N array by one ``np.add.at``.
+
+    The assembly the compressed-row stamp replaced, and its bit-for-bit
+    reference: all branches go into the flat matrix in branch order, then
+    the shunt totals onto the diagonal, so every entry sums its terms in
+    the order :func:`loop_stamp` does.
+    """
+    adm = np.array([b.admittance for b in net.branches], dtype=np.complex128)
+    for k, b in enumerate(net.branches):
+        if abs(b.admittance) <= zero_tol:
+            raise HypothesisError(
+                f"branch {k} ({b.from_node},{b.to_node}) has admittance {b.admittance} "
+                f"with magnitude <= {zero_tol}; zero-admittance branches are not representable"
+            )
+    n = net.node_count
+    ends = np.array([(b.from_node, b.to_node) for b in net.branches], dtype=np.intp)
+    i, j = ends.reshape(-1, 2).T
+    flat = np.column_stack((i * (n + 1), j * (n + 1), i * n + j, j * n + i)).ravel()
+    y = np.zeros((n, n), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(y.reshape(-1), flat, np.column_stack((adm, adm, -adm, -adm)).ravel())
+        y[np.diag_indices(n)] += shunt_totals(net)
+    return y
+
+
+def reorder(y, perm) -> AdmittanceMatrix:
+    """``y`` with rows and columns permuted to the node order ``perm``, as a dense copy.
+
+    ``perm`` must be a bijection on ``y.node_order``; row k of the result
+    refers to node ``perm[k]``.  The reference for block-order addressing.
+    """
+    order = tuple(int(v) for v in perm)
+    if sorted(order) != sorted(y.node_order):
+        raise StructuralError(f"perm {order} is not a bijection on node_order {y.node_order}")
+    pos = {node: k for k, node in enumerate(y.node_order)}
+    idx = np.array([pos[node] for node in order], dtype=np.intp)
+    return AdmittanceMatrix(matrix=y.matrix[np.ix_(idx, idx)], node_order=order)
+
+
+def grid_network(n: int, rng: np.random.Generator) -> Network:
+    """A transmission-grid-like network: a random spanning tree plus two extra branches per node.
+
+    Node i > 0 hooks onto a random earlier node; each node then gets two
+    branches to random other nodes, parallel branches allowed.  5% of the
+    nodes carry a shunt.  Admittances have positive real parts and
+    log-uniform magnitudes in 1e-2..1e2, as in the benchmark's grids.
+    """
+    tree = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    a = np.repeat(np.arange(n), 2)
+    b = (a + rng.integers(1, n, size=a.size)) % n
+    ends = tree + list(zip(a.tolist(), b.tolist()))
+
+    def admittances(k):
+        return 10.0 ** rng.uniform(-2, 2, k) * np.exp(1j * rng.uniform(-1.5, 1.5, k))
+
+    branches = tuple(Branch(i, j, y) for (i, j), y in zip(ends, admittances(len(ends))))
+    nodes = np.sort(rng.choice(n, n // 20, replace=False))
+    shunts = tuple(Shunt(int(v), y) for v, y in zip(nodes, admittances(nodes.size)))
+    return Network(n, branches, shunts)
+
+
+def kron_fill(net, eliminate) -> set[tuple[int, int]]:
+    """The nonzero pattern of a Kron reduction, by Dorfler and Bullo's fill rule.
+
+    The retained block keeps the branch adjacency among retained nodes and
+    their diagonal, and each connected set of eliminated nodes joins all of
+    its retained neighbours into a clique (Kron Reduction of Graphs, IEEE
+    TCAS-I 2013).  Components come from the transitive closure; the
+    pattern is a set of (label, label) pairs, both orientations.
+    """
+    gone = sorted(set(int(v) for v in eliminate))
+    local = {v: k for k, v in enumerate(gone)}
+    kept = [v for v in range(net.node_count) if v not in local]
+    pattern = {(v, v) for v in kept}
+    inner = []
+    touches = [set() for _ in gone]
+    for b in net.branches:
+        i, j = b.from_node, b.to_node
+        if i in local and j in local:
+            inner.append((local[i], local[j]))
+        elif i in local:
+            touches[local[i]].add(j)
+        elif j in local:
+            touches[local[j]].add(i)
+        else:
+            pattern |= {(i, j), (j, i)}
+    for comp in closure_components(len(gone), inner):
+        rim = set().union(*(touches[k] for k in comp))
+        pattern |= {(a, b) for a in rim for b in rim}
+    return pattern

@@ -34,7 +34,7 @@ from ybuskit import (
 )
 from ybuskit.cli import main
 
-from oracles import closure_components
+from oracles import closure_components, reorder
 
 MASTER_SEED = 20260814
 
@@ -250,7 +250,7 @@ def test_criterion_09_hybrid_consistency():
 
         u = _cvec(rng, n)
         w = hy.apply(u)
-        m = view.permuted.matrix
+        m = reorder(view.source, view.node_order).matrix
         mask = np.zeros(n, dtype=bool)
         mask[part.span(p)] = True
         v_p = np.linalg.solve(m[np.ix_(mask, mask)],

@@ -252,7 +252,7 @@ class TestSameNetworksAsThePerElementGenerator:
             )
             net = generate(spec)
             assert _bits(net) == _bits(loop_generate(spec)), spec
-            stamped = _stamp(net, DEFAULT_ZERO_TOL)
+            stamped = _stamp(net, DEFAULT_ZERO_TOL).matrix
             assert stamped.tobytes() == loop_stamp(net, DEFAULT_ZERO_TOL).tobytes(), spec
 
     def test_fixed_specs_keep_their_networks(self, tmp_path):

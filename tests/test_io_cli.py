@@ -28,12 +28,16 @@ from ybuskit import (
     GenSpec,
     Network,
     PHASE_POLICIES,
+    Partition,
     SUITE_NAMES,
     Shunt,
     StructuralError,
     assemble,
+    block_view,
     counterexample_block_singular,
     generate,
+    hybrid_parameters,
+    kron_reduce_nodes,
 )
 from ybuskit import linalg_core, network_model, rank_analysis, ybus
 from ybuskit.cli import main
@@ -717,6 +721,37 @@ class TestHybridCommand:
                      "--solve-class", "0"]) == 1
         assert main(["hybrid", npath, out, "--partition", "0,1"]) == 1  # missing P
 
+    def test_reduced_matrices_take_row_partitions_and_class_labels(self, tmp_path, capsys):
+        # a Kron output keeps its node labels: --partition labels its rows in
+        # file order, --class names labels; one-stage and two-stage outputs
+        # must both give the hybrid of the one-shot reduction
+        d = str(tmp_path)
+        assert main(["randgen", f"{d}/n.json", "--nodes", "12", "--density", "0.3",
+                     "--magnitude", "0.5,2", "--shunt-prob", "0.3", "--min-shunts", "1",
+                     "--seed", "5"]) == 0
+        one_shot = kron_reduce_nodes(assemble(load_network(f"{d}/n.json")), [1, 3, 4, 8])
+        kept = one_shot.reduced.node_order
+        assert kept == (0, 2, 5, 6, 7, 9, 10, 11)
+        labels = [0, 0, 1, 1, 0, 1, 0, 1]
+        want = hybrid_parameters(block_view(one_shot.reduced, Partition.from_labels(labels)), 0)
+        classes = [",".join(str(v) for v, c in zip(kept, labels) if c == k) for k in (0, 1)]
+        assert main(["kron", f"{d}/n.json", f"{d}/once.json", "--eliminate", "1,3,4,8"]) == 0
+        assert main(["kron", f"{d}/n.json", f"{d}/half.json", "--eliminate", "3,8"]) == 0
+        assert main(["kron", f"{d}/half.json", f"{d}/twice.json", "--eliminate", "4,1"]) == 0
+        for reduced in ("once", "twice"):
+            for flags in (["--partition", ",".join(map(str, labels))],
+                          ["--class", classes[0], "--class", classes[1]]):
+                assert main(["hybrid", f"{d}/{reduced}.json", f"{d}/h.json", *flags,
+                             "--solve-class", "0"]) == 0, (reduced, flags)
+                doc = json.loads((tmp_path / "h.json").read_text())
+                assert tuple(doc["node_order"]) == want.node_order == (0, 2, 7, 10, 5, 6, 9, 11)
+                h = np.array(doc["entries"]) @ [1, 1j]
+                assert np.abs(h.reshape(8, 8) - want.h).max() <= 1e-12 * np.abs(want.h).max()
+        capsys.readouterr()
+        assert main(["hybrid", f"{d}/once.json", f"{d}/h.json", "--class", "0,2,7,10",
+                     "--class", "1,5,6,9,11", "--solve-class", "0"]) == 1
+        assert capsys.readouterr().err == "error: node 1 is not in the matrix node order\n"
+
     def test_partition_and_class_together_exit_1(self, tmp_path):
         out = str(tmp_path / "h.json")
         for npath in (self._two_node(tmp_path), str(tmp_path / "absent.json")):
@@ -960,6 +995,22 @@ class TestTopLevel:
             capture_output=True, text=True, check=False, env=_child_env())
         assert proc.returncode == 0
         assert "predicted 2, measured 2, agrees" in proc.stdout
+
+    def test_ybus_and_rank_on_a_network_file_leave_scipy_unloaded(self, tmp_path):
+        npath = _net_file(tmp_path, generate(GenSpec(node_range=(40, 40), shunt_probability=0.2,
+                                                     min_shunts=1, seed=3)))
+        ypath = str(tmp_path / "y.json")
+        script = (
+            "import sys\n"
+            "import ybuskit.cli\n"
+            f"assert ybuskit.cli.main(['ybus', {npath!r}, {ypath!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'ybus loaded scipy'\n"
+            f"assert ybuskit.cli.main(['rank', {npath!r}, '--method', 'both']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'rank loaded scipy'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=False, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
 
     def test_only_lu_commands_load_scipy(self, tmp_path):
         mpath = str(tmp_path / "m.json")

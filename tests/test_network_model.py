@@ -9,13 +9,12 @@ from ybuskit import (
     Partition,
     Shunt,
     StructuralError,
-    incidence_matrix,
     is_connected,
     shunt_totals,
     validate,
     verify_block_rank,
 )
-from oracles import closure_components, exact_int_rank
+from oracles import closure_components, exact_int_rank, incidence_matrix
 
 
 def path(n, y=1 + 0j, shunts=()):

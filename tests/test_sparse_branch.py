@@ -9,6 +9,7 @@ grid-like, with about 3 branches per node.
 """
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,12 +29,13 @@ from ybuskit import (
     hybrid_parameters,
     kron_reduce,
     kron_reduce_nodes,
+    verify_block_rank,
 )
 from ybuskit import linalg_core
 from ybuskit.cli import main
 from ybuskit.io import save_matrix
 
-from oracles import blockwise_hybrid, solve_full
+from oracles import blockwise_hybrid, grid_network, kron_fill, reorder, solve_full
 
 EPS = float(np.finfo(float).eps)
 
@@ -232,16 +234,98 @@ class TestKronAndHybridAtWorkloadSize:
         view = block_view(y, part)
         sparse, dense = _dense_and_sparse(monkeypatch, lambda: hybrid_parameters(view, 0))
         assert _rel(sparse.h, dense.h) <= 1e-12
-        want = blockwise_hybrid(view.permuted.matrix,
-                                [part.span(k) for k in range(part.class_count)], 0)
+        m = reorder(view.source, view.node_order).matrix
+        want = blockwise_hybrid(m, [part.span(k) for k in range(part.class_count)], 0)
         assert _rel(sparse.h, want) <= 1e-12
         # the transfer against a constrained whole-system solve
-        m = view.permuted.matrix
         sp = part.span(0)
         u = np.random.default_rng(2).standard_normal(self.N) + 1j
         v_p = solve_full(m[sp, sp], u[sp] - m[sp, sp.stop:] @ u[sp.stop:])
         want_w = np.concatenate([v_p, m[sp.stop:, sp] @ v_p + m[sp.stop:, sp.stop:] @ u[sp.stop:]])
         assert np.linalg.norm(sparse.apply(u) - want_w) <= 1e-10 * np.linalg.norm(want_w)
+
+
+class TestGridNetworks:
+    """Seeded 2000-node grids: both Kron shapes and hybrid against whole-system solves."""
+
+    N = 2000
+
+    @pytest.fixture(scope="class", params=[3, 4])
+    def grid(self, request):
+        rng = np.random.default_rng(request.param)
+        net = grid_network(self.N, rng)
+        ports = np.sort(rng.choice(self.N, self.N // 20, replace=False))
+        interior = np.sort(rng.choice(self.N, self.N // 10, replace=False))
+        part = Partition.from_labels(rng.permutation(np.arange(self.N) % 3).tolist())
+        return net, assemble(net), ports, interior, part
+
+    def test_block_rank_matches_dense_slices(self, grid, monkeypatch):
+        net, _, _, _, part = grid
+        sparse, dense = _dense_and_sparse(monkeypatch, lambda: verify_block_rank(net, part))
+        assert sparse.all_full_rank
+        pieces = [c for k in sparse.classes for c in k.components]
+        assert len(pieces) > 3 * 20  # most components are small and factored densely
+        for got, want in zip(pieces, (c for k in dense.classes for c in k.components)):
+            assert (got.nodes, got.full_rank, got.grounded) == (want.nodes, want.full_rank,
+                                                                want.grounded)
+            # gecon and Hager-Higham both bound the same condition number from below
+            assert want.condition_estimate / 3 <= got.condition_estimate
+            assert got.condition_estimate <= 3 * want.condition_estimate
+
+    def test_kron_to_ports(self, grid):
+        _, y, ports, _, _ = grid
+        res = kron_reduce_nodes(y, np.setdiff1d(np.arange(self.N), ports).tolist())
+        assert res.reduced.node_order == tuple(ports.tolist())
+        TestKronAndHybridAtWorkloadSize._port_checks(y, res)
+        assert (res.reduced.matrix == res.reduced.matrix.T).all()  # two 64-row stripes
+
+    def test_kron_of_interior_nodes_fills_as_dorfler_and_bullo_predict(self, grid):
+        net, y, _, interior, _ = grid
+        res = kron_reduce_nodes(y, interior.tolist())
+        TestKronAndHybridAtWorkloadSize._port_checks(y, res)
+        red = res.reduced
+        labels = np.array(red.node_order)
+        got = set(zip(labels[red._rows()].tolist(), labels[red.indices].tolist()))
+        assert got == kron_fill(net, interior)
+        assert (red.matrix == red.matrix.T).all()  # exactly, as the constructor trusts
+        assert red.indices.size < 0.02 * red.size ** 2  # stored sparse, not as N^2 entries
+
+    def test_hybrid(self, grid):
+        _, y, _, _, part = grid
+        view = block_view(y, part)
+        hy = hybrid_parameters(view, 1)
+        m = reorder(y, view.node_order).matrix
+        sp = part.span(1)
+        rest = np.r_[0:sp.start, sp.stop:self.N]
+        u = np.random.default_rng(5).standard_normal(self.N) + 1j
+        v_p = solve_full(m[sp, sp], u[sp] - m[sp][:, rest] @ u[rest])
+        want = np.empty(self.N, dtype=complex)
+        want[sp] = v_p
+        want[rest] = m[rest, sp] @ v_p + m[np.ix_(rest, rest)] @ u[rest]
+        assert np.linalg.norm(hy.apply(u) - want) <= 1e-10 * np.linalg.norm(want)
+        admittance = hy.h[np.ix_(rest, rest)]
+        assert (admittance == admittance.T).all()
+
+
+def test_interior_kron_allocates_no_dense_matrix():
+    # a dense Y of 2000 nodes alone takes 64 MB
+    rng = np.random.default_rng(8)
+    net = grid_network(2000, rng)
+    interior = np.sort(rng.choice(2000, 200, replace=False)).tolist()
+    kron_reduce_nodes(assemble(net), interior)  # imports what the kernel imports
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = kron_reduce_nodes(assemble(net), interior)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert res.reduced.size == 1800
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("policy", ["re_positive", "arbitrary", "pure_imaginary"])

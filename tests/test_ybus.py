@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybuskit import (
+    DEFAULT_ZERO_TOL,
     AdmittanceMatrix,
     Branch,
     HypothesisError,
@@ -12,7 +15,6 @@ from ybuskit import (
     SizeLimitError,
     StructuralError,
     assemble,
-    reorder,
     shunt_vector,
 )
 
@@ -20,11 +22,13 @@ from ybuskit import ybus
 from ybuskit.ybus import MAX_DENSE_ORDER, SYMMETRY_RTOL, _stamp
 
 from oracles import (
+    dense_stamp,
     exact_assemble,
     exact_to_array,
     incidence_assemble,
     loop_stamp,
     random_rational_network,
+    reorder,
 )
 
 
@@ -103,7 +107,7 @@ def test_refusal_matches_per_element_oracle():
         m = abs(z)
         for tol in (0.0, m, np.nextafter(m, 0.0), np.nextafter(m, 1.0), 1e-12):
             outcomes = []
-            for stamp in (_stamp, loop_stamp):
+            for stamp in (lambda *a: _stamp(*a).matrix, loop_stamp):
                 try:
                     outcomes.append(stamp(net, float(tol)).tobytes())
                 except HypothesisError as exc:
@@ -256,3 +260,67 @@ def test_permutation_equivariance_exact():
         y_perm = reorder(assemble(net), tuple(int(v) for v in inv))
         # row k of y_perm refers to old node inv[k], i.e. new label k
         np.testing.assert_array_equal(y_perm.matrix, y_rel)
+
+
+#: Admittances from 1e-3 to 1e3 in magnitude, of any phase.
+ADMITTANCES = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                                 allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def stamped_networks(draw):
+    """Networks with parallel branches, exactly cancelling pairs and repeated shunts."""
+    n = draw(st.integers(1, 7))
+    nodes = st.integers(0, n - 1)
+    branches = []
+    if n > 1:
+        for i, j, y, cancel in draw(st.lists(st.tuples(nodes, nodes, ADMITTANCES, st.booleans()),
+                                             max_size=12)):
+            if i != j:
+                branches.append(Branch(i, j, y))
+                if cancel:  # -y on the same pair, in either direction
+                    branches.append(Branch(*draw(st.permutations((i, j))), -y))
+    shunts = [Shunt(v, y) for v, y in draw(st.lists(st.tuples(nodes, ADMITTANCES), max_size=8))]
+    return Network(n, tuple(draw(st.permutations(branches))), tuple(shunts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stamped_networks())
+def test_compressed_rows_match_the_dense_stamp_bit_for_bit(net):
+    y = assemble(net)
+    dense = dense_stamp(net, DEFAULT_ZERO_TOL)
+    assert y.matrix.tobytes() == dense.tobytes()
+    assert (y.matrix == y.matrix.T).all()  # exactly, as the constructor trusts
+    # canonical rows: ascending distinct columns, and no stored zero
+    assert (y.data != 0).all()
+    assert y.indices.size == np.count_nonzero(dense)
+    for k in range(y.size):
+        cols = y.indices[y.indptr[k]:y.indptr[k + 1]]
+        assert (np.diff(cols) > 0).all()
+        np.testing.assert_array_equal(y.data[y.indptr[k]:y.indptr[k + 1]], dense[k, cols])
+
+
+def test_exactly_cancelling_branches_store_nothing():
+    net = Network(3, (Branch(0, 1, 1.0), Branch(1, 2, 0.5 + 0.25j), Branch(2, 1, -0.5 - 0.25j)),
+                  (Shunt(2, 1.0), Shunt(2, -1.0)))
+    y = assemble(net)
+    # node 2 keeps no entry at all: its branch pair and its shunts cancel
+    np.testing.assert_array_equal(y.indptr, [0, 2, 4, 4])
+    np.testing.assert_array_equal(y.indices, [0, 1, 0, 1])
+
+
+class TestStorage:
+    def test_matches_the_dense_constructor(self):
+        y = assemble(_draw_net(np.random.default_rng(4), 9, 4, 2))
+        z = AdmittanceMatrix._adopt(y.indptr, y.indices, y.data, y.node_order)
+        assert z.matrix.tobytes() == AdmittanceMatrix(y.matrix, y.node_order).matrix.tobytes()
+
+    def test_arrays_are_taken_over_and_dense_input_copied_unless_read_only(self):
+        y = assemble(_draw_net(np.random.default_rng(5), 6, 2, 1))
+        data = y.data.copy()
+        z = AdmittanceMatrix._adopt(y.indptr, y.indices, data, y.node_order)
+        assert z.data is data and not data.flags.writeable
+        m = np.array(y.matrix)
+        assert AdmittanceMatrix(m, y.node_order).matrix is not m
+        m.flags.writeable = False
+        assert AdmittanceMatrix(m, y.node_order).matrix is m
