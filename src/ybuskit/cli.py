@@ -122,16 +122,19 @@ def cmd_rank(args) -> int:
 def cmd_kron(args) -> int:
     if (args.eliminate is None) == (args.retain is None):
         raise UsageError("give exactly one of --eliminate or --retain")
+    recovery_out = args.recovery_out or _sidecar_path(args.out)
+    if "\0" not in recovery_out + args.out and (  # a NUL byte names no file: saving fails
+            os.path.realpath(recovery_out) == os.path.realpath(args.out)):
+        raise UsageError(f"--recovery-out {recovery_out} is the output file {args.out}")
     y = _as_matrix(fileio.load_any(args.path))
     if args.eliminate is not None:
         eliminate = _parse_ints(args.eliminate, "--eliminate")
     else:
         retain = _parse_ints(args.retain, "--retain")
-        pos = _node_positions(y, retain)  # refuses the first label the matrix lacks, as --eliminate does
+        pos = _node_positions(y, retain)  # an unknown or repeated label exits 1, as in --eliminate
         eliminate = sorted(pos.keys() - set(retain), key=pos.get)  # in matrix order
     result = kron_reduce_nodes(y, eliminate)
     fileio.save_matrix(args.out, result.reduced)
-    recovery_out = args.recovery_out or _sidecar_path(args.out)
     try:
         fileio.save_recovery(recovery_out, result)
     except BaseException:  # a failed command leaves no partial output

@@ -5,11 +5,13 @@ blocks.  SciPy is imported inside the LU routines only, so importing the
 package (and every command that never factors a matrix) loads NumPy
 alone; ``scipy.sparse.linalg`` loads only when a block takes the sparse
 branch.  No other module sees LU factors: every solve goes through the
-certificate of :func:`full_rank_certificate`.  Matrices are 2-D
-``complex128`` arrays, or sparse blocks as :class:`Triplets`.  The
-transpose used throughout the package is the plain one (no conjugation):
-nodal admittance matrices are complex symmetric, not Hermitian, and every
-identity here is stated for the plain transpose.
+certificate of :func:`full_rank_certificate`.  A block is a 2-D
+``complex128`` array or, when ``AdmittanceMatrix._block`` finds it large
+and sparse by :func:`_prefers_sparse`, a SciPy CSR matrix; the kernel
+tells the two apart by the ``nnz`` attribute, without importing
+``scipy.sparse``.  The transpose used throughout the package is the plain
+one (no conjugation): nodal admittance matrices are complex symmetric,
+not Hermitian, and every identity here is stated for the plain transpose.
 """
 
 from __future__ import annotations
@@ -63,39 +65,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class Triplets:
-    """A sparse block of ``shape``: ``data[k]`` at ``(rows[k], cols[k])``, zero elsewhere.
-
-    No position appears twice.  :meth:`dense` and :meth:`tosparse` build
-    the dense array or the SciPy matrix that a branch needs.
-    """
-
-    shape: tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    data: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return self.data.size
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.complex128)
-        out[self.rows, self.cols] = self.data
-        return out
-
-    def tosparse(self, fmt: str):
-        """The SciPy matrix in format ``fmt`` ("csr" or "csc"), with sorted indices."""
-        import scipy.sparse
-
-        coo = scipy.sparse.coo_matrix((self.data, (self.rows, self.cols)), shape=self.shape)
-        return coo.asformat(fmt)
-
-
 def _dense(a) -> np.ndarray:
-    """A block, dense or :class:`Triplets`, as a dense array."""
-    return a.dense() if isinstance(a, Triplets) else a
+    """A block, dense or a SciPy sparse matrix, as a dense array."""
+    return a.toarray() if hasattr(a, "nnz") else a
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +161,7 @@ def _checked_rhs(b, n: int) -> np.ndarray:
 
 
 def _prefers_sparse(a) -> bool:
-    """Whether a block, dense or :class:`Triplets`, is worth handling as a sparse matrix.
+    """Whether a block, dense or SciPy sparse, is worth handling as a sparse matrix.
 
     It must hold at least SPARSE_MIN_ORDER**2 entries and at most
     SPARSE_MAX_ROW_NNZ nonzeros per row (per column, if it has more
@@ -198,7 +170,7 @@ def _prefers_sparse(a) -> bool:
     rows, cols = a.shape
     if rows * cols < SPARSE_MIN_ORDER ** 2:
         return False
-    nnz = a.nnz if isinstance(a, Triplets) else np.count_nonzero(a)
+    nnz = a.nnz if hasattr(a, "nnz") else np.count_nonzero(a)
     return nnz <= SPARSE_MAX_ROW_NNZ * max(rows, cols)
 
 
@@ -236,11 +208,10 @@ def _inverse_norm1(solve, n: int) -> float:
 
 def _sparse_certificate(a) -> RankCertificate | None:
     """Certificate from SuperLU factors, or None at an exactly zero pivot."""
-    import scipy.sparse
     import scipy.sparse.linalg
 
     n = a.shape[0]
-    csc = a.tosparse("csc") if isinstance(a, Triplets) else scipy.sparse.csc_matrix(a)
+    csc = scipy.sparse.csc_matrix(a, dtype=np.complex128)
     try:
         lu = scipy.sparse.linalg.splu(
             csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=SPARSE_PIVOT_THRESHOLD,
@@ -257,7 +228,7 @@ def _sparse_certificate(a) -> RankCertificate | None:
 
 
 def full_rank_certificate(m) -> RankCertificate:
-    """Certify that a square matrix, dense or :class:`Triplets`, has full rank.
+    """Certify that a square matrix, array-like or SciPy sparse, has full rank.
 
     Factorizes once and accepts when the 1-norm condition estimate stays
     below ``1 / (n * eps)``; an exactly zero pivot fails immediately.  The
@@ -270,7 +241,7 @@ def full_rank_certificate(m) -> RankCertificate:
     an exactly zero pivot, is factored densely by LAPACK, which names the
     pivot and estimates the condition with ``gecon``.
     """
-    a = m if isinstance(m, Triplets) else as_cmatrix(m)
+    a = m if hasattr(m, "nnz") else as_cmatrix(m)
     if a.shape[0] != a.shape[1]:
         raise StructuralError(f"rank certification needs a square matrix, got {a.shape}")
     if _prefers_sparse(a):

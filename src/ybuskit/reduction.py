@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import NotReducibleError, NotSolvableError, StructuralError
 from .linalg_core import (
+    SPARSE_MIN_ORDER,
     RankCertificate,
-    Triplets,
     _dense,
     _finite,
     _frozen,
@@ -73,26 +73,27 @@ def _certified(block, what: str, err_cls) -> RankCertificate:
 
 
 def _node_positions(y: AdmittanceMatrix, labels) -> dict[int, int]:
-    """Index of every node label of ``y``; refuses the first of ``labels`` it lacks."""
+    """Index of every node label of ``y``; refuses the first of ``labels`` it lacks or repeats."""
     pos = {v: i for i, v in enumerate(y.node_order)}
+    seen: set[int] = set()
     for v in labels:
         if v not in pos:
             raise StructuralError(f"node {v} is not in the matrix node order")
+        if v in seen:
+            raise StructuralError(f"node {v} is listed more than once")
+        seen.add(v)
     return pos
 
 
-def _times(a, b: np.ndarray) -> np.ndarray:
-    """The dense product of a block and ``b``, through SciPy when the block is large and sparse."""
-    return (a.tosparse("csr") if _prefers_sparse(a) else _dense(a)) @ b
-
-
 def _solve(cert: RankCertificate, b) -> np.ndarray:
-    """Y_ee^{-1} B, solving a sparse B for its nonzero columns only."""
-    if not isinstance(b, Triplets):
-        return cert.solve(b)
-    cols, where = np.unique(b.cols, return_inverse=True)
+    """Y_ee^{-1} B for a block B gathered from rows, solving for its nonzero columns only.
+
+    The zero columns of the result are then exactly +0.0, where a whole
+    LAPACK solve leaves zeros of either sign.
+    """
+    cols = np.unique(b.indices) if hasattr(b, "nnz") else np.flatnonzero(b.any(axis=0))
     out = np.zeros(b.shape, dtype=np.complex128)
-    out[:, cols] = cert.solve(Triplets((b.shape[0], cols.size), b.rows, where, b.data).dense())
+    out[:, cols] = cert.solve(_dense(b[:, cols]))
     return out
 
 
@@ -123,21 +124,22 @@ def _schur(y: AdmittanceMatrix, epos, kpos, what: str, err_cls, inverse: bool = 
         if inverse:
             inv = _finite(cert.solve(np.eye(len(epos), dtype=np.complex128)),
                           f"{what}: the inverse")
-            w = _times(y_ke, inv).T
+            w = (y_ke @ inv).T
         else:
-            w = _solve(cert, y._block(epos, kpos))
+            y_ek = y._block(epos, kpos)
+            w = cert.solve(y_ek) if y.size < SPARSE_MIN_ORDER else _solve(cert, y_ek)
         _finite(w, f"{what}: W = Y_ee^-1 Y_ek")
         if _prefers_sparse(w):
-            import scipy.sparse
+            from scipy.sparse import csr_matrix as csr
 
-            s = y_kk.tosparse("csr") - y_ke.tosparse("csr") @ scipy.sparse.csr_matrix(w)
+            s = csr(y_kk) - csr(y_ke) @ csr(w)
             s = (s + s.T) * 0.5
             s.eliminate_zeros()  # a halved subnormal
             s.sort_indices()
             _finite(s.data, f"{what}: the Schur complement")
         else:
             s = _dense(y_kk)
-            s -= _times(y_ke, w)
+            s -= y_ke @ w
             _symmetrize(s)
             _finite(s, f"{what}: the Schur complement")
     return inv, w, s
@@ -162,9 +164,9 @@ def _reduce(y: AdmittanceMatrix, epos: np.ndarray, kpos: np.ndarray) -> Reductio
 def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
     """Eliminate the given nodes of an admittance matrix by Schur complement.
 
-    ``eliminate`` lists node labels (entries of ``y.node_order``); a set is
-    processed in ascending label order.  An empty set is the identity
-    reduction.  Retained nodes keep their relative order.
+    ``eliminate`` lists node labels (entries of ``y.node_order``), none
+    twice; a set is processed in ascending label order.  An empty set is
+    the identity reduction.  Retained nodes keep their relative order.
 
     The reduced matrix represents the same port behaviour at the retained
     nodes provided the eliminated nodes carry zero current injection.
@@ -173,9 +175,6 @@ def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
         labels = sorted(int(v) for v in eliminate)
     else:
         labels = [int(v) for v in eliminate]
-    if len(set(labels)) != len(labels):
-        raise StructuralError("eliminate set contains duplicates")
-
     pos = _node_positions(y, labels)
     n = y.size
     if not labels:
@@ -292,7 +291,7 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
     h[sp, sp] = h_pp
     h[sp, others] = -w
     h[others, sp] = w.T
-    h[np.ix_(others, others)] = s if isinstance(s, np.ndarray) else s.toarray()
+    h[np.ix_(others, others)] = _dense(s)
     h.flags.writeable = False
     roles = {
         (q, k): (ROLE_IMPEDANCE if k == p else ROLE_VOLTAGE_GAIN) if q == p

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError, SizeLimitError, StructuralError
-from .linalg_core import SPARSE_MIN_ORDER, Triplets, _finite, _frozen, as_cmatrix
+from .linalg_core import SPARSE_MIN_ORDER, _finite, _frozen, _prefers_sparse, as_cmatrix
 from .network_model import DEFAULT_ZERO_TOL, Network, shunt_totals
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
@@ -110,11 +110,13 @@ class AdmittanceMatrix:
         return m
 
     def _block(self, rows, cols):
-        """Rows ``rows`` and columns ``cols`` (positions) as :class:`Triplets`.
+        """Rows ``rows`` and columns ``cols`` (positions), in the form its kernels use.
 
-        The block is gathered from the compressed rows in O(nnz of those
-        rows).  Below ``SPARSE_MIN_ORDER`` nodes no block can take a sparse
-        branch, and it is a slice of the dense view instead.
+        Below ``SPARSE_MIN_ORDER`` nodes no block can take a sparse branch,
+        and the block is a slice of the dense view.  Otherwise it is
+        gathered from the compressed rows in O(nnz of those rows): a SciPy
+        CSR matrix when it passes :func:`_prefers_sparse`, else a dense
+        array.
         """
         if self.size < SPARSE_MIN_ORDER:
             return self.matrix[np.ix_(rows, cols)]
@@ -127,8 +129,16 @@ class AdmittanceMatrix:
         take = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
         c = where[self.indices[take]]
         keep = c >= 0
-        r = np.repeat(np.arange(rows.size), counts)
-        return Triplets((rows.size, cols.size), r[keep], c[keep], self.data[take[keep]])
+        r, c, data = np.repeat(np.arange(rows.size), counts)[keep], c[keep], self.data[take[keep]]
+        shape = (rows.size, cols.size)
+        if rows.size * cols.size >= SPARSE_MIN_ORDER ** 2:
+            import scipy.sparse
+
+            block = scipy.sparse.csr_matrix((data, (r, c)), shape=shape)
+            return block if _prefers_sparse(block) else block.toarray()
+        block = np.zeros(shape, dtype=np.complex128)
+        block[r, c] = data
+        return block
 
 
 def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:

@@ -1,0 +1,102 @@
+"""SHA-256 digests of seeded CLI pipelines, to compare two trees byte for byte.
+
+Usage: ``python tests/pipeline_digests.py [SRC]``
+
+Imports ``ybuskit`` from SRC (default: the ``src`` directory of this
+checkout) and runs ``ybuskit.cli.main`` in a temporary directory, one
+subdirectory per pipeline.  Every command prints one line with its exit
+code and the digest of its stdout, then one line per file it writes.
+Pipelines: ``randgen`` at N = 12, 60 and 150 (dense blocks only) and
+N = 300 and 700 (the sparse branches), each under all three phase
+policies, then ``ybus``, ``rank`` direct and ``--method both`` on the
+network and on the matrix, ``kron --eliminate`` and ``--retain``, a staged
+second ``kron``, ``hybrid --partition`` and ``--class``; last, ``verify
+--suite all --samples 20``.  Run it on two trees and ``diff`` the outputs:
+equal lines mean equal stdout and equal files.  Paths are relative, so
+the digests do not depend on the temporary directory.  This is a script,
+not a test module; pytest does not collect it.
+"""
+
+import contextlib
+import functools
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+#: (nodes, extra-edge density, shunt probability) per pipeline.
+SIZES = ((12, 0.2, 0.3), (60, 0.1, 0.2), (150, 0.03, 0.1),
+         (300, 2 * 300 / (300 * 299 // 2 - 299), 0.05), (700, 0.004, 0.05))
+POLICIES = ("re_positive", "arbitrary", "pure_imaginary")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _step(main, tag: str, argv: list[str], *outputs: str) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(f"{tag} {argv[0]} exit {code} stdout {_digest(out.getvalue().encode())}")
+    for name in outputs:
+        path = Path(name)
+        print(f"{tag}   {name} {_digest(path.read_bytes()) if path.exists() else 'absent'}")
+
+
+def _labels(nodes) -> str:
+    return ",".join(map(str, nodes))
+
+
+def _pipeline(main, n: int, density: float, shunts: float, policy: str) -> None:
+    tag = f"n{n}-{policy}"
+    step = functools.partial(_step, main, tag)
+    step(["randgen", "net.json", "--nodes", str(n), "--density", repr(density),
+          "--shunt-prob", repr(shunts), "--min-shunts", "1", "--phase", policy,
+          "--seed", str(n)], "net.json")
+    step(["validate", "net.json"])
+    step(["ybus", "net.json", "y.json"], "y.json")
+    for path in ("net.json", "y.json"):
+        step(["rank", path])
+        step(["rank", path, "--method", "both"])
+    interior = list(range(0, n, 7))  # sparse Y_ek, solved for its nonzero columns
+    step(["kron", "y.json", "k1.json", "--eliminate", _labels(interior)],
+         "k1.json", "k1.recovery.json")
+    step(["kron", "net.json", "k2.json", "--eliminate", _labels(range(1, n, 3))],
+         "k2.json", "k2.recovery.json")
+    ports = list(range(0, n, 20))  # a large elimination block
+    step(["kron", "y.json", "p.json", "--retain", _labels(ports)], "p.json", "p.recovery.json")
+    kept = [v for v in range(n) if v % 7]
+    step(["kron", "k1.json", "k3.json", "--eliminate", _labels(kept[1::4])],
+         "k3.json", "k3.recovery.json")
+    step(["hybrid", "y.json", "h1.json", "--partition", _labels(k % 3 for k in range(n)),
+          "--solve-class", "1"], "h1.json")
+    step(["hybrid", "k1.json", "h2.json", "--class", _labels(kept[::2]),
+          "--class", _labels(kept[1::2]), "--solve-class", "0"], "h2.json")
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src.resolve()))
+    from ybuskit.cli import main as cli_main
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            for n, density, shunts in SIZES:
+                for policy in POLICIES:
+                    work = Path(tmp) / f"n{n}-{policy}"
+                    work.mkdir()
+                    os.chdir(work)
+                    _pipeline(cli_main, n, density, shunts, policy)
+            os.chdir(tmp)
+            _step(cli_main, "all", ["verify", "--suite", "all", "--samples", "20"])
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

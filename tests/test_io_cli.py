@@ -676,6 +676,24 @@ class TestKronCommand:
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
 
+    @pytest.mark.parametrize("spelling", ["o.json", "./o.json"])
+    def test_recovery_out_naming_the_output_exits_1_and_writes_nothing(
+            self, tmp_path, monkeypatch, spelling):
+        npath = _net_file(tmp_path, PATH3)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run_cli(["kron", npath, "o.json", "--eliminate", "1",
+                                   "--recovery-out", spelling])
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
+
+    @pytest.mark.parametrize("flags, label", [(["--retain", "0,0,1"], 0),
+                                              (["--eliminate", "2,2"], 2)])
+    def test_repeated_label_exits_1_naming_it(self, tmp_path, flags, label):
+        code, out, err = _run_cli(["kron", _net_file(tmp_path, PATH3),
+                                   str(tmp_path / "r.json"), *flags])
+        assert (code, out, err) == (1, "", f"error: node {label} is listed more than once\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_matrix_file_input(self, tmp_path):
         mpath = str(tmp_path / "m.json")
         save_matrix(mpath, assemble(PATH3))
@@ -751,6 +769,17 @@ class TestHybridCommand:
         assert main(["hybrid", f"{d}/once.json", f"{d}/h.json", "--class", "0,2,7,10",
                      "--class", "1,5,6,9,11", "--solve-class", "0"]) == 1
         assert capsys.readouterr().err == "error: node 1 is not in the matrix node order\n"
+
+    def test_repeated_class_label_is_named_as_a_label(self, tmp_path):
+        # rows 0..3 of the reduced matrix are nodes 2..5: label 3 is row 1
+        net = Network(6, tuple(Branch(k, k + 1, 1.0) for k in range(5)), (Shunt(0, 1.0),))
+        red = str(tmp_path / "r.json")
+        assert main(["kron", _net_file(tmp_path, net), red, "--eliminate", "0,1"]) == 0
+        assert load_matrix(red).node_order == (2, 3, 4, 5)
+        code, out, err = _run_cli(["hybrid", red, str(tmp_path / "h.json"), "--class", "3,3,2",
+                                   "--class", "4,5", "--solve-class", "0"])
+        assert (code, out, err) == (1, "", "error: node 3 is listed more than once\n")
+        assert not (tmp_path / "h.json").exists()
 
     def test_partition_and_class_together_exit_1(self, tmp_path):
         out = str(tmp_path / "h.json")
@@ -1007,6 +1036,29 @@ class TestTopLevel:
             "assert 'scipy' not in sys.modules, 'ybus loaded scipy'\n"
             f"assert ybuskit.cli.main(['rank', {npath!r}, '--method', 'both']) == 0\n"
             "assert 'scipy' not in sys.modules, 'rank loaded scipy'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=False, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+
+    def test_kron_and_hybrid_at_the_cli_pipeline_size_leave_scipy_sparse_unloaded(self, tmp_path):
+        # 300 nodes and about 3 branches per node, the benchmark's CLI pipeline:
+        # every block is below the sparse rule, and scipy.sparse costs an import
+        n = linalg_core.SPARSE_MIN_ORDER
+        path, red, hyb = (str(tmp_path / name) for name in ("y.json", "r.json", "h.json"))
+        save_matrix(path, assemble(generate(GenSpec(
+            node_range=(n, n), edge_density=2 * n / (n * (n - 1) // 2 - (n - 1)),
+            shunt_probability=0.05, min_shunts=1, seed=2))))
+        labels = ",".join(str(k % 3) for k in range(n))
+        script = (
+            "import sys\n"
+            "import ybuskit.cli\n"
+            f"assert ybuskit.cli.main(['kron', {path!r}, {red!r}, '--retain', '0,20,40']) == 0\n"
+            f"assert ybuskit.cli.main(['kron', {path!r}, {red!r}, '--eliminate', '5,6']) == 0\n"
+            f"assert ybuskit.cli.main(['hybrid', {path!r}, {hyb!r}, '--partition', {labels!r},"
+            " '--solve-class', '0']) == 0\n"
+            "assert 'scipy.linalg' in sys.modules, 'no block was factored'\n"
+            "assert 'scipy.sparse' not in sys.modules, 'a dense block loaded scipy.sparse'\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, check=False, env=_child_env())

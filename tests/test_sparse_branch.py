@@ -387,3 +387,47 @@ class TestSingularBlocksAboveTheThreshold:
         err = capsys.readouterr().err
         assert err.count("precondition not met: ") == 2 and err.count(what) == 2
         assert "Traceback" not in err
+
+
+class TestBlockForm:
+    """``AdmittanceMatrix._block`` decides a block's form once, by ``_prefers_sparse``."""
+
+    N = 400
+
+    @pytest.fixture(scope="class")
+    def grids(self):
+        # a grid passes the rule wherever a block is large; the denser network
+        # (about 20 branches per node) fails it everywhere
+        return assemble(_grid(self.N, seed=6)), assemble(generate(GenSpec(
+            node_range=(self.N, self.N), edge_density=0.1, shunt_probability=0.05, seed=6)))
+
+    def test_each_form_is_the_dense_slice_bit_for_bit(self, grids):
+        import scipy.sparse
+
+        perm = np.random.default_rng(1).permutation(self.N)  # unsorted positions
+        ramp, none = np.arange(self.N), np.array([], dtype=np.intp)
+        cases = [(ramp, ramp), (ramp, perm), (perm[:350], perm[50:]), (perm[:320], perm[:320]),
+                 (perm[:20], perm[10:70]), (perm[:299], perm[:300]), (perm, none), (none, perm),
+                 (none, none)]
+        forms = set()
+        for y, (rows, cols) in ((y, case) for y in grids for case in cases):
+            want = y.matrix[np.ix_(rows, cols)]
+            got = y._block(rows, cols)
+            sparse = linalg_core._prefers_sparse(want)
+            forms.add((y is grids[0], sparse))
+            if sparse:
+                assert isinstance(got, scipy.sparse.csr_matrix), (rows.size, cols.size)
+                assert got.has_canonical_format and got.nnz == np.count_nonzero(want)
+                got = got.toarray()
+            else:
+                assert isinstance(got, np.ndarray), (rows.size, cols.size)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert forms == {(True, True), (True, False), (False, False)}
+
+    def test_zero_columns_of_a_gathered_recovery_are_negative_zeros(self, grids):
+        # Y_ek is solved for its nonzero columns only, so W's other columns are
+        # +0.0 and the recovery -W prints them as -0.0, as it always has
+        res = kron_reduce_nodes(grids[0], list(range(0, self.N, 7)))
+        zero = res.recovery[:, ~res.recovery.any(axis=0)]
+        assert zero.size > 0
+        assert np.signbit(zero.real).all() and np.signbit(zero.imag).all()
