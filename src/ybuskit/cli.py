@@ -165,7 +165,11 @@ def cmd_hybrid(args) -> int:
         part = Partition.from_labels(labels)
     elif args.cls:  # node labels, found in the matrix node order
         classes = [_parse_ints(c, "--class") for c in args.cls]
-        pos = _node_positions(y, [v for c in classes for v in c])
+        listed = [v for c in classes for v in c]
+        pos = _node_positions(y, listed)
+        missing = set(pos).difference(listed)
+        if missing:
+            raise UsageError(f"node {min(missing)} is in no --class")
         part = Partition(classes=tuple(tuple(pos[v] for v in c) for c in classes),
                          node_count=y.size)
     else:

@@ -3,8 +3,10 @@
 All numbers are emitted with Python's shortest round-trip float
 representation, so ``parse(emit(x)) == x`` holds bit-exactly and output
 is byte-for-byte reproducible.  Complex values are stored as two-element
-``[re, im]`` arrays; JSON's decimal point is always ``.`` regardless of
-locale.  Every number read must be finite: ``NaN``, ``Infinity`` and
+``[re, im]`` arrays; the n² body of a matrix, recovery or hybrid document
+is written row-major straight from its complex array, and a body that is
+not finite raises :class:`NumericalError`.  JSON's decimal point is
+always ``.`` regardless of locale.  Every number read must be finite: ``NaN``, ``Infinity`` and
 literals that overflow binary64 are rejected with :class:`FileFormatError`.
 """
 
@@ -14,12 +16,11 @@ import cmath
 import csv
 import io as _io
 import json
-import math
-from itertools import chain, starmap
+from itertools import chain
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, NumericalError
 from .network_model import Branch, Network, Shunt
 from .ybus import AdmittanceMatrix
 
@@ -29,12 +30,6 @@ _REAL_TYPES = frozenset((int, float))
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
-
-
-def _pairs(m) -> list[list[float]]:
-    """Row-major ``[re, im]`` pairs of a complex array, as :func:`_pair` makes them."""
-    flat = np.ascontiguousarray(m, dtype=np.complex128).reshape(-1).view(np.float64)
-    return flat.reshape(-1, 2).tolist()
 
 
 def _unpair(v, what: str) -> complex:
@@ -53,11 +48,11 @@ def _unpair(v, what: str) -> complex:
     return z
 
 
-def _flat_pairs(entries, types) -> list | None:
+def _flat_pairs(entries) -> list | None:
     """The elements of a list of two-element lists, flattened, or None.
 
     None unless ``entries`` is a list, every entry is a list of length 2 and
-    every element's type is exactly one of ``types``.
+    every element is exactly an ``int`` or a ``float``.
     """
     if (
         type(entries) is not list
@@ -66,7 +61,7 @@ def _flat_pairs(entries, types) -> list | None:
     ):
         return None
     flat = list(chain.from_iterable(entries))
-    return flat if set(map(type, flat)) <= types else None
+    return flat if set(map(type, flat)) <= _REAL_TYPES else None
 
 
 def _complex_entries(entries: list) -> np.ndarray:
@@ -75,7 +70,7 @@ def _complex_entries(entries: list) -> np.ndarray:
     Well-formed lists convert in one NumPy call; anything else goes entry by
     entry, so that the error names the first offending entry.
     """
-    flat = _flat_pairs(entries, _REAL_TYPES)
+    flat = _flat_pairs(entries)
     if flat is not None:
         try:
             vals = np.array(flat, dtype=np.float64)
@@ -197,7 +192,7 @@ def matrix_to_dict(y: AdmittanceMatrix) -> dict:
     return {
         "n": y.size,
         "node_order": list(y.node_order),
-        "entries": _pairs(y.matrix),
+        "entries": y.matrix,
     }
 
 
@@ -229,7 +224,7 @@ def recovery_to_dict(row_nodes, col_nodes, m: np.ndarray) -> dict:
         "cols": int(m.shape[1]),
         "row_nodes": [int(v) for v in row_nodes],
         "col_nodes": [int(v) for v in col_nodes],
-        "entries": _pairs(m),
+        "entries": m,
     }
 
 
@@ -240,37 +235,36 @@ def hybrid_to_dict(hy) -> dict:
         "solved_class": hy.solved_class,
         "node_order": [int(v) for v in hy.node_order],
         "class_sizes": [len(c) for c in hy.partition.classes],
-        "entries": _pairs(hy.h),
+        "entries": hy.h,
         "roles": {f"{q},{k}": role for (q, k), role in sorted(hy.block_roles.items())},
     }
 
 
 # -- files --------------------------------------------------------------------
 
-_ENTRIES_SLOT = "\x00entries\x00"
 _ENTRY_SEP = "\n    ],\n    [\n      "
 
 
 def emit_json(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.
+    """``json.dumps(doc, indent=2) + "\\n"``, with a complex array under ``"entries"``.
 
-    A top-level ``"entries"`` list of finite ``[re, im]`` float pairs (the
-    n² body of matrix, recovery and hybrid documents) is formatted in one
+    A top-level ``"entries"`` array (the n² body of matrix, recovery and
+    hybrid documents) is written as row-major ``[re, im]`` pairs in one
     pass with ``float.__repr__``, as ``json`` formats floats, and spliced
-    into the encoding of the rest of the document; ``json``'s indenting
-    encoder is pure Python and several times slower on it.
+    into the encoding of the rest of the document; a non-finite array
+    raises :class:`NumericalError`.  Any other document is ``json``'s.
     """
     entries = doc.get("entries") if isinstance(doc, dict) else None
-    flat = _flat_pairs(entries, {float}) if entries else None
-    if flat is not None and all(map(math.isfinite, flat)):
-        head = json.dumps({**doc, "entries": _ENTRIES_SLOT}, indent=2)
-        slot = json.dumps(_ENTRIES_SLOT)
-        if head.count(slot) == 1:
-            body = "[\n    [\n      " + _ENTRY_SEP.join(
-                starmap("{!r},\n      {!r}".format, entries)
-            ) + "\n    ]\n  ]"
-            return head.replace(slot, body) + "\n"
-    return json.dumps(doc, indent=2) + "\n"
+    if not isinstance(entries, np.ndarray):
+        return json.dumps(doc, indent=2) + "\n"
+    if not np.isfinite(entries).all():
+        raise NumericalError("cannot write NaN or infinite matrix entries")
+    flat = np.ascontiguousarray(entries, np.complex128).reshape(-1).view(np.float64).tolist()
+    body = _ENTRY_SEP.join(map("{!r},\n      {!r}".format, flat[0::2], flat[1::2]))
+    body = f"[\n    [\n      {body}\n    ]\n  ]" if flat else "[]"
+    key = '\n  "entries": '  # strings escape newlines and deeper keys indent further
+    head = json.dumps({**doc, "entries": None}, indent=2)
+    return head.replace(key + "null", key + body, 1) + "\n"
 
 
 def _reject_constant(name: str):
@@ -303,8 +297,9 @@ def _read_json(path: str):
 
 
 def _write_json(path: str, doc: dict) -> None:
+    text = emit_json(doc)  # before the file exists: a document that cannot be written leaves none
     with _open(path, "w") as fh:
-        fh.write(emit_json(doc))
+        fh.write(text)
 
 
 def load_network(path: str) -> Network:

@@ -16,7 +16,6 @@ not Hermitian, and every identity here is stated for the plain transpose.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -112,20 +111,16 @@ def _zero_pivot(k: int) -> SingularMatrixError:
 
 
 def lu_factor_checked(a: np.ndarray):
-    """Partial-pivoted LU factors of a square matrix :func:`as_cmatrix` has checked.
+    """Partial-pivoted LU ``(lu, piv)`` of a nonempty square matrix :func:`as_cmatrix` checked.
 
-    Raises :class:`SingularMatrixError` (carrying the pivot index) when the
-    factorization produces an exactly zero pivot.
+    Raises :class:`SingularMatrixError` at the first exactly zero pivot,
+    which LAPACK's ``getrf`` names (1-based) in its ``info``.
     """
     import scipy.linalg
 
-    with warnings.catch_warnings():
-        # scipy warns instead of raising on an exactly singular factorization
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)  # as_cmatrix checked that
-    zeros = np.flatnonzero(np.diag(lu) == 0)
-    if zeros.size:
-        raise _zero_pivot(int(zeros[0]))
+    lu, piv, info = scipy.linalg.get_lapack_funcs("getrf", (a,))(a)
+    if info > 0:
+        raise _zero_pivot(info - 1)
     return lu, piv
 
 
@@ -250,23 +245,21 @@ def full_rank_certificate(m) -> RankCertificate:
             return cert
     a = _dense(a)
     n = a.shape[0]
+    if n == 0:
+        return RankCertificate(True, 1.0, None, lambda b: _checked_rhs(b, 0).copy())
     try:
-        factors = lu_factor_checked(a)
+        lu, piv = lu_factor_checked(a)
     except SingularMatrixError as exc:
         return RankCertificate(False, float("inf"), exc.pivot_index)
 
     import scipy.linalg
 
-    def solve(b):
-        return scipy.linalg.lu_solve(factors, _checked_rhs(b, n), check_finite=False)
-
-    if n == 0:
-        return RankCertificate(True, 1.0, None, solve)
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (factors[0],))
+    getrs, gecon = scipy.linalg.get_lapack_funcs(("getrs", "gecon"), (lu,))
     with np.errstate(over="ignore"):  # an overflowing norm is refused next
         norm_a = _finite(float(np.linalg.norm(a, 1)), "the 1-norm of the matrix")
-    rcond, info = gecon(factors[0], norm_a, norm="1")
+    rcond, info = gecon(lu, norm_a, norm="1")
     if info != 0:
         raise NumericalError(f"condition estimation failed with LAPACK info={info}")
     cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)
-    return RankCertificate(cond < 1.0 / (n * EPS), cond, None, solve)
+    return RankCertificate(cond < 1.0 / (n * EPS), cond, None,
+                           lambda b: getrs(lu, piv, _checked_rhs(b, n))[0])

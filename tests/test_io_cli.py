@@ -303,7 +303,8 @@ class TestMatrixDocuments:
         y = AdmittanceMatrix(np.array([[1, 2j], [2j, 3]], dtype=complex), (5, 7))
         doc = matrix_to_dict(y)
         assert doc["n"] == 2 and doc["node_order"] == [5, 7]
-        assert doc["entries"] == [[1.0, 0.0], [0.0, 2.0], [0.0, 2.0], [3.0, 0.0]]
+        assert json.loads(emit_json(doc))["entries"] == \
+            [[1.0, 0.0], [0.0, 2.0], [0.0, 2.0], [3.0, 0.0]]
 
     @pytest.mark.parametrize(
         "doc",
@@ -779,6 +780,17 @@ class TestHybridCommand:
         code, out, err = _run_cli(["hybrid", red, str(tmp_path / "h.json"), "--class", "3,3,2",
                                    "--class", "4,5", "--solve-class", "0"])
         assert (code, out, err) == (1, "", "error: node 3 is listed more than once\n")
+        assert not (tmp_path / "h.json").exists()
+
+    def test_class_flags_that_leave_a_node_out_name_it(self, tmp_path):
+        # rows 0..5 of the reduced matrix are nodes 2..7; node 6 is in no class
+        net = Network(8, tuple(Branch(k, k + 1, 1.0) for k in range(7)), (Shunt(0, 1.0),))
+        red = str(tmp_path / "r.json")
+        assert main(["kron", _net_file(tmp_path, net), red, "--eliminate", "0,1"]) == 0
+        assert load_matrix(red).node_order == (2, 3, 4, 5, 6, 7)
+        code, out, err = _run_cli(["hybrid", red, str(tmp_path / "h.json"), "--class", "2,3",
+                                   "--class", "4,5", "--solve-class", "0"])
+        assert (code, out, err) == (1, "", "error: node 6 is in no --class\n")
         assert not (tmp_path / "h.json").exists()
 
     def test_partition_and_class_together_exit_1(self, tmp_path):

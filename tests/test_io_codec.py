@@ -1,19 +1,30 @@
 """The JSON codec for complex-array documents.
 
 ``emit_json`` must produce exactly the bytes of ``json.dumps(doc,
-indent=2) + "\\n"``, which is the reference it is checked against here;
-the matrix parser must accept and reject exactly what the per-entry
-``[re, im]`` check accepts and rejects, with the same messages.
+indent=2) + "\\n"`` with an array body given as its ``[re, im]`` pairs,
+which is the reference it is checked against here; the matrix parser
+must accept and reject exactly what the per-entry ``[re, im]`` check
+accepts and rejects, with the same messages.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybuskit import AdmittanceMatrix, FileFormatError, HybridResult, Partition
+from ybuskit import (
+    AdmittanceMatrix,
+    FileFormatError,
+    GenSpec,
+    HybridResult,
+    NumericalError,
+    Partition,
+    assemble,
+    generate,
+)
 from ybuskit.io import (
     emit_json,
     hybrid_to_dict,
@@ -21,6 +32,7 @@ from ybuskit.io import (
     matrix_from_dict,
     matrix_to_dict,
     recovery_to_dict,
+    save_hybrid,
 )
 
 EDGE_FLOATS = [0.0, -0.0, 1.0, -3.0, 2.0**53, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -34,6 +46,9 @@ def _bits(a) -> np.ndarray:
 
 
 def _reference(doc) -> str:
+    entries = doc.get("entries")
+    if isinstance(entries, np.ndarray):  # an array body, as the row-major pairs json writes
+        doc = {**doc, "entries": [[z.real, z.imag] for z in entries.ravel().tolist()]}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -122,6 +137,38 @@ def test_hybrid_document_bytes_and_round_trip(hy):
 )
 def test_emit_matches_json_outside_the_fast_path(doc):
     assert emit_json(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0.0, float("inf")), complex("-inf")])
+def test_non_finite_array_is_refused(bad):
+    m = np.ones((2, 3), dtype=np.complex128)
+    m[1, 2] = bad
+    with pytest.raises(NumericalError):
+        emit_json(recovery_to_dict(range(2), range(3), m))
+
+
+def test_non_finite_hybrid_leaves_no_file(tmp_path):
+    part = Partition.from_labels([0, 1])
+    hy = HybridResult(h=np.array([[1.0, np.inf], [0.0, 1.0]]), solved_class=0, partition=part,
+                      node_order=(0, 1), block_roles={})
+    path = tmp_path / "h.json"
+    with pytest.raises(NumericalError):
+        save_hybrid(str(path), hy)
+    assert not path.exists()
+
+
+def test_matrix_writer_peak_memory():
+    # a 300-node Y writes 3 MB; the peak stays within about five times that
+    y = assemble(generate(GenSpec(node_range=(300, 300), edge_density=0.01,
+                                  shunt_probability=0.05, seed=7)))
+    y.matrix  # the dense view is built once, outside the measurement
+    tracemalloc.start()
+    try:
+        emit_json(matrix_to_dict(y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
 
 
 GOOD = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]

@@ -1,7 +1,10 @@
 """Dense complex kernel: coercion, rank, solves, certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ybuskit import (
     Branch,
@@ -213,3 +216,26 @@ class TestFullRankCertificate:
     def test_rectangular_input_rejected(self):
         with pytest.raises(StructuralError):
             full_rank_certificate(np.ones((2, 3)))
+
+    def test_later_zero_pivot_is_the_first_zero_on_the_diagonal_of_u(self):
+        a = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # SciPy warns on the exactly singular factor
+            lu, _ = scipy.linalg.lu_factor(a)
+        oracle = int(np.flatnonzero(np.diag(lu) == 0)[0])
+        cert = full_rank_certificate(a)
+        assert (cert.full_rank, cert.failed_pivot) == (False, oracle) == (False, 1)
+
+    @pytest.mark.parametrize("a", [np.zeros((1, 1)), np.zeros((3, 3)),
+                                   [[1, 1, 0], [1, 1, 0], [0, 0, 1]], np.diag([1.0, 1.0, 1e-300])])
+    def test_singular_certificate_lets_no_warning_escape(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not full_rank_certificate(a).full_rank
+
+    def test_empty_certificate_solves_empty_right_hand_sides(self):
+        cert = full_rank_certificate(np.zeros((0, 0)))
+        assert (cert.full_rank, cert.condition_estimate, cert.failed_pivot) == (True, 1.0, None)
+        for shape in ((0,), (0, 3)):
+            x = cert.solve(np.zeros(shape))
+            assert (x.shape, x.dtype) == (shape, np.complex128)
