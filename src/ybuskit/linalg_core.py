@@ -65,8 +65,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _dense(a) -> np.ndarray:
-    """A block, dense or a SciPy sparse matrix, as a dense array."""
-    return a.toarray() if hasattr(a, "nnz") else a
+    """A block, dense or a SciPy sparse matrix of any dtype, as a dense complex128 array."""
+    return np.asarray(a.toarray(), dtype=np.complex128) if hasattr(a, "nnz") else a
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from ybuskit import (
     Branch,
@@ -140,6 +141,19 @@ class TestLuSolve:
                 cert.solve(b)
         x = cert.solve(np.ones((n, 2)))
         assert _relative_residual(a, x, np.ones((n, 2))) <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+    def test_sparse_input_below_the_sparse_order_solves_in_complex128(self, dtype):
+        # factored densely; a real or single-precision input must not
+        # narrow the complex right-hand side or the solution
+        a = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]], dtype=dtype))
+        b = np.array([1j, 1.0 - 1e-9j])
+        x = full_rank_certificate(a).solve(b)
+        assert x.dtype == np.complex128
+        np.testing.assert_allclose(x, np.linalg.solve(a.toarray().astype(complex), b),
+                                   rtol=1e-15)
+        np.testing.assert_allclose(full_rank_certificate(scipy.sparse.csr_matrix(
+            np.eye(2))).solve([1j, 0]), [1j, 0])
 
     def test_vector_rhs_keeps_shape(self):
         assert full_rank_certificate(np.eye(3)).solve(np.ones(3)).shape == (3,)
