@@ -86,16 +86,13 @@ def numerical_rank(m) -> RankResult:
     :class:`NumericalError`.
     """
     a = as_cmatrix(m)
-    if a.size == 0:
-        sigma = np.zeros(0)
-    else:
-        try:
-            sigma = np.linalg.svd(a, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"SVD did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}"
-            ) from exc
-        _finite(sigma, f"a singular value of the {a.shape[0]}x{a.shape[1]} matrix")
+    try:
+        sigma = np.linalg.svd(a, compute_uv=False)  # empty for an empty matrix
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"SVD did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}"
+        ) from exc
+    _finite(sigma, f"a singular value of the {a.shape[0]}x{a.shape[1]} matrix")
     # eps is a power of two, so this is n * sigma_max * eps without its overflow
     tol = max(a.shape, default=0) * EPS * (float(sigma[0]) if sigma.size else 0.0)
     rank = int(np.count_nonzero(sigma > tol))
@@ -140,10 +137,25 @@ class RankCertificate:
         default=None, repr=False, compare=False)
 
     def solve(self, b) -> np.ndarray:
-        """A^{-1} B for the certified matrix A and a finite vector or matrix B."""
+        """A^{-1} B for the certified matrix A and a finite vector or matrix B.
+
+        B is array-like or SciPy sparse.  A vector goes straight to the
+        factors.  A matrix is solved for its nonzero columns only, so every
+        other column of the result is exactly +0.0, where a whole LAPACK
+        solve leaves zeros of either sign.
+        """
         if self._solve is None:
             raise _zero_pivot(self.failed_pivot)
-        return self._solve(b)
+        sparse = hasattr(b, "nnz")
+        b = b.tocsr() if sparse else np.asarray(b, dtype=np.complex128)
+        if b.ndim != 2:
+            return self._solve(b)  # a vector, or a shape the factors refuse
+        cols = np.unique(b.indices[b.data != 0]) if sparse else np.flatnonzero(b.any(axis=0))
+        if cols.size == b.shape[1]:  # no zero column, as in hybrid's identity: no gathered copy
+            return self._solve(_dense(b))
+        out = np.zeros(b.shape, dtype=np.complex128)
+        out[:, cols] = self._solve(_dense(b[:, cols]))
+        return out
 
 
 def _checked_rhs(b, n: int) -> np.ndarray:
@@ -237,6 +249,8 @@ def full_rank_certificate(m) -> RankCertificate:
     pivot and estimates the condition with ``gecon``.
     """
     a = m if hasattr(m, "nnz") else as_cmatrix(m)
+    if hasattr(a, "nnz"):  # its stored entries must be finite, as a dense input's are
+        as_cmatrix(a.tocoo().data[np.newaxis])
     if a.shape[0] != a.shape[1]:
         raise StructuralError(f"rank certification needs a square matrix, got {a.shape}")
     if _prefers_sparse(a):

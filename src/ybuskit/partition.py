@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .linalg_core import _dense, full_rank_certificate
-from .network_model import DEFAULT_ZERO_TOL, Network, _component_labels, validate
+from .network_model import DEFAULT_ZERO_TOL, Network, _component_labels, shunt_totals, validate
 from .ybus import AdmittanceMatrix, _stamp
 
 
@@ -135,7 +135,7 @@ class ComponentReport:
 
     nodes: tuple[int, ...]
     full_rank: bool
-    grounded: bool  # touches a boundary branch or a nonzero original shunt
+    grounded: bool  # touches a boundary branch or a nonzero shunt total
     condition_estimate: float
 
 
@@ -180,7 +180,7 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     each component sub-block, sliced from the compressed rows, gets its
     own LU condition certificate; no other factorization runs.  The
     structural claim that every component touches a boundary branch or a
-    nonzero shunt is checked as well.
+    nonzero shunt total is checked as well.
     """
     if part.node_count != net.node_count:
         raise StructuralError(
@@ -191,18 +191,15 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     y = _stamp(net, 0.0)
 
     # a branch inside a class joins two nodes of its grounded equivalent; a
-    # branch between classes grounds both of its ends, as does a nonzero shunt
+    # branch between classes grounds both of its ends, as does a nonzero shunt total
     labels = part.labels()
-    grounded = [False] * net.node_count
+    grounded = (np.abs(shunt_totals(net)) > DEFAULT_ZERO_TOL).tolist()
     internal: list[tuple[int, int]] = []
     for b in net.branches:
         if labels[b.from_node] == labels[b.to_node]:
             internal.append((b.from_node, b.to_node))
         else:
             grounded[b.from_node] = grounded[b.to_node] = True
-    for s in net.shunts:
-        if abs(s.admittance) > DEFAULT_ZERO_TOL:
-            grounded[s.node] = True
     # numbered by smallest node, so grouping a class's sorted nodes by label
     # lists its components in order of their smallest node
     piece = _component_labels(net.node_count, internal)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import NotReducibleError, NotSolvableError, StructuralError
 from .linalg_core import (
-    SPARSE_MIN_ORDER,
     RankCertificate,
     _dense,
     _finite,
@@ -85,18 +84,6 @@ def _node_positions(y: AdmittanceMatrix, labels) -> dict[int, int]:
     return pos
 
 
-def _solve(cert: RankCertificate, b) -> np.ndarray:
-    """Y_ee^{-1} B for a block B gathered from rows, solving for its nonzero columns only.
-
-    The zero columns of the result are then exactly +0.0, where a whole
-    LAPACK solve leaves zeros of either sign.
-    """
-    cols = np.unique(b.indices) if hasattr(b, "nnz") else np.flatnonzero(b.any(axis=0))
-    out = np.zeros(b.shape, dtype=np.complex128)
-    out[:, cols] = cert.solve(_dense(b[:, cols]))
-    return out
-
-
 def _symmetrize(s: np.ndarray) -> None:
     """s <- (s + s^T) / 2 in place, a stripe of rows at a time (no n x n temporary)."""
     rows = _SYMMETRY_ROWS
@@ -111,11 +98,12 @@ def _schur(y: AdmittanceMatrix, epos, kpos, what: str, err_cls, inverse: bool = 
     """Y_ee^{-1} (with ``inverse``, else None), W = Y_ee^{-1} Y_ek and S = Y_kk - Y_ke W.
 
     Blocks are sliced from ``y`` at positions ``epos`` and ``kpos``.  W
-    comes from solves with the certificate of Y_ee or, with ``inverse``,
-    as (Y_ke Y_ee^{-1})^T.  S is a SciPy CSR matrix when W is large and
-    sparse, else a dense array, and is symmetrized exactly, since LU
-    roundoff breaks its symmetry.  A W or S that overflows raises
-    :class:`NumericalError`.
+    is the certificate's solve of Y_ek in whatever form it comes, so a
+    zero column of Y_ek gives an exactly +0.0 column of W; with
+    ``inverse`` W is (Y_ke Y_ee^{-1})^T.  S is a SciPy CSR matrix when W
+    is large and sparse, else a dense array, and is symmetrized exactly,
+    since LU roundoff breaks its symmetry.  A W or S that overflows
+    raises :class:`NumericalError`.
     """
     cert = _certified(y._block(epos, epos), what, err_cls)
     y_ke, y_kk = y._block(kpos, epos), y._block(kpos, kpos)
@@ -126,8 +114,7 @@ def _schur(y: AdmittanceMatrix, epos, kpos, what: str, err_cls, inverse: bool = 
                           f"{what}: the inverse")
             w = (y_ke @ inv).T
         else:
-            y_ek = y._block(epos, kpos)
-            w = cert.solve(y_ek) if y.size < SPARSE_MIN_ORDER else _solve(cert, y_ek)
+            w = cert.solve(y._block(epos, kpos))
         _finite(w, f"{what}: W = Y_ee^-1 Y_ek")
         if _prefers_sparse(w):
             from scipy.sparse import csr_matrix as csr

@@ -210,6 +210,13 @@ def test_integer_and_subclass_entries_parse_like_floats():
     assert np.array_equal(_bits(m), _bits(expected))
 
 
+def test_matrix_document_must_be_an_object(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_text("[[1, 0]]")
+    with pytest.raises(FileFormatError, match="matrix document must be a JSON object"):
+        load_matrix(str(p))
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1E400"])
 def test_non_finite_literals_rejected_on_load(tmp_path, literal):
     p = tmp_path / "m.json"

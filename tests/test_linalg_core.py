@@ -43,6 +43,11 @@ class TestNumericalRank:
         r = numerical_rank(np.zeros((2, 2)))
         assert r.rank == 0
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrix_has_rank_zero(self, shape):
+        r = numerical_rank(np.zeros(shape))
+        assert (r.rank, r.singular_values.shape, r.tolerance_used) == (0, (0,), 0.0)
+
     def test_rank_counts_values_above_tolerance(self):
         r = numerical_rank(np.diag([1.0, 1e-3, 1e-20]))
         assert r.rank == int(np.count_nonzero(r.singular_values > r.tolerance_used))
@@ -135,8 +140,11 @@ class TestLuSolve:
         cert = full_rank_certificate(a)
         nan = np.ones(n)
         nan[-1] = np.nan
+        nan_column = np.zeros((n, 3))  # a matrix's zero columns are not solved; this one is
+        nan_column[1, 1] = np.nan
         for b in (np.ones(n + 1), np.ones((n, 2, 2)), np.ones(()), nan,
-                  np.full((n, 2), np.inf)):
+                  np.full((n, 2), np.inf), np.zeros((n + 1, 2)), nan_column,
+                  scipy.sparse.csr_matrix(nan_column), scipy.sparse.eye(n + 1, 2)):
             with pytest.raises(StructuralError):
                 cert.solve(b)
         x = cert.solve(np.ones((n, 2)))
@@ -157,6 +165,23 @@ class TestLuSolve:
 
     def test_vector_rhs_keeps_shape(self):
         assert full_rank_certificate(np.eye(3)).solve(np.ones(3)).shape == (3,)
+
+    @pytest.mark.parametrize("n", [3, 400])  # a dense and a sparse certificate
+    def test_sparse_rhs_solves_its_nonzero_columns_as_the_dense_one(self, n):
+        a = 4 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        cert = full_rank_certificate(a)
+        b = np.zeros((n, 5), dtype=complex)
+        b[0, 1], b[-1, 1], b[n // 2, 3] = 1 - 2j, 3j, -0.5
+        x = cert.solve(scipy.sparse.csr_matrix(b))
+        assert x.dtype == np.complex128 and x.tobytes() == cert.solve(b).tobytes()
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=1e-15)
+        zero = x[:, [0, 2, 4]]
+        assert not zero.any() and not np.signbit([zero.real, zero.imag]).any()
+
+    def test_list_of_lists_rhs_solves(self):
+        x = full_rank_certificate([[2.0, 0.0], [1.0, 4.0]]).solve([[2, 0], [5, 0]])
+        np.testing.assert_array_equal(x, [[1, 0], [1, 0]])
+        assert not np.signbit([x.real, x.imag]).any()
 
 
 def _rank_r_real(rng, m, n, r):
@@ -246,6 +271,15 @@ class TestFullRankCertificate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not full_rank_certificate(a).full_rank
+
+    @pytest.mark.parametrize("n", [2, 400])  # below and above SPARSE_MIN_ORDER
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sparse_input_is_refused_as_dense_input_is(self, n, bad):
+        a = scipy.sparse.lil_matrix(scipy.sparse.eye(n))
+        a[0, n - 1] = bad
+        for m in (a.tocsr(), a.toarray()):
+            with pytest.raises(StructuralError, match="must be finite"):
+                full_rank_certificate(m)
 
     def test_empty_certificate_solves_empty_right_hand_sides(self):
         cert = full_rank_certificate(np.zeros((0, 0)))

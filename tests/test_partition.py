@@ -265,6 +265,15 @@ class TestVerifyBlockRank:
             rep = verify_block_rank(Network(4, net.branches, (Shunt(0, y),)), part)
             assert rep.classes[0].components[0].grounded == grounded
 
+    def test_shunts_that_cancel_do_not_ground_a_component(self):
+        # node 2's shunts sum to zero, so its block is exactly [0], as with no shunt
+        part = Partition(((0, 2), (1,)), 3)
+        for shunts in ((Shunt(2, 1.0), Shunt(2, -1.0)), ()):
+            rep = verify_block_rank(Network(3, (Branch(0, 1, 1.0),), shunts), part)
+            comp = rep.classes[0].components[1]
+            assert comp.nodes == (2,) and not comp.grounded and not comp.full_rank
+            assert "class 0: component (2,) touches no boundary branch or shunt" in rep.findings
+
     def test_random_re_positive_nets_all_blocks_invertible(self):
         rng = np.random.default_rng(47)
         for _ in range(12):

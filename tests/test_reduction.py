@@ -222,6 +222,13 @@ class TestReductionResultType:
             ReductionResult(reduced=y, eliminated_order=(5,),
                             recovery=np.zeros((2, 2)))
 
+    def test_hybrid_shape_enforced(self):
+        part = Partition(((0,), (1, 2)), 3)
+        for h in (np.eye(2), np.ones((3, 2)), np.ones(9)):
+            with pytest.raises(StructuralError, match="does not match partition"):
+                HybridResult(h=h, solved_class=0, partition=part, node_order=(0, 1, 2),
+                             block_roles={})
+
     def test_recover_input_validation(self):
         y = assemble(Network(3, (Branch(0, 1, 1.0), Branch(1, 2, 1.0)), ()))
         res = kron_reduce_nodes(y, {1})
