@@ -1,17 +1,16 @@
 """Complex matrix kernel: solves, numerical rank, conditioning.
 
-Backed by LAPACK through NumPy/SciPy, and by SuperLU for large sparse
-blocks.  SciPy is imported inside the LU routines only, so importing the
+Backed by LAPACK through NumPy/SciPy, and by SuperLU for SciPy sparse
+matrices.  SciPy is imported inside the LU routines only, so importing the
 package (and every command that never factors a matrix) loads NumPy
-alone; ``scipy.sparse.linalg`` loads only when a block takes the sparse
-branch.  No other module sees LU factors: every solve goes through the
-certificate of :func:`full_rank_certificate`.  A block is a 2-D
-``complex128`` array or, when ``AdmittanceMatrix._block`` finds it large
-and sparse by :func:`_prefers_sparse`, a SciPy CSR matrix; the kernel
-tells the two apart by the ``nnz`` attribute, without importing
-``scipy.sparse``.  The transpose used throughout the package is the plain
-one (no conjugation): nodal admittance matrices are complex symmetric,
-not Hermitian, and every identity here is stated for the plain transpose.
+alone.  No other module sees LU factors: every solve goes through the
+certificate of :func:`full_rank_certificate`, which knows no size rule
+and factors the form it is handed (``AdmittanceMatrix._block`` decides
+which blocks of Y are sparse); it tells a SciPy sparse matrix by its
+``nnz`` attribute, without importing ``scipy.sparse``.  The transpose used
+throughout the package is the plain one (no conjugation): nodal
+admittance matrices are complex symmetric, not Hermitian, and every
+identity here is stated for the plain transpose.
 """
 
 from __future__ import annotations
@@ -26,13 +25,6 @@ from .errors import NumericalError, SingularMatrixError, StructuralError
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
 
-#: Blocks with fewer entries than SPARSE_MIN_ORDER**2, or with more than
-#: SPARSE_MAX_ROW_NNZ nonzeros per row on average, are factored densely.
-#: Both were measured on ``perfbench`` grid networks (README, *Sparse
-#: blocks*): the two certificates of a grid Y break even near order 350,
-#: and SuperLU's fill loses to LAPACK from about 10 nonzeros per row.
-SPARSE_MIN_ORDER = 300
-SPARSE_MAX_ROW_NNZ = 8
 #: SuperLU keeps a diagonal pivot that is at least this fraction of the
 #: largest entry in its column, which preserves the symmetric
 #: ``MMD_AT_PLUS_A`` ordering and bounds the growth per step by 1 + 1/0.1.
@@ -167,20 +159,6 @@ def _checked_rhs(b, n: int) -> np.ndarray:
     return arr
 
 
-def _prefers_sparse(a) -> bool:
-    """Whether a block, dense or SciPy sparse, is worth handling as a sparse matrix.
-
-    It must hold at least SPARSE_MIN_ORDER**2 entries and at most
-    SPARSE_MAX_ROW_NNZ nonzeros per row (per column, if it has more
-    columns) on average.
-    """
-    rows, cols = a.shape
-    if rows * cols < SPARSE_MIN_ORDER ** 2:
-        return False
-    nnz = a.nnz if hasattr(a, "nnz") else np.count_nonzero(a)
-    return nnz <= SPARSE_MAX_ROW_NNZ * max(rows, cols)
-
-
 def _inverse_norm1(solve, n: int) -> float:
     """Hager-Higham lower estimate of ||A^{-1}||_1 from solves with A and A^H.
 
@@ -241,26 +219,27 @@ def full_rank_certificate(m) -> RankCertificate:
     below ``1 / (n * eps)``; an exactly zero pivot fails immediately.  The
     certificate solves with the factors.
 
-    A block of order at least ``SPARSE_MIN_ORDER`` with at most
-    ``SPARSE_MAX_ROW_NNZ`` nonzeros per row is factored by SuperLU, and
-    its condition is estimated by Hager-Higham from the sparse solves.
-    Every other block, and a sparse one whose SuperLU factorization meets
-    an exactly zero pivot, is factored densely by LAPACK, which names the
-    pivot and estimates the condition with ``gecon``.
+    The matrix is factored in the form it is handed.  A SciPy sparse
+    matrix is factored by SuperLU, its condition estimated by Hager-Higham
+    from the sparse solves, and densely after all at an exactly zero
+    pivot, so that the failure names the pivot.  Any other input is
+    factored by LAPACK, which names the pivot and estimates the condition
+    with ``gecon``.
     """
-    a = m if hasattr(m, "nnz") else as_cmatrix(m)
-    if hasattr(a, "nnz"):  # its stored entries must be finite, as a dense input's are
+    sparse = hasattr(m, "nnz")
+    a = m if sparse else as_cmatrix(m)
+    if sparse:  # its stored entries must be finite, as a dense input's are
         as_cmatrix(a.tocoo().data[np.newaxis])
     if a.shape[0] != a.shape[1]:
         raise StructuralError(f"rank certification needs a square matrix, got {a.shape}")
-    if _prefers_sparse(a):
+    n = a.shape[0]
+    if n == 0:  # ahead of SuperLU, which takes 0x0 where the estimate cannot
+        return RankCertificate(True, 1.0, None, lambda b: _checked_rhs(b, 0).copy())
+    if sparse:
         cert = _sparse_certificate(a)
         if cert is not None:
             return cert
-    a = _dense(a)
-    n = a.shape[0]
-    if n == 0:
-        return RankCertificate(True, 1.0, None, lambda b: _checked_rhs(b, 0).copy())
+        a = _dense(a)
     try:
         lu, piv = lu_factor_checked(a)
     except SingularMatrixError as exc:

@@ -20,11 +20,10 @@ from .linalg_core import (
     _dense,
     _finite,
     _frozen,
-    _prefers_sparse,
     full_rank_certificate,
 )
 from .partition import BlockView, Partition
-from .ybus import _SYMMETRY_ROWS, AdmittanceMatrix
+from .ybus import _SYMMETRY_ROWS, AdmittanceMatrix, _prefers_sparse
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +115,7 @@ def _schur(y: AdmittanceMatrix, epos, kpos, what: str, err_cls, inverse: bool = 
         else:
             w = cert.solve(y._block(epos, kpos))
         _finite(w, f"{what}: W = Y_ee^-1 Y_ek")
-        if _prefers_sparse(w):
+        if _prefers_sparse(w.shape, np.count_nonzero(w)):
             from scipy.sparse import csr_matrix as csr
 
             s = csr(y_kk) - csr(y_ke) @ csr(w)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError, SizeLimitError, StructuralError
-from .linalg_core import SPARSE_MIN_ORDER, _finite, _frozen, _prefers_sparse, as_cmatrix
+from .linalg_core import _finite, _frozen, as_cmatrix
 from .network_model import DEFAULT_ZERO_TOL, Network, shunt_totals
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
@@ -28,6 +28,24 @@ _SYMMETRY_ROWS = 64
 #: Largest node count stamped into a matrix, whose dense view of 16384²
 #: complex entries takes 4 GiB.
 MAX_DENSE_ORDER = 16384
+#: Blocks with fewer entries than SPARSE_MIN_ORDER**2, or with more than
+#: SPARSE_MAX_ROW_NNZ nonzeros per row on average, are kept dense.  Both
+#: were measured on ``perfbench`` grid networks (README, *Sparse blocks*):
+#: the two certificates of a grid Y break even near order 350, and
+#: SuperLU's fill loses to LAPACK from about 10 nonzeros per row.
+SPARSE_MIN_ORDER = 300
+SPARSE_MAX_ROW_NNZ = 8
+
+
+def _prefers_sparse(shape, nnz: int) -> bool:
+    """Whether a block of this shape and nonzero count is worth handling as a sparse matrix.
+
+    It must hold at least SPARSE_MIN_ORDER**2 entries and at most
+    SPARSE_MAX_ROW_NNZ nonzeros per row (per column, if it has more
+    columns) on average.
+    """
+    rows, cols = shape
+    return rows * cols >= SPARSE_MIN_ORDER ** 2 and nnz <= SPARSE_MAX_ROW_NNZ * max(rows, cols)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -112,11 +130,12 @@ class AdmittanceMatrix:
     def _block(self, rows, cols):
         """Rows ``rows`` and columns ``cols`` (positions), in the form its kernels use.
 
-        Below ``SPARSE_MIN_ORDER`` nodes no block can take a sparse branch,
-        and the block is a slice of the dense view.  Otherwise it is
-        gathered from the compressed rows in O(nnz of those rows): a SciPy
-        CSR matrix when it passes :func:`_prefers_sparse`, else a dense
-        array.
+        This is the one place that decides a block's form.  Below
+        ``SPARSE_MIN_ORDER`` nodes the block is a slice of the dense view.
+        Otherwise it is gathered from the compressed rows in O(nnz of those
+        rows), and :func:`_prefers_sparse` is asked before anything is
+        built: a canonical SciPy CSR matrix if the block passes, else a
+        dense array.
         """
         if self.size < SPARSE_MIN_ORDER:
             return self.matrix[np.ix_(rows, cols)]
@@ -131,11 +150,10 @@ class AdmittanceMatrix:
         keep = c >= 0
         r, c, data = np.repeat(np.arange(rows.size), counts)[keep], c[keep], self.data[take[keep]]
         shape = (rows.size, cols.size)
-        if rows.size * cols.size >= SPARSE_MIN_ORDER ** 2:
+        if _prefers_sparse(shape, data.size):
             import scipy.sparse
 
-            block = scipy.sparse.csr_matrix((data, (r, c)), shape=shape)
-            return block if _prefers_sparse(block) else block.toarray()
+            return scipy.sparse.csr_matrix((data, (r, c)), shape=shape)
         block = np.zeros(shape, dtype=np.complex128)
         block[r, c] = data
         return block

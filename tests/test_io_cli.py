@@ -1056,7 +1056,7 @@ class TestTopLevel:
     def test_kron_and_hybrid_at_the_cli_pipeline_size_leave_scipy_sparse_unloaded(self, tmp_path):
         # 300 nodes and about 3 branches per node, the benchmark's CLI pipeline:
         # every block is below the sparse rule, and scipy.sparse costs an import
-        n = linalg_core.SPARSE_MIN_ORDER
+        n = ybus.SPARSE_MIN_ORDER
         path, red, hyb = (str(tmp_path / name) for name in ("y.json", "r.json", "h.json"))
         save_matrix(path, assemble(generate(GenSpec(
             node_range=(n, n), edge_density=2 * n / (n * (n - 1) // 2 - (n - 1)),
@@ -1069,6 +1069,28 @@ class TestTopLevel:
             f"assert ybuskit.cli.main(['kron', {path!r}, {red!r}, '--eliminate', '5,6']) == 0\n"
             f"assert ybuskit.cli.main(['hybrid', {path!r}, {hyb!r}, '--partition', {labels!r},"
             " '--solve-class', '0']) == 0\n"
+            "assert 'scipy.linalg' in sys.modules, 'no block was factored'\n"
+            "assert 'scipy.sparse' not in sys.modules, 'a dense block loaded scipy.sparse'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=False, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+
+    def test_kron_of_a_dense_matrix_past_the_sparse_order_leaves_scipy_sparse_unloaded(
+            self, tmp_path):
+        # the 305-node elimination block has more than SPARSE_MIN_ORDER² entries
+        # but about 30 nonzeros per row, where the sparse rule allows 8, so it
+        # is scattered straight into an array, with no CSR built on the way
+        n = ybus.SPARSE_MIN_ORDER + 10
+        y = assemble(generate(GenSpec(node_range=(n, n), edge_density=0.1,
+                                      shunt_probability=0.05, min_shunts=1, seed=4)))
+        assert y.indices.size > 20 * n
+        path, red = str(tmp_path / "y.json"), str(tmp_path / "r.json")
+        save_matrix(path, y)
+        script = (
+            "import sys\n"
+            "import ybuskit.cli\n"
+            f"assert ybuskit.cli.main(['kron', {path!r}, {red!r}, '--retain', '0,1,2,3,4']) == 0\n"
             "assert 'scipy.linalg' in sys.modules, 'no block was factored'\n"
             "assert 'scipy.sparse' not in sys.modules, 'a dense block loaded scipy.sparse'\n"
         )

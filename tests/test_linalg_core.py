@@ -17,7 +17,7 @@ from ybuskit import (
     full_rank_certificate,
     numerical_rank,
 )
-from ybuskit import linalg_core
+from ybuskit import ybus
 from ybuskit.linalg_core import as_cmatrix
 from ybuskit.ybus import assemble
 from oracles import exact_assemble, exact_rank, random_rational_network
@@ -133,27 +133,27 @@ class TestLuSolve:
         with pytest.raises(StructuralError):
             full_rank_certificate(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("n", [3, 400])  # a dense and a sparse certificate
+    @pytest.mark.parametrize("n", [3, 400])  # below and at the order of the sparse rule
     def test_bad_right_hand_sides_refused_on_both_branches(self, n):
         a = 4 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        assert linalg_core._prefers_sparse(a) == (n == 400)
-        cert = full_rank_certificate(a)
+        assert ybus._prefers_sparse(a.shape, np.count_nonzero(a)) == (n == 400)
         nan = np.ones(n)
         nan[-1] = np.nan
         nan_column = np.zeros((n, 3))  # a matrix's zero columns are not solved; this one is
         nan_column[1, 1] = np.nan
-        for b in (np.ones(n + 1), np.ones((n, 2, 2)), np.ones(()), nan,
-                  np.full((n, 2), np.inf), np.zeros((n + 1, 2)), nan_column,
-                  scipy.sparse.csr_matrix(nan_column), scipy.sparse.eye(n + 1, 2)):
-            with pytest.raises(StructuralError):
-                cert.solve(b)
-        x = cert.solve(np.ones((n, 2)))
-        assert _relative_residual(a, x, np.ones((n, 2))) <= 1e-12
+        for cert in (full_rank_certificate(a), full_rank_certificate(scipy.sparse.csr_matrix(a))):
+            for b in (np.ones(n + 1), np.ones((n, 2, 2)), np.ones(()), nan,
+                      np.full((n, 2), np.inf), np.zeros((n + 1, 2)), nan_column,
+                      scipy.sparse.csr_matrix(nan_column), scipy.sparse.eye(n + 1, 2)):
+                with pytest.raises(StructuralError):
+                    cert.solve(b)
+            x = cert.solve(np.ones((n, 2)))
+            assert _relative_residual(a, x, np.ones((n, 2))) <= 1e-12
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
     def test_sparse_input_below_the_sparse_order_solves_in_complex128(self, dtype):
-        # factored densely; a real or single-precision input must not
-        # narrow the complex right-hand side or the solution
+        # factored by SuperLU at any order; a real or single-precision input
+        # must not narrow the complex right-hand side or the solution
         a = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]], dtype=dtype))
         b = np.array([1j, 1.0 - 1e-9j])
         x = full_rank_certificate(a).solve(b)
@@ -282,8 +282,9 @@ class TestFullRankCertificate:
                 full_rank_certificate(m)
 
     def test_empty_certificate_solves_empty_right_hand_sides(self):
-        cert = full_rank_certificate(np.zeros((0, 0)))
-        assert (cert.full_rank, cert.condition_estimate, cert.failed_pivot) == (True, 1.0, None)
-        for shape in ((0,), (0, 3)):
-            x = cert.solve(np.zeros(shape))
-            assert (x.shape, x.dtype) == (shape, np.complex128)
+        for empty in (np.zeros((0, 0)), scipy.sparse.csr_matrix((0, 0))):  # LAPACK, SuperLU
+            cert = full_rank_certificate(empty)
+            assert (cert.full_rank, cert.condition_estimate, cert.failed_pivot) == (True, 1.0, None)
+            for shape in ((0,), (0, 3)):
+                x = cert.solve(np.zeros(shape))
+                assert (x.shape, x.dtype) == (shape, np.complex128)

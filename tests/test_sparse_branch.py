@@ -1,11 +1,14 @@
-"""The sparse branch of the full-rank certificate, against the dense one.
+"""The sparse path of blocks and certificates, against the dense one.
 
-Blocks of order at least ``SPARSE_MIN_ORDER`` with few nonzeros per row
-are factored by SuperLU; every other block by LAPACK.  The dense path is
-the oracle here: a test computes a result once as the library chooses,
-then again with the sparse branch switched off by raising
-``SPARSE_MIN_ORDER`` out of reach, and compares the two.  Networks are
-grid-like, with about 3 branches per node.
+``AdmittanceMatrix._block`` hands out a block of at least
+``SPARSE_MIN_ORDER``² entries with few nonzeros per row as a SciPy CSR
+matrix, which the certificate factors by SuperLU; every other block is a
+dense array, factored by LAPACK.  The dense path is the oracle here: a
+test computes a result once as the library chooses, then again with
+``ybus.SPARSE_MIN_ORDER`` raised out of reach, which makes every block,
+certificate and Schur complement dense, and compares the two.  A test of
+the certificate alone hands it a CSR matrix for SuperLU and an array for
+LAPACK.  Networks are grid-like, with about 3 branches per node.
 """
 
 import re
@@ -14,6 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from ybuskit import (
     AdmittanceMatrix,
@@ -31,7 +35,7 @@ from ybuskit import (
     kron_reduce_nodes,
     verify_block_rank,
 )
-from ybuskit import linalg_core
+from ybuskit import linalg_core, ybus
 from ybuskit.cli import main
 from ybuskit.io import save_matrix
 
@@ -51,7 +55,7 @@ def _rel(a, b) -> float:
 
 
 def _dense_only(monkeypatch):
-    monkeypatch.setattr(linalg_core, "SPARSE_MIN_ORDER", 10**9)
+    monkeypatch.setattr(ybus, "SPARSE_MIN_ORDER", 10**9)
 
 
 def _sparse_calls(monkeypatch) -> list:
@@ -77,17 +81,15 @@ def _tridiagonal(n, diag=4.0):
 
 class TestBranchChoice:
     def test_order_and_row_count_pick_the_branch(self):
-        n = linalg_core.SPARSE_MIN_ORDER
-        assert linalg_core._prefers_sparse(_tridiagonal(n))
-        assert not linalg_core._prefers_sparse(_tridiagonal(n - 1))
-        dense = np.ones((n, n))
-        assert not linalg_core._prefers_sparse(dense)
-        # exactly SPARSE_MAX_ROW_NNZ nonzeros per row on average still counts as sparse
-        rows = np.zeros((n, n))
-        rows[:, :linalg_core.SPARSE_MAX_ROW_NNZ] = 1.0
-        assert linalg_core._prefers_sparse(rows)
-        rows[0, linalg_core.SPARSE_MAX_ROW_NNZ] = 1.0
-        assert not linalg_core._prefers_sparse(rows)
+        n, per_row = ybus.SPARSE_MIN_ORDER, ybus.SPARSE_MAX_ROW_NNZ
+        # exactly n² entries with per_row nonzeros per row on average is sparse
+        assert ybus._prefers_sparse((n, n), per_row * n)
+        assert not ybus._prefers_sparse((n, n), per_row * n + 1)
+        assert not ybus._prefers_sparse((n - 1, n), 3 * n)
+        assert not ybus._prefers_sparse((n, n), n * n)
+        # a wide block counts nonzeros per column
+        assert ybus._prefers_sparse((n, 2 * n), per_row * 2 * n)
+        assert not ybus._prefers_sparse((n, 2 * n), per_row * 2 * n + 1)
 
     def test_small_blocks_never_try_the_sparse_branch(self, monkeypatch):
         calls = _sparse_calls(monkeypatch)
@@ -101,10 +103,10 @@ class TestCertificate:
         y = assemble(_grid(600, seed=1)).matrix
         block = y[5:, 5:]
         calls = _sparse_calls(monkeypatch)
-        sparse = full_rank_certificate(block)
+        sparse = full_rank_certificate(scipy.sparse.csr_matrix(block))
         assert calls == [block.shape]
-        _dense_only(monkeypatch)
         dense = full_rank_certificate(block)
+        assert calls == [block.shape]
         assert sparse.full_rank and dense.full_rank
         assert sparse.failed_pivot is None
         # both are Hager-Higham lower bounds on the same ||A||_1 ||A^-1||_1
@@ -118,9 +120,8 @@ class TestCertificate:
         a = _tridiagonal(400)
         a[7, :] = a[:, 7] = 0.0
         calls = _sparse_calls(monkeypatch)
-        cert = full_rank_certificate(a)
+        cert = full_rank_certificate(scipy.sparse.csr_matrix(a))
         assert calls == [a.shape]  # SuperLU met the zero pivot first
-        _dense_only(monkeypatch)
         assert cert == full_rank_certificate(a)
         assert not cert.full_rank and cert.failed_pivot is not None
 
@@ -132,7 +133,7 @@ class TestCertificate:
         calls = _sparse_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # overflow in the estimate stays silent
-            cert = full_rank_certificate(a)
+            cert = full_rank_certificate(scipy.sparse.csr_matrix(a))
         assert calls == [a.shape]
         assert not cert.full_rank and cert.failed_pivot is None
         assert cert.condition_estimate >= 1.0 / (400 * EPS)
@@ -142,11 +143,11 @@ class TestCertificate:
         a = _tridiagonal(400, diag=10.0) * 1.5e307
         calls = _sparse_calls(monkeypatch)
         with pytest.raises(NumericalError, match="the 1-norm of the matrix overflows"):
-            full_rank_certificate(a)
+            full_rank_certificate(scipy.sparse.csr_matrix(a))
         assert calls == [a.shape]
-        _dense_only(monkeypatch)
         with pytest.raises(NumericalError, match="the 1-norm of the matrix overflows"):
             full_rank_certificate(a)
+        assert calls == [a.shape]
 
     def test_no_global_random_state_is_read_or_drawn(self):
         y = assemble(_grid(600, seed=2))
@@ -157,7 +158,7 @@ class TestCertificate:
             for state in (0, 1):
                 np.random.seed(state)
                 before = np.random.get_state()
-                cert = full_rank_certificate(y.matrix[10:, 10:])
+                cert = full_rank_certificate(scipy.sparse.csr_matrix(y.matrix[10:, 10:]))
                 red = kron_reduce_nodes(y, range(10, 600))
                 hy = hybrid_parameters(block_view(y, part), 1)
                 after = np.random.get_state()
@@ -338,7 +339,7 @@ def test_phase_policies_on_both_sides_of_the_threshold(policy, n, monkeypatch):
     calls = _sparse_calls(monkeypatch)
     (red, hy), (red_d, hy_d) = _dense_and_sparse(
         monkeypatch, lambda: (kron_reduce_nodes(y, eliminate), hybrid_parameters(view, 0)))
-    if n < linalg_core.SPARSE_MIN_ORDER:
+    if n < ybus.SPARSE_MIN_ORDER:
         assert calls == []
         np.testing.assert_array_equal(red.reduced.matrix, red_d.reduced.matrix)
         np.testing.assert_array_equal(hy.h, hy_d.h)
@@ -390,7 +391,12 @@ class TestSingularBlocksAboveTheThreshold:
 
 
 class TestBlockForm:
-    """``AdmittanceMatrix._block`` decides a block's form once, by ``_prefers_sparse``."""
+    """``AdmittanceMatrix._block`` alone decides a block's form, by ``ybus._prefers_sparse``.
+
+    It asks the rule before it builds anything: a block that passes comes
+    back as a canonical CSR matrix, every other one as a dense array, and
+    either holds the dense slice's entries bit for bit.
+    """
 
     N = 400
 
@@ -402,8 +408,6 @@ class TestBlockForm:
             node_range=(self.N, self.N), edge_density=0.1, shunt_probability=0.05, seed=6)))
 
     def test_each_form_is_the_dense_slice_bit_for_bit(self, grids):
-        import scipy.sparse
-
         perm = np.random.default_rng(1).permutation(self.N)  # unsorted positions
         ramp, none = np.arange(self.N), np.array([], dtype=np.intp)
         cases = [(ramp, ramp), (ramp, perm), (perm[:350], perm[50:]), (perm[:320], perm[:320]),
@@ -413,7 +417,7 @@ class TestBlockForm:
         for y, (rows, cols) in ((y, case) for y in grids for case in cases):
             want = y.matrix[np.ix_(rows, cols)]
             got = y._block(rows, cols)
-            sparse = linalg_core._prefers_sparse(want)
+            sparse = ybus._prefers_sparse(want.shape, np.count_nonzero(want))
             forms.add((y is grids[0], sparse))
             if sparse:
                 assert isinstance(got, scipy.sparse.csr_matrix), (rows.size, cols.size)
