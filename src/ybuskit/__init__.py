@@ -38,9 +38,6 @@ from .linalg_core import (
 from .ybus import AdmittanceMatrix, assemble, shunt_vector
 from .rank_analysis import (
     RankVerdict,
-    augment_virtual_ground,
-    block_form_matrix,
-    predict_rank,
     rank_verdicts,
     verify_matrix_rank,
     verify_rank,
@@ -66,7 +63,6 @@ from .reduction import (
 from .generator import (
     PHASE_POLICIES,
     GenSpec,
-    counterexample_block_singular,
     generate,
     random_partition,
 )
@@ -106,10 +102,7 @@ __all__ = [
     "ValidationReport",
     "YbusError",
     "assemble",
-    "augment_virtual_ground",
-    "block_form_matrix",
     "block_view",
-    "counterexample_block_singular",
     "full_rank_certificate",
     "generate",
     "hybrid_parameters",
@@ -117,7 +110,6 @@ __all__ = [
     "kron_reduce",
     "kron_reduce_nodes",
     "numerical_rank",
-    "predict_rank",
     "random_partition",
     "rank_verdicts",
     "recover_eliminated",

@@ -57,6 +57,8 @@ class GenSpec:
         object.__setattr__(self, "node_range", (lo, hi))
         if lo < 1 or hi < lo:
             raise StructuralError(f"degenerate node range ({lo}, {hi})")
+        if hi > np.iinfo(np.intp).max // 8:  # past the int64 arrays NumPy can hold
+            raise StructuralError(f"node range ({lo}, {hi}) is too large for a NumPy array")
         if not 0.0 <= float(self.edge_density) <= 1.0:
             raise StructuralError(f"edge density {self.edge_density} outside [0, 1]")
         if not 0.0 <= float(self.shunt_probability) <= 1.0:
@@ -209,19 +211,3 @@ def random_partition(node_count: int, class_count: int, rng: np.random.Generator
     labels[:] = rng.integers(0, class_count, size=node_count)
     labels[seeds] = np.arange(class_count)
     return Partition.from_labels(labels.tolist())
-
-
-def counterexample_block_singular() -> tuple[Network, Partition]:
-    """Instance showing why positive branch real parts matter.
-
-    A purely imaginary branch cancels an equal-and-opposite shunt exactly,
-    so the 1x1 diagonal block of the first class is the zero matrix even
-    though the network is connected and every admittance is nonzero.
-    """
-    net = Network(
-        node_count=2,
-        branches=(Branch(0, 1, 1j),),
-        shunts=(Shunt(0, -1j),),
-    )
-    part = Partition(classes=((0,), (1,)), node_count=2)
-    return net, part

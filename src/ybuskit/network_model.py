@@ -102,6 +102,18 @@ class ValidationReport:
     messages: tuple[str, ...]
 
 
+def _zero_admittances(adm: np.ndarray, zero_tol: float) -> list[int]:
+    """Positions of the admittances that count as zero, |y| <= ``zero_tol``.
+
+    |y| >= max(|Re y|, |Im y|), so only entries within that bound are
+    measured, and a magnitude that overflows (such a y is not zero) is
+    never taken.  The measure is Python's abs, which NumPy's complex abs
+    can miss by an ulp.
+    """
+    near = np.maximum(abs(adm.real), abs(adm.imag)) <= zero_tol
+    return [k for k in np.flatnonzero(near).tolist() if abs(complex(adm[k])) <= zero_tol]
+
+
 def shunt_totals(net: Network) -> np.ndarray:
     """Per-node sums of shunt admittances, as a complex vector of length N."""
     totals = np.zeros(net.node_count, dtype=np.complex128)
@@ -159,7 +171,8 @@ def validate(net: Network) -> ValidationReport:
     """Check the modeling preconditions and report each one independently.
 
     Never raises on a precondition violation: the report carries the
-    findings.  A branch counts as zero when |y| <= ``DEFAULT_ZERO_TOL``.
+    findings.  A branch counts as zero when |y| <= ``DEFAULT_ZERO_TOL``; one
+    whose magnitude overflows counts as nonzero.
     """
     messages: list[str] = []
 
@@ -168,13 +181,14 @@ def validate(net: Network) -> ValidationReport:
     if not connected:
         messages.append(f"graph is disconnected: {count} components")
 
-    hypothesis1_ok = True
-    for i, b in enumerate(net.branches):
-        if abs(b.admittance) <= DEFAULT_ZERO_TOL:
-            hypothesis1_ok = False
-            messages.append(
-                f"branch {i} ({b.from_node},{b.to_node}) has near-zero admittance {b.admittance}"
-            )
+    adm = np.array([b.admittance for b in net.branches], dtype=np.complex128)
+    zero = _zero_admittances(adm, DEFAULT_ZERO_TOL)
+    hypothesis1_ok = not zero
+    for i in zero:
+        b = net.branches[i]
+        messages.append(
+            f"branch {i} ({b.from_node},{b.to_node}) has near-zero admittance {b.admittance}"
+        )
 
     re_positive = True
     for i, b in enumerate(net.branches):

@@ -21,7 +21,7 @@ from .generator import GenSpec, generate, random_partition
 from .linalg_core import TINY
 from .network_model import shunt_totals
 from .partition import block_view, verify_block_rank
-from .rank_analysis import _rank_verdicts, rank_verdicts
+from .rank_analysis import rank_verdicts
 from .reduction import hybrid_parameters, kron_reduce, kron_reduce_nodes, recover_eliminated
 from .ybus import assemble
 
@@ -59,9 +59,11 @@ def _theorem1(i: int, seed: int, samples: int):
 
     Samples below ``samples`` are shuntless; they alternate between
     dissipative and arbitrary-phase admittances and must also satisfy the
-    zero-row-sum identity.  The rest are shunted and are verified both
-    directly and through the virtual-ground construction, whose assembled
-    matrix must match the bordered block form.
+    zero-row-sum identity.  Each is stamped once, and its verdict is the
+    bare matrix's, whose prediction reads the shunts off the row sums and
+    connectivity off the zero pattern.  The rest are shunted and are
+    verified both directly and through the virtual-ground construction,
+    whose assembled matrix must match the bordered block form.
     """
     if i < samples:
         policy = "re_positive" if i % 2 == 0 else "arbitrary"
@@ -69,13 +71,13 @@ def _theorem1(i: int, seed: int, samples: int):
             node_range=(5, 50), edge_density=0.15, shunt_probability=0.0,
             magnitude_range=(1e-2, 1e2), phase_policy=policy, seed=seed,
         ))
-        y = assemble(net).matrix
-        v = _rank_verdicts(net, ("direct",), assembled=y)[0]  # stamped once
+        y = assemble(net)
+        v = rank_verdicts(y, ("direct",))[0]
         yield (not v.agrees or v.predicted_rank != net.node_count - 1,
                f"shuntless sample {i} (seed {seed}): predicted {v.predicted_rank}, "
                f"measured {v.measured_rank}")
-        row_sum = float(np.linalg.norm(y.sum(axis=1)))
-        yield (_rel(row_sum, float(np.linalg.norm(y))) > RESIDUAL_RTOL,
+        row_sum = float(np.linalg.norm(y.matrix.sum(axis=1)))
+        yield (_rel(row_sum, float(np.linalg.norm(y.matrix))) > RESIDUAL_RTOL,
                f"shuntless sample {i} (seed {seed}): nonzero row sums |Y*1|={row_sum:.3e}")
         return
 
@@ -272,6 +274,8 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteOutcome:
     if seed < 0:
         raise StructuralError(f"seed must be nonnegative, got {seed}")
     sample, per = _SUITES[name]
+    if per * samples > np.iinfo(np.intp).max // 8:  # past the int64 arrays NumPy can hold
+        raise StructuralError(f"{samples} samples are too many for a NumPy array of child seeds")
     t0 = time.perf_counter()
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=per * samples)
     checks = 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import HypothesisError, SizeLimitError, StructuralError
 from .linalg_core import _finite, _frozen, as_cmatrix
-from .network_model import DEFAULT_ZERO_TOL, Network, shunt_totals
+from .network_model import DEFAULT_ZERO_TOL, Network, _zero_admittances, shunt_totals
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
 SYMMETRY_RTOL = 1e-14
@@ -193,15 +193,13 @@ def _stamp(net: Network, zero_tol: float) -> AdmittanceMatrix:
         raise SizeLimitError(f"{n} nodes exceed the dense matrix limit of {MAX_DENSE_ORDER} nodes")
     branches = net.branches
     adm = np.array([b.admittance for b in branches], dtype=np.complex128)
-    # |y| >= max(|Re y|, |Im y|), so only these can fail the check; the check
-    # itself stays Python's abs, which NumPy's complex abs can miss by an ulp
-    for k in np.flatnonzero(np.maximum(abs(adm.real), abs(adm.imag)) <= zero_tol).tolist():
-        b = branches[k]
-        if abs(b.admittance) <= zero_tol:
-            raise HypothesisError(
-                f"branch {k} ({b.from_node},{b.to_node}) has admittance {b.admittance} "
-                f"with magnitude <= {zero_tol}; zero-admittance branches are not representable"
-            )
+    zero = _zero_admittances(adm, zero_tol)
+    if zero:
+        b = branches[zero[0]]
+        raise HypothesisError(
+            f"branch {zero[0]} ({b.from_node},{b.to_node}) has admittance {b.admittance} "
+            f"with magnitude <= {zero_tol}; zero-admittance branches are not representable"
+        )
     ends = np.empty((len(branches), 2), dtype=np.intp)
     ends[:, 0] = [b.from_node for b in branches]
     ends[:, 1] = [b.to_node for b in branches]

@@ -9,7 +9,9 @@ slice of the assembled matrix.  The element-by-element generator and
 stamping loops that the package's array code replaced are kept here too,
 as the bit-for-bit reference for it, and so are the dense N x N stamp and
 permuted copy that compressed-row storage replaced.  Values produced by these oracles are
-what the tests compare the library against.
+what the tests compare the library against.  ``counterexample_block_singular``
+is the one fixed instance kept here: the network that shows why Theorem 2
+needs positive branch real parts.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ybuskit import (
     Branch,
     HypothesisError,
     Network,
+    Partition,
     PreconditionError,
     Shunt,
     StructuralError,
@@ -454,3 +457,19 @@ def kron_fill(net, eliminate) -> set[tuple[int, int]]:
         rim = set().union(*(touches[k] for k in comp))
         pattern |= {(a, b) for a in rim for b in rim}
     return pattern
+
+
+def counterexample_block_singular() -> tuple[Network, Partition]:
+    """Instance showing why positive branch real parts matter.
+
+    A purely imaginary branch cancels an equal-and-opposite shunt exactly,
+    so the 1x1 diagonal block of the first class is the zero matrix even
+    though the network is connected and every admittance is nonzero.
+    """
+    net = Network(
+        node_count=2,
+        branches=(Branch(0, 1, 1j),),
+        shunts=(Shunt(0, -1j),),
+    )
+    part = Partition(classes=((0,), (1,)), node_count=2)
+    return net, part

@@ -18,7 +18,6 @@ from ybuskit import (
     NotReducibleError,
     assemble,
     block_view,
-    counterexample_block_singular,
     full_rank_certificate,
     generate,
     hybrid_parameters,
@@ -34,7 +33,7 @@ from ybuskit import (
 )
 from ybuskit.cli import main
 
-from oracles import closure_components, reorder
+from oracles import closure_components, counterexample_block_singular, reorder
 
 MASTER_SEED = 20260814
 

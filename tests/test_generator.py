@@ -16,7 +16,6 @@ from ybuskit import (
     StructuralError,
     assemble,
     block_view,
-    counterexample_block_singular,
     generate,
     is_connected,
     random_partition,
@@ -28,7 +27,7 @@ from ybuskit.cli import main
 from ybuskit.io import emit_json, network_to_dict
 from ybuskit.ybus import _stamp
 
-from oracles import loop_generate, loop_stamp
+from oracles import counterexample_block_singular, loop_generate, loop_stamp
 
 
 def _bits(net):
@@ -187,6 +186,8 @@ class TestGenSpecValidation:
             dict(phase_policy="positive"),
             dict(min_shunts=-1),
             dict(seed=-1),
+            dict(node_range=(5, 10**20)),  # past int64: NumPy cannot draw it
+            dict(node_range=(2**63 - 1, 2**63 - 1)),  # NumPy cannot size its arrays
         ],
     )
     def test_rejects(self, kwargs):

@@ -27,6 +27,7 @@ from ybuskit import (
     FileFormatError,
     GenSpec,
     Network,
+    NumericalError,
     PHASE_POLICIES,
     Partition,
     SUITE_NAMES,
@@ -34,10 +35,10 @@ from ybuskit import (
     StructuralError,
     assemble,
     block_view,
-    counterexample_block_singular,
     generate,
     hybrid_parameters,
     kron_reduce_nodes,
+    verify_block_rank,
 )
 from ybuskit import linalg_core, network_model, rank_analysis, ybus
 from ybuskit.cli import main
@@ -54,6 +55,8 @@ from ybuskit.io import (
     save_matrix,
     save_network,
 )
+
+from oracles import counterexample_block_singular
 
 PATH3 = Network(3, (Branch(0, 1, 1.0), Branch(1, 2, 1.0)), ())
 
@@ -98,8 +101,9 @@ CSV_CELLS = st.text(max_size=4) | st.sampled_from([
 
 #: Finite documents whose arithmetic overflows binary64: a 3-node matrix
 #: with entries from 1e-300 to 1.7e308, a 2-node matrix whose norm is
-#: 3.4e308, a network with a stamped diagonal entry of 2e308, and one
-#: whose largest singular value is 3.4e308.
+#: 3.4e308, a network with a stamped diagonal entry of 2e308, one whose
+#: largest singular value is 3.4e308, and networks with a branch and with
+#: a shunt whose magnitude |1.5e308 + 1.5e308j| overflows.
 BIG_MATRIX = {"n": 3, "node_order": [0, 1, 2], "entries": [
     [1.7e308, 0], [-1.7e308, 0], [0, 0], [-1.7e308, 0], [1e-300, 0], [-1e-300, 0],
     [0, 0], [-1e-300, 0], [1.5e300, 0]]}
@@ -108,6 +112,9 @@ OVERFLOWING_NORM = {"n": 2, "node_order": [0, 1],
 OVERFLOWING_SUM = {"nodes": 3, "branches": [{"from": 0, "to": 1, "y": [1e308, 0]},
                                             {"from": 1, "to": 2, "y": [1e308, 0]}]}
 OVERFLOWING_SVD = {"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [1.7e308, 0]}]}
+OVERFLOWING_BRANCH = {"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [1.5e308, 1.5e308]}]}
+OVERFLOWING_SHUNT = {"nodes": 2, "branches": [{"from": 0, "to": 1, "y": [1, 0]}],
+                     "shunts": [{"node": 0, "y": [1.5e308, 1.5e308]}]}
 #: A matrix whose squared entries overflow although its Frobenius norm
 #: (3.2e200) and its singular values (3e200, 1e200) are representable, and
 #: one whose squared entries underflow to zero.
@@ -125,6 +132,9 @@ OVERFLOW_CASES = [
     (OVERFLOWING_SUM, ["ybus", "{src}", "{out}"], "a stamped nodal matrix entry"),
     (OVERFLOWING_SUM, ["rank", "{src}"], "a stamped nodal matrix entry"),
     (OVERFLOWING_SVD, ["rank", "{src}"], "a singular value of the 2x2 matrix"),
+    (OVERFLOWING_BRANCH, ["rank", "{src}"], "a singular value of the 2x2 matrix"),
+    (OVERFLOWING_SHUNT, ["rank", "{src}", "--method", "virtual-ground"],
+     "a singular value of the 3x3 matrix"),
 ]
 
 #: Text for a command-line flag: anything short, and numerals of every sign and size.
@@ -822,6 +832,19 @@ class TestOverflow:
         assert err.endswith(" overflows the floating-point range\n"), err
         assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
+    @pytest.mark.parametrize("doc", [OVERFLOWING_BRANCH, OVERFLOWING_SHUNT])
+    def test_admittance_whose_magnitude_overflows_counts_as_nonzero(self, tmp_path, doc):
+        src = _write(tmp_path, "in.json", json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run_cli(["validate", src])
+            net = load_network(src)
+            with pytest.raises(NumericalError, match="overflows the floating-point range"):
+                verify_block_rank(net, Partition(((0,), (1,)), 2))
+        assert (code, err) == (0, "")
+        assert out == ("connected: yes\nhypothesis1_ok: yes\ntheorem2_preconditions_ok: yes\n"
+                       "shunt_passivity_ok: yes\n")
+
     @pytest.mark.parametrize("doc", [HUGE_ENTRIES, TINY_ENTRIES])
     def test_entries_whose_squares_overflow_or_underflow_are_decided(self, tmp_path, doc):
         src = _write(tmp_path, "in.json", json.dumps(doc))
@@ -846,8 +869,8 @@ def file_inputs(tmp_path_factory) -> list[tuple[str, int]]:
     save_matrix(str(root / "y.json"), assemble(net))
     paths.append(str(root / "y.json"))
     paths.append(_write(root, "net.csv", "\n".join(",".join(r) for r in CSV_FUZZ_BASE)))
-    for k, doc in enumerate((BIG_MATRIX, OVERFLOWING_NORM, OVERFLOWING_SUM,
-                             OVERFLOWING_SVD, HUGE_ENTRIES)):
+    for k, doc in enumerate((BIG_MATRIX, OVERFLOWING_NORM, OVERFLOWING_SUM, OVERFLOWING_SVD,
+                             OVERFLOWING_BRANCH, OVERFLOWING_SHUNT, HUGE_ENTRIES)):
         paths.append(_write(root, f"overflow{k}.json", json.dumps(doc)))
     return [(p, doc.node_count if isinstance(doc, Network) else doc.size)
             for p, doc in ((p, load_any(p)) for p in paths)]
@@ -938,6 +961,14 @@ class TestVerifyCommand:
         with pytest.raises(StructuralError):
             run_suite("lemma2", 1, -1)
 
+    # counts whose child-seed array NumPy refuses to size, so nothing is allocated
+    @pytest.mark.parametrize("argv", [["--samples", str(10**18)],
+                                      ["--suite", "lemma2", "--samples", str(10**29)]])
+    def test_sample_count_too_large_for_numpy_exits_1(self, argv):
+        code, out, err = _run_cli(["verify"] + argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {argv[-1]} samples are too many for a NumPy array of child seeds\n"
+
     def test_negative_seed_exits_1(self, capsys):
         assert main(["verify", "--suite", "lemma2", "--samples", "1", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
@@ -974,6 +1005,15 @@ class TestRandgenCommand:
         assert main(["randgen", out, "--nodes", "1,2,3"]) == 1
         assert main(["randgen", out, "--density", "7"]) == 1  # StructuralError
 
+    # node counts NumPy refuses to draw or to size, so nothing is allocated
+    @pytest.mark.parametrize("nodes", [str(10**20), str(2**63 - 1)])
+    def test_node_count_too_large_for_numpy_exits_1(self, tmp_path, nodes):
+        out = tmp_path / "g.json"
+        code, stdout, err = _run_cli(["randgen", str(out), "--nodes", nodes])
+        assert (code, stdout) == (1, "")
+        assert err == f"error: node range ({nodes}, {nodes}) is too large for a NumPy array\n"
+        assert not out.exists()
+
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         assert main(["randgen", str(out), "--seed", "-1"]) == 1
@@ -1005,6 +1045,29 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_public_names_are_pinned(self):
+        # what the CLI, perfbench and the tests need, and nothing more
+        import ybuskit
+        public = (
+            "AdmittanceMatrix", "BlockRankReport", "BlockView", "Branch", "ClassBlockReport",
+            "ComponentReport", "DEFAULT_ZERO_TOL", "FileFormatError", "GenSpec", "HybridResult",
+            "HypothesisError", "Network", "NotReducibleError", "NotSolvableError",
+            "NumericalError", "PHASE_POLICIES", "Partition", "PreconditionError",
+            "RankCertificate", "RankResult", "RankVerdict", "ReductionResult", "SUITE_NAMES",
+            "Shunt", "SingularMatrixError", "SizeLimitError", "StructuralError", "SuiteOutcome",
+            "ValidationReport", "YbusError", "assemble", "block_view", "full_rank_certificate",
+            "generate", "hybrid_parameters", "is_connected", "kron_reduce", "kron_reduce_nodes",
+            "numerical_rank", "random_partition", "rank_verdicts", "recover_eliminated",
+            "run_suite", "shunt_totals", "shunt_vector", "validate", "verify_block_rank",
+            "verify_matrix_rank", "verify_rank", "verify_rank_via_augmentation",
+        )
+        assert len(ybuskit.__all__) == len(public) == 50
+        assert sorted(ybuskit.__all__) == sorted(public)
+        assert all(hasattr(ybuskit, name) for name in ybuskit.__all__)
+        for gone in ("predict_rank", "augment_virtual_ground", "block_form_matrix",
+                     "counterexample_block_singular"):
+            assert not hasattr(ybuskit, gone), gone
 
     def test_pipeline_matches_in_process(self, tmp_path, capsys):
         # ybus -> file -> rank must agree with rank straight on the network

@@ -16,15 +16,14 @@ from ybuskit import (
     RankVerdict,
     Shunt,
     assemble,
-    augment_virtual_ground,
-    block_form_matrix,
-    predict_rank,
+    rank_verdicts,
     shunt_totals,
     verify_matrix_rank,
     verify_rank,
     verify_rank_via_augmentation,
 )
 from ybuskit import ybus
+from ybuskit.rank_analysis import _augment_virtual_ground, _block_form_matrix
 from ybuskit.suites import run_suite
 
 from oracles import exact_assemble, exact_rank, random_rational_network
@@ -50,31 +49,36 @@ def _draw_net(rng, n, extra_edges, shunt_count):
                    tuple(Shunt(v, y) for v, y in shunts))
 
 
+def predicted_rank(net):
+    """The rank the direct verdict predicts: N-1 with all shunt totals zero, else N."""
+    return rank_verdicts(net, ("direct",))[0].predicted_rank
+
+
 class TestPredictRank:
     def test_shuntless_path(self):
-        assert predict_rank(path(3)) == 2
+        assert predicted_rank(path(3)) == 2
 
     def test_small_shunt_still_counts(self):
-        assert predict_rank(with_shunts(path(3), Shunt(0, 1e-3 + 0j))) == 3
+        assert predicted_rank(with_shunts(path(3), Shunt(0, 1e-3 + 0j))) == 3
 
     def test_single_node_with_shunt(self):
-        assert predict_rank(Network(1, (), (Shunt(0, 2.0 - 1j),))) == 1
+        assert predicted_rank(Network(1, (), (Shunt(0, 2.0 - 1j),))) == 1
 
     def test_cancelling_shunts_count_as_none(self):
         # two shunts at the same node summing to zero: the assembled
         # diagonal sees nothing, so the prediction is the shuntless one
         net = with_shunts(path(3), Shunt(1, 1j), Shunt(1, -1j))
-        assert predict_rank(net) == 2
+        assert predicted_rank(net) == 2
 
     def test_disconnected_refused(self):
         net = Network(3, (Branch(0, 1, 1.0),), ())
         with pytest.raises(PreconditionError, match="connected"):
-            predict_rank(net)
+            predicted_rank(net)
 
     def test_zero_branch_refused(self):
         net = Network(2, (Branch(0, 1, 0j),), ())
         with pytest.raises(PreconditionError):
-            predict_rank(net)
+            predicted_rank(net)
 
 
 class TestVerifyRank:
@@ -137,14 +141,14 @@ def test_exact_cancellation_instance_is_reported_not_hidden():
 
 class TestAugmentVirtualGround:
     def test_single_node(self):
-        aug = augment_virtual_ground(Network(1, (), (Shunt(0, 3j),)))
+        aug = _augment_virtual_ground(Network(1, (), (Shunt(0, 3j),)))
         assert aug.node_count == 2
         assert aug.branches == (Branch(0, 1, 3j),)
         assert aug.shunts == ()
 
     def test_two_node_path_plus_shunt(self):
         net = Network(2, (Branch(0, 1, 1.0),), (Shunt(0, 2.0),))
-        aug = augment_virtual_ground(net)
+        aug = _augment_virtual_ground(net)
         assert aug.node_count == 3
         # original branch plus one converted shunt: a 3-node path 1-0-2
         assert len(aug.branches) == 2
@@ -159,26 +163,26 @@ class TestAugmentVirtualGround:
                             shunt_count=int(rng.integers(1, 4)))
             if not any(abs(s.admittance) > 0 for s in net.shunts):
                 continue
-            aug = augment_virtual_ground(net)
+            aug = _augment_virtual_ground(net)
             assert is_connected(aug)
             assert aug.shunts == ()
 
     def test_zero_valued_shunts_are_dropped(self):
         net = Network(2, (Branch(0, 1, 1.0),), (Shunt(0, 0j), Shunt(1, 5.0)))
-        aug = augment_virtual_ground(net)
+        aug = _augment_virtual_ground(net)
         assert len(aug.branches) == 2  # only the nonzero shunt converts
 
     def test_no_shunts_refused(self):
         with pytest.raises(PreconditionError, match="shunt"):
-            augment_virtual_ground(path(3))
+            _augment_virtual_ground(path(3))
         with pytest.raises(PreconditionError, match="shunt"):
-            augment_virtual_ground(with_shunts(path(3), Shunt(0, 0j)))
+            _augment_virtual_ground(with_shunts(path(3), Shunt(0, 0j)))
 
 
 def test_block_form_matrix_layout():
     y = np.array([[2.0, -1.0], [-1.0, 1.5]], dtype=complex)
     t = np.array([1j, 0.5], dtype=complex)
-    out = block_form_matrix(y, t)
+    out = _block_form_matrix(y, t)
     want = np.array(
         [[2.0, -1.0, -1j],
          [-1.0, 1.5, -0.5],
@@ -213,8 +217,8 @@ class TestVerifyViaAugmentation:
             net = _draw_net(rng, int(rng.integers(2, 9)), 1, shunt_count=2)
             if not any(abs(s.admittance) > 0 for s in net.shunts):
                 continue
-            lhs = assemble(augment_virtual_ground(net)).matrix
-            rhs = block_form_matrix(assemble(net).matrix, shunt_totals(net))
+            lhs = assemble(_augment_virtual_ground(net)).matrix
+            rhs = _block_form_matrix(assemble(net).matrix, shunt_totals(net))
             np.testing.assert_array_equal(lhs, rhs)
 
     def test_shuntless_refused(self):
@@ -224,8 +228,8 @@ class TestVerifyViaAugmentation:
     def test_block_form_mismatch_breaks_agreement(self, monkeypatch):
         # the rank still matches, so only the block-form check can refuse
         def skewed(matrix, shunts):
-            return 2.0 * block_form_matrix(matrix, shunts)
-        monkeypatch.setattr("ybuskit.rank_analysis.block_form_matrix", skewed)
+            return 2.0 * _block_form_matrix(matrix, shunts)
+        monkeypatch.setattr("ybuskit.rank_analysis._block_form_matrix", skewed)
         v = verify_rank_via_augmentation(with_shunts(path(3), Shunt(1, 1.0)))
         assert v.predicted_rank == v.measured_rank == 3
         assert v.block_form_max_rel_error > 1e-12 and not v.agrees

@@ -24,7 +24,6 @@ from ybuskit import (
     StructuralError,
     assemble,
     block_view,
-    counterexample_block_singular,
     full_rank_certificate,
     generate,
     hybrid_parameters,
@@ -34,7 +33,7 @@ from ybuskit import (
 )
 from ybuskit import reduction
 
-from oracles import blockwise_hybrid, reorder
+from oracles import blockwise_hybrid, counterexample_block_singular, reorder
 
 RNG = np.random.default_rng(61)
 
