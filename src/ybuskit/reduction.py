@@ -16,14 +16,16 @@ import numpy as np
 
 from .errors import NotReducibleError, NotSolvableError, StructuralError
 from .linalg_core import (
+    _STRIPE,
     RankCertificate,
     _dense,
     _finite,
     _frozen,
+    _stripes,
     full_rank_certificate,
 )
 from .partition import BlockView, Partition
-from .ybus import _SYMMETRY_ROWS, AdmittanceMatrix, _prefers_sparse
+from .ybus import AdmittanceMatrix, _prefers_sparse
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +60,16 @@ class ReductionResult:
         return self.reduced.node_order
 
 
-def _certified(block, what: str, err_cls) -> RankCertificate:
-    """Certify an elimination/solve block invertible; the certificate solves with it."""
-    cert = full_rank_certificate(block)
+def _certified(y: AdmittanceMatrix, epos, what: str, err_cls) -> RankCertificate:
+    """Certify the block of ``y`` at positions ``epos`` invertible; the certificate solves with it.
+
+    An exactly zero pivot is named by its index in the block and by the
+    node of that column.
+    """
+    cert = full_rank_certificate(y._block(epos, epos))
     if cert.failed_pivot is not None:
-        raise err_cls(f"{what} is exactly singular (zero pivot at index {cert.failed_pivot})")
+        raise err_cls(f"{what} is exactly singular (zero pivot at index {cert.failed_pivot}, "
+                      f"node {y.node_order[epos[cert.failed_pivot]]})")
     if not cert.full_rank:
         raise err_cls(
             f"{what} is numerically singular (condition estimate {cert.condition_estimate:.3e})"
@@ -83,57 +90,86 @@ def _node_positions(y: AdmittanceMatrix, labels) -> dict[int, int]:
     return pos
 
 
-def _symmetrize(s: np.ndarray) -> None:
-    """s <- (s + s^T) / 2 in place, a stripe of rows at a time (no n x n temporary)."""
-    rows = _SYMMETRY_ROWS
-    for r0 in range(0, s.shape[0], rows):
-        stripe = s[r0:r0 + rows, r0:]  # its diagonal block overlaps the transpose: NumPy copies
-        stripe += s[r0:, r0:r0 + rows].T
-        stripe *= 0.5
-        s[r0 + rows:, r0:r0 + rows] = stripe[:, rows:].T
+def _placed(at: list[slice], part: slice):
+    """(rows of ``part``, rows of the destination) for each piece of ``part``.
 
-
-def _schur(y: AdmittanceMatrix, epos, kpos, what: str, err_cls, inverse: bool = False):
-    """Y_ee^{-1} (with ``inverse``, else None), W = Y_ee^{-1} Y_ek and S = Y_kk - Y_ke W.
-
-    Blocks are sliced from ``y`` at positions ``epos`` and ``kpos``.  W
-    is the certificate's solve of Y_ek in whatever form it comes, so a
-    zero column of Y_ek gives an exactly +0.0 column of W; with
-    ``inverse`` W is (Y_ke Y_ee^{-1})^T.  S is a SciPy CSR matrix when W
-    is large and sparse, else a dense array, and is symmetrized exactly,
-    since LU roundoff breaks its symmetry.  A W or S that overflows
-    raises :class:`NumericalError`.
+    Index i of a block lives at the i-th position of the slices ``at``,
+    laid end to end; ``part`` is a slice of those indices.
     """
-    cert = _certified(y._block(epos, epos), what, err_cls)
-    y_ke, y_kk = y._block(kpos, epos), y._block(kpos, kpos)
-    inv = None
+    base = 0
+    for r in at:
+        lo, hi = max(part.start, base), min(part.stop, base + r.stop - r.start)
+        if lo < hi:
+            yield slice(lo - part.start, hi - part.start), slice(r.start + lo - base,
+                                                                 r.start + hi - base)
+        base += r.stop - r.start
+
+
+def _symmetrize(s: np.ndarray, at: list[slice]) -> None:
+    """S <- (S + S^T) / 2 in place, a stripe of rows at a time, for S at rows and columns ``at``.
+
+    Every entry becomes (s_ij + s_ji) / 2, whichever stripe computes it.
+    """
+    for i, a in enumerate(at):
+        for r0 in range(a.start, a.stop, _STRIPE):
+            r = slice(r0, min(r0 + _STRIPE, a.stop))
+            for c in (slice(r0, a.stop), *at[i + 1:]):
+                stripe = s[r, c]  # its diagonal block overlaps the transpose: NumPy copies
+                stripe += s[c, r].T
+                stripe *= 0.5
+                s[c, r] = stripe.T
+
+
+def _schur(y: AdmittanceMatrix, kpos, y_ke, w: np.ndarray, what: str, out=None, at=None):
+    """S = Y_kk - Y_ke W, for W = Y_ee^{-1} Y_ek handed in as a C-contiguous array.
+
+    ``Y_kk`` is sliced from ``y`` at positions ``kpos``.  S is a SciPy CSR
+    matrix when W is large and sparse.  Otherwise S is dense and is written
+    into ``out`` (by default a new k x k array), index i of S at the i-th
+    position of the slices ``at``, a stripe of ``_STRIPE`` rows at a time,
+    and ``out`` is returned.  Either way S is symmetrized exactly, since LU
+    roundoff breaks its symmetry, and one that overflows raises
+    :class:`NumericalError`.
+    """
+    k = len(kpos)
     with np.errstate(all="ignore"):  # an overflow is refused just after it happens
-        if inverse:
-            inv = _finite(cert.solve(np.eye(len(epos), dtype=np.complex128)),
-                          f"{what}: the inverse")
-            w = (y_ke @ inv).T
-        else:
-            w = cert.solve(y._block(epos, kpos))
-        _finite(w, f"{what}: W = Y_ee^-1 Y_ek")
         if _prefers_sparse(w.shape, np.count_nonzero(w)):
             from scipy.sparse import csr_matrix as csr
 
-            s = csr(y_kk) - csr(y_ke) @ csr(w)
+            s = csr(y._block(kpos, kpos)) - csr(y_ke) @ csr(w)
             s = (s + s.T) * 0.5
             s.eliminate_zeros()  # a halved subnormal
             s.sort_indices()
             _finite(s.data, f"{what}: the Schur complement")
-        else:
-            s = _dense(y_kk)
-            s -= y_ke @ w
-            _symmetrize(s)
-            _finite(s, f"{what}: the Schur complement")
-    return inv, w, s
+            return s
+        if out is None:
+            out, at = np.empty((k, k), dtype=np.complex128), [slice(0, k)]
+        for v in _stripes(k):
+            stripe = _dense(y._block(kpos[v], kpos))
+            stripe -= y_ke[v] @ w
+            for sv, rows in _placed(at, v):
+                for cv, cols in _placed(at, slice(0, k)):
+                    out[rows, cols] = stripe[sv, cv]
+        _symmetrize(out, at)
+        for a in at:
+            for b in at:
+                _finite(out[a, b], f"{what}: the Schur complement")
+    return out
 
 
 def _reduce(y: AdmittanceMatrix, epos: np.ndarray, kpos: np.ndarray) -> ReductionResult:
-    """Eliminate rows/columns ``epos`` of ``y``, keeping ``kpos`` in that order."""
-    _, w, s = _schur(y, epos, kpos, "elimination block", NotReducibleError)
+    """Eliminate rows/columns ``epos`` of ``y``, keeping ``kpos`` in that order.
+
+    W = Y_ee^{-1} Y_ek is the certificate's solve of Y_ek in whatever form
+    it comes, so a zero column of Y_ek gives an exactly +0.0 column of W.
+    """
+    what = "elimination block"
+    cert = _certified(y, epos, what, NotReducibleError)
+    with np.errstate(all="ignore"):  # an overflow is refused just after it happens
+        # LAPACK solves into Fortran order; a sparse Y_ke @ W would copy it per stripe
+        w = _finite(np.ascontiguousarray(cert.solve(y._block(epos, kpos))),
+                    f"{what}: W = Y_ee^-1 Y_ek")
+    s = _schur(y, kpos, y._block(kpos, epos), w, what)
     order = y.node_order
     kept = tuple(order[i] for i in kpos)
     if isinstance(s, np.ndarray):
@@ -265,19 +301,42 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
     which is -(H_pq)^T.  One factorization of Y_pp forms H_pp, the
     deliverable of block (p, p); the current-gain blocks are then its
     product with the sparse Y_qp, not a solve per column of Y_pk.
+
+    H is the one N x N array.  Its blocks are written into it a stripe of
+    rows at a time, and W, which S needs C-contiguous, is kept packed in
+    the memory of the rows of class p until -W takes its place there.
     """
     part = view.partition
     n = part.node_count
     sp = part.span(p)
-    others = np.r_[0:sp.start, sp.stop:n]
-    h_pp, w, s = _schur(view.source, view.positions[sp], view.positions[others],
-                        f"block ({p},{p})", NotSolvableError, inverse=True)
-
-    h = np.empty((n, n), dtype=np.complex128)
+    y, epos, kpos = view.source, view.positions[sp], np.delete(view.positions, sp)
+    e, k = len(epos), len(kpos)
+    at = [r for r in (slice(0, sp.start), slice(sp.stop, n)) if r.start < r.stop]
+    what = f"block ({p},{p})"
+    cert = _certified(y, epos, what, NotSolvableError)
+    y_ke = y._block(kpos, epos)
+    with np.errstate(all="ignore"):  # an overflow is refused just after it happens
+        h_pp = _finite(cert.solve(np.eye(e, dtype=np.complex128)), f"{what}: the inverse")
+        h = np.empty((n, n), dtype=np.complex128)
+        w = h[sp].reshape(-1)[:e * k].reshape(e, k)
+        for v in _stripes(k):
+            g = _finite(y_ke[v] @ h_pp, f"{what}: W = Y_ee^-1 Y_ek")  # rows of W^T = Y_kp H_pp
+            for gv, rows in _placed(at, v):
+                h[rows, sp] = g[gv]
+            w[:, v] = g.T
+    s = _schur(y, kpos, y_ke, w, what, h, at)
+    if s is not h:  # a sparse S
+        others = np.r_[0:sp.start, sp.stop:n]
+        h[np.ix_(others, others)] = 0
+        s = s.tocoo()
+        h[others[s.row], others[s.col]] = s.data
+    # -W into block row p, last stripe first: row i moves from offset i*k of
+    # the rows to i*n or later, so it never lands on a row not yet moved
+    for r in reversed(_stripes(e)):
+        neg = -w[r]
+        for wv, cols in _placed(at, slice(0, k)):
+            h[sp.start + r.start:sp.start + r.stop, cols] = neg[:, wv]
     h[sp, sp] = h_pp
-    h[sp, others] = -w
-    h[others, sp] = w.T
-    h[np.ix_(others, others)] = _dense(s)
     h.flags.writeable = False
     roles = {
         (q, k): (ROLE_IMPEDANCE if k == p else ROLE_VOLTAGE_GAIN) if q == p

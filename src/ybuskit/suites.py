@@ -31,6 +31,8 @@ RESIDUAL_RTOL = 1e-10
 IDENTITY_RTOL = 1e-12
 
 SUITE_NAMES = ("theorem1", "theorem2", "kron", "hybrid", "lemma2")
+#: Child seeds drawn at a time, so memory does not grow with the sample count.
+_SEED_CHUNK = 1000
 
 
 @dataclass(frozen=True)
@@ -265,6 +267,17 @@ _SUITES = {
 }
 
 
+def _child_seeds(seed: int, count: int):
+    """The ``count`` child seeds of ``seed``, drawn ``_SEED_CHUNK`` at a time.
+
+    Successive draws continue one stream, so the seeds are those of a
+    single draw of ``count``, without holding them all at once.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, _SEED_CHUNK):
+        yield from rng.integers(0, 2**63 - 1, size=min(_SEED_CHUNK, count - start)).tolist()
+
+
 def run_suite(name: str, samples: int, seed: int) -> SuiteOutcome:
     """Run ``samples`` samples of one suite (theorem1: twice that), each from a child seed."""
     if name not in _SUITES:
@@ -277,10 +290,9 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteOutcome:
     if per * samples > np.iinfo(np.intp).max // 8:  # past the int64 arrays NumPy can hold
         raise StructuralError(f"{samples} samples are too many for a NumPy array of child seeds")
     t0 = time.perf_counter()
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=per * samples)
     checks = 0
     failures: list[str] = []
-    for i, child in enumerate(seeds.tolist()):
+    for i, child in enumerate(_child_seeds(seed, per * samples)):
         for failed, message in sample(i, child, samples):
             checks += 1
             if failed:

@@ -17,14 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError, SizeLimitError, StructuralError
-from .linalg_core import _finite, _frozen, as_cmatrix
+from .linalg_core import _STRIPE, _finite, _frozen, as_cmatrix
 from .network_model import DEFAULT_ZERO_TOL, Network, _zero_admittances, shunt_totals
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
 SYMMETRY_RTOL = 1e-14
-#: Rows per block of the symmetry check and of the Schur complement's
-#: symmetrization, which never hold more than this many rows of temporaries.
-_SYMMETRY_ROWS = 64
 #: Largest node count stamped into a matrix, whose dense view of 16384²
 #: complex entries takes 4 GiB.
 MAX_DENSE_ORDER = 16384
@@ -58,8 +55,9 @@ class AdmittanceMatrix:
     ``matrix`` given to the constructor must be square, finite and complex
     symmetric (plain transpose) to within ``SYMMETRY_RTOL`` of its largest
     entry, and is kept as the dense view (adopted when read-only, else
-    copied); otherwise ``matrix``, the read-only dense view, is built on
-    first access.  Compressed rows come only from the package itself (the
+    copied); with no zero entry, ``data`` is that view's own memory.
+    Otherwise ``matrix``, the read-only dense view, is built on first
+    access.  Compressed rows come only from the package itself (the
     stamp and the sparse Schur complement), which makes them finite and
     exactly symmetric.
     """
@@ -103,8 +101,12 @@ class AdmittanceMatrix:
                         f"matrix is not complex symmetric: max|Y - Y^T| = {asym:.3e} "
                         f"exceeds {SYMMETRY_RTOL:.0e} * max|Y| = {SYMMETRY_RTOL * scale:.3e}"
                     )
-            rows, indices = np.nonzero(m)
-            csr = np.searchsorted(rows, np.arange(m.shape[0] + 1)), indices, m[rows, indices]
+            n = m.shape[0]
+            if m.size and np.count_nonzero(m) == m.size:  # every entry stored: data is m itself
+                csr = np.arange(0, m.size + 1, n), np.tile(np.arange(n), n), m.reshape(-1)
+            else:
+                rows, indices = np.nonzero(m)
+                csr = np.searchsorted(rows, np.arange(n + 1)), indices, m[rows, indices]
             self.__dict__["matrix"] = m
         object.__setattr__(self, "node_order", order)
         for name, a in zip(("indptr", "indices", "data"), csr):
@@ -167,10 +169,10 @@ def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
     is its maximum everywhere.
     """
     scale = asym = 0.0
-    for r0 in range(0, m.shape[0], _SYMMETRY_ROWS):
-        rows = m[r0:r0 + _SYMMETRY_ROWS]
+    for r0 in range(0, m.shape[0], _STRIPE):
+        rows = m[r0:r0 + _STRIPE]
         scale = max(scale, float(np.abs(rows).max()))
-        asym = max(asym, float(np.abs(rows[:, r0:] - m[r0:, r0:r0 + _SYMMETRY_ROWS].T).max()))
+        asym = max(asym, float(np.abs(rows[:, r0:] - m[r0:, r0:r0 + _STRIPE].T).max()))
     return scale, asym
 
 

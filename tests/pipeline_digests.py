@@ -10,11 +10,12 @@ Pipelines: ``randgen`` at N = 12, 60 and 150 (dense blocks only) and
 N = 300 and 700 (the sparse branches), each under all three phase
 policies, then ``ybus``, ``rank`` direct and ``--method both`` on the
 network and on the matrix, ``kron --eliminate`` and ``--retain``, a staged
-second ``kron``, ``hybrid --partition`` and ``--class``; last, ``verify
---suite all --samples 20``.  Run it on two trees and ``diff`` the outputs:
-equal lines mean equal stdout and equal files.  Paths are relative, so
-the digests do not depend on the temporary directory.  This is a script,
-not a test module; pytest does not collect it.
+second ``kron``, ``hybrid --partition`` solving a middle and then the last
+of three classes, and ``hybrid --class``; last, ``verify --suite all
+--samples 20``.  Run it on two trees and ``diff`` the outputs: equal lines
+mean equal stdout and equal files.  Paths are relative, so the digests do
+not depend on the temporary directory.  This is a script, not a test
+module; pytest does not collect it.
 """
 
 import contextlib
@@ -71,8 +72,9 @@ def _pipeline(main, n: int, density: float, shunts: float, policy: str) -> None:
     kept = [v for v in range(n) if v % 7]
     step(["kron", "k1.json", "k3.json", "--eliminate", _labels(kept[1::4])],
          "k3.json", "k3.recovery.json")
-    step(["hybrid", "y.json", "h1.json", "--partition", _labels(k % 3 for k in range(n)),
-          "--solve-class", "1"], "h1.json")
+    thirds = _labels(k % 3 for k in range(n))
+    step(["hybrid", "y.json", "h1.json", "--partition", thirds, "--solve-class", "1"], "h1.json")
+    step(["hybrid", "y.json", "h3.json", "--partition", thirds, "--solve-class", "2"], "h3.json")
     step(["hybrid", "k1.json", "h2.json", "--class", _labels(kept[::2]),
           "--class", _labels(kept[1::2]), "--solve-class", "0"], "h2.json")
 

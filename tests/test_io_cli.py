@@ -679,6 +679,15 @@ class TestKronCommand:
         assert code == 2
         assert "precondition" in capsys.readouterr().err
 
+    def test_singular_block_names_its_node(self, tmp_path):
+        net, _ = counterexample_block_singular()
+        code, out, err = _run_cli(["kron", _net_file(tmp_path, net), str(tmp_path / "r.json"),
+                                   "--eliminate", "0"])
+        assert (code, out) == (2, "")
+        assert err == ("precondition not met: elimination block is exactly singular "
+                       "(zero pivot at index 0, node 0)\n")
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("recovery", [".", "missing/rec.json", "rec\0.json"])
     def test_failed_sidecar_write_leaves_no_output(self, tmp_path, recovery):
         npath = _net_file(tmp_path, PATH3)
@@ -818,6 +827,16 @@ class TestHybridCommand:
                      "--partition", "0,1", "--solve-class", "0"])
         assert code == 2
 
+    def test_singular_solve_block_names_its_node(self, tmp_path):
+        # node 0 is class 1 here, so the class and the node differ
+        net, _ = counterexample_block_singular()
+        code, out, err = _run_cli(["hybrid", _net_file(tmp_path, net), str(tmp_path / "h.json"),
+                                   "--partition", "1,0", "--solve-class", "1"])
+        assert (code, out) == (2, "")
+        assert err == ("precondition not met: block (1,1) is exactly singular "
+                       "(zero pivot at index 0, node 0)\n")
+        assert not (tmp_path / "h.json").exists()
+
 
 class TestOverflow:
     @pytest.mark.parametrize("doc, argv, stage", OVERFLOW_CASES)
@@ -924,6 +943,18 @@ class TestVerifyCommand:
     def test_check_counts_pinned(self):
         from ybuskit.suites import run_suite
         assert [run_suite(n, 50, 42).checks for n in SUITE_NAMES] == [200, 650, 146, 200, 100]
+
+    def test_child_seeds_drawn_in_chunks_are_the_one_shot_draw(self, monkeypatch):
+        from ybuskit import suites
+        count = 2 * suites._SEED_CHUNK + 1  # two chunk boundaries and a one-seed chunk
+        assert list(suites._child_seeds(5, count)) == \
+            np.random.default_rng(5).integers(0, 2**63 - 1, size=count).tolist()
+        seen = []
+        monkeypatch.setattr(suites, "_SEED_CHUNK", 3)
+        monkeypatch.setitem(suites._SUITES, "lemma2",
+                            (lambda i, child, samples: seen.append(child) or (), 1))
+        suites.run_suite("lemma2", 8, 42)
+        assert seen == np.random.default_rng(42).integers(0, 2**63 - 1, size=8).tolist()
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_every_tolerance_check_can_fail(self, name, monkeypatch):

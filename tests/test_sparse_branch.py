@@ -308,25 +308,97 @@ class TestGridNetworks:
         assert (admittance == admittance.T).all()
 
 
-def test_interior_kron_allocates_no_dense_matrix():
-    # a dense Y of 2000 nodes alone takes 64 MB
-    rng = np.random.default_rng(8)
-    net = grid_network(2000, rng)
-    interior = np.sort(rng.choice(2000, 200, replace=False)).tolist()
-    kron_reduce_nodes(assemble(net), interior)  # imports what the kernel imports
+def _traced_peak(fn):
+    """``fn()`` and the peak of memory traced while it ran, after a first call that imports."""
+    fn()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        res = kron_reduce_nodes(assemble(net), interior)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_interior_kron_allocates_no_dense_matrix():
+    # a dense Y of 2000 nodes alone takes 64 MB
+    rng = np.random.default_rng(8)
+    net = grid_network(2000, rng)
+    interior = np.sort(rng.choice(2000, 200, replace=False)).tolist()
+    res, peak = _traced_peak(lambda: kron_reduce_nodes(assemble(net), interior))
     assert res.reduced.size == 1800
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_hybrid_allocates_little_besides_h():
+    # H is the one N x N array; the inverse of a class block of N/3 nodes is H.nbytes / 9
+    rng = np.random.default_rng(9)
+    y = assemble(grid_network(2000, rng))
+    view = block_view(y, Partition.from_labels(rng.permutation(np.arange(2000) % 3).tolist()))
+    res, peak = _traced_peak(lambda: hybrid_parameters(view, 1))
+    assert peak <= 1.5 * res.h.nbytes, f"peak {peak / res.h.nbytes:.2f} x H"
+
+
+def test_port_kron_allocates_little_besides_w():
+    # S is W.nbytes / 4 here, and W is solved into place a block of columns at a time
+    rng = np.random.default_rng(10)
+    y = assemble(grid_network(2000, rng))
+    eliminate = np.setdiff1d(np.arange(2000), rng.choice(2000, 400, replace=False)).tolist()
+    res, peak = _traced_peak(lambda: kron_reduce_nodes(y, eliminate))
+    assert res.recovery.shape == (1600, 400)
+    assert peak <= 1.5 * res.recovery.nbytes, f"peak {peak / res.recovery.nbytes:.2f} x W"
+
+
+class TestHybridStructure:
+    """H's exact structure for the first, a middle and the last solved class of three.
+
+    At N = 60 every block is dense.  At N = 1200 the class blocks pass the
+    sparse rule (at N = 600 they would hold fewer than SPARSE_MIN_ORDER²
+    entries): Y_pp is factored by SuperLU, Y_kp is a CSR matrix, and H is
+    written in several stripes on either side of the solved class.  With
+    classes of 45%, 10% and 45% of the nodes, the scattered middle class
+    has a nearly diagonal inverse, so W and S pass the sparse rule too and
+    S is scattered into H.
+    """
+
+    @pytest.fixture(scope="class", params=[(60, 0.0), (1200, 0.0), (1200, 0.1)])
+    def case(self, request):
+        n, middle = request.param
+        rng = np.random.default_rng(n)
+        y = assemble(grid_network(n, rng))
+        if middle:
+            u = rng.uniform(size=n)
+            labels = np.where(u < (1 - middle) / 2, 0, np.where(u < (1 + middle) / 2, 1, 2))
+        else:
+            labels = rng.permutation(np.arange(n) % 3)
+        view = block_view(y, Partition.from_labels(labels.tolist()))
+        return view, reorder(y, view.node_order).matrix
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_blocks_and_whole_system_solve(self, case, p, monkeypatch):
+        view, m = case
+        n = m.shape[0]
+        calls = _sparse_calls(monkeypatch)
+        h = hybrid_parameters(view, p).h
+        sp = view.partition.span(p)
+        rest = np.r_[0:sp.start, sp.stop:n]
+        assert bool(calls) == (sp.stop - sp.start >= ybus.SPARSE_MIN_ORDER)
+        admittance = h[np.ix_(rest, rest)]
+        assert (admittance == admittance.T).all()
+        assert h[rest, sp].tobytes() == (-h[sp][:, rest].T).tobytes()
+        # Y V = I with I_p and V_rest given, solved whole for V_p and I_rest
+        u = np.random.default_rng(p).standard_normal((n, 4)) + 1j
+        a = np.zeros((n, n), dtype=complex)
+        a[:, sp] = m[:, sp]
+        a[rest, rest] = -1.0
+        rhs = -m[:, rest] @ u[rest]
+        rhs[sp] += u[sp]
+        want = solve_full(a, rhs)
+        assert np.linalg.norm(h @ u - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("policy", ["re_positive", "arbitrary", "pure_imaginary"])
@@ -367,6 +439,18 @@ class TestSingularBlocksAboveTheThreshold:
         path = str(tmp_path / "m.json")
         save_matrix(path, y)
         return y, path
+
+    def test_zero_pivot_names_the_node_of_its_column(self, tmp_path):
+        # labels 100.. make the block index (6), the matrix row (7) and the node differ
+        m = self._matrix(tmp_path, 0.0)[0].matrix
+        y = AdmittanceMatrix(m, tuple(range(100, 100 + self.N)))
+        what = "is exactly singular (zero pivot at index 6, node 107)"
+        with pytest.raises(NotReducibleError) as kron_exc:
+            kron_reduce_nodes(y, range(101, 100 + self.N))
+        with pytest.raises(NotSolvableError) as hybrid_exc:
+            hybrid_parameters(block_view(y, Partition.from_labels([0] + [1] * (self.N - 1))), 1)
+        assert str(kron_exc.value) == f"elimination block {what}"
+        assert str(hybrid_exc.value) == f"block (1,1) {what}"
 
     @pytest.mark.parametrize("tiny, what", [(0.0, "exactly singular (zero pivot at index"),
                                             (1e-300, "numerically singular (condition")])

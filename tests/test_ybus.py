@@ -162,7 +162,7 @@ class TestAdmittanceMatrixInvariants:
         # the check runs over blocks of rows and finds a pair in the block of
         # its smaller index: the first block for (0, N-1) and (N-1, 0), the
         # last, short block for the other two pairs
-        n = 2 * ybus._SYMMETRY_ROWS + 44
+        n = 2 * ybus._STRIPE + 44
         m = np.diag(np.full(n, 0.5 + 0j))
         m[5, 5] = 1.0  # max|Y| = 1, so the threshold is SYMMETRY_RTOL itself
         m[i, j] = SYMMETRY_RTOL
