@@ -27,8 +27,8 @@ TINY = float(np.finfo(np.float64).tiny)
 
 #: Rows or columns per stripe wherever a kernel works a block at a time: the
 #: symmetry check, the Schur complement and its symmetrization, and the
-#: SuperLU solve of a matrix, which never hold more than this many rows or
-#: columns of temporaries.
+#: solve of a matrix, which never hold more than this many rows or columns
+#: of temporaries.
 _STRIPE = 64
 #: SuperLU keeps a diagonal pivot that is at least this fraction of the
 #: largest entry in its column, which preserves the symmetric
@@ -68,7 +68,7 @@ def _stripes(n: int) -> list[slice]:
     rounds differently from the same row or column in a wider product or
     solve.  Stripes that start at multiples of ``_STRIPE`` and are never
     one wide give, with BLAS on one thread, the bits of the whole product
-    or SuperLU solve.  For n = 0 there is one empty stripe.
+    or solve, by LAPACK or by SuperLU.  For n = 0 there is one empty stripe.
     """
     cuts = list(range(0, max(n, 1), _STRIPE)) + [n]
     if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
@@ -147,8 +147,6 @@ class RankCertificate:
     failed_pivot: int | None
     _solve: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
-    #: Whether a matrix is solved a stripe of columns at a time, not in one call.
-    _striped: bool = field(default=False, repr=False, compare=False)
 
     def solve(self, b) -> np.ndarray:
         """A^{-1} B for the certified matrix A and a finite vector or matrix B.
@@ -156,9 +154,9 @@ class RankCertificate:
         B is array-like or SciPy sparse.  A vector goes straight to the
         factors.  A matrix is solved for its nonzero columns only, so every
         other column of the result is exactly +0.0, where a whole LAPACK
-        solve leaves zeros of either sign.  SuperLU factors solve them a
-        stripe of columns at a time into the result; LAPACK's ``getrs``
-        takes them in one call, as before.
+        solve leaves zeros of either sign.  LAPACK and SuperLU factors alike
+        solve them a stripe of columns at a time (:func:`_stripes`) into one
+        C-contiguous result.
         """
         if self._solve is None:
             raise _zero_pivot(self.failed_pivot)
@@ -167,11 +165,8 @@ class RankCertificate:
         if b.ndim != 2:
             return self._solve(b)  # a vector, or a shape the factors refuse
         cols = np.unique(b.indices[b.data != 0]) if sparse else np.flatnonzero(b.any(axis=0))
-        blocks = _stripes(cols.size) if self._striped else [slice(None)]
-        if cols.size == b.shape[1] and len(blocks) == 1:  # one call and no gathered copy
-            return self._solve(_dense(b))
         out = np.zeros(b.shape, dtype=np.complex128)
-        for block in blocks:  # with no nonzero column, one empty block checks B's shape
+        for block in _stripes(cols.size):  # no nonzero column: one empty stripe checks B's shape
             out[:, cols[block]] = self._solve(_dense(b[:, cols[block]]))
         return out
 
@@ -235,7 +230,7 @@ def _sparse_certificate(a) -> RankCertificate | None:
     if not np.isfinite(cond):
         cond = float("inf")
     return RankCertificate(cond < 1.0 / (n * EPS), cond, None,
-                           lambda b: lu.solve(_checked_rhs(b, n)), _striped=True)
+                           lambda b: lu.solve(_checked_rhs(b, n)))
 
 
 def full_rank_certificate(m) -> RankCertificate:

@@ -105,10 +105,12 @@ def _placed(at: list[slice], part: slice):
         base += r.stop - r.start
 
 
-def _symmetrize(s: np.ndarray, at: list[slice]) -> None:
+def _symmetrize(s: np.ndarray, at: list[slice], what: str) -> None:
     """S <- (S + S^T) / 2 in place, a stripe of rows at a time, for S at rows and columns ``at``.
 
-    Every entry becomes (s_ij + s_ji) / 2, whichever stripe computes it.
+    Every entry becomes (s_ij + s_ji) / 2, whichever stripe computes it,
+    and each stripe is checked finite as it is written, which covers every
+    entry; one that overflows raises :class:`NumericalError` naming ``what``.
     """
     for i, a in enumerate(at):
         for r0 in range(a.start, a.stop, _STRIPE):
@@ -117,32 +119,33 @@ def _symmetrize(s: np.ndarray, at: list[slice]) -> None:
                 stripe = s[r, c]  # its diagonal block overlaps the transpose: NumPy copies
                 stripe += s[c, r].T
                 stripe *= 0.5
-                s[c, r] = stripe.T
+                s[c, r] = _finite(stripe, what).T
 
 
 def _schur(y: AdmittanceMatrix, kpos, y_ke, w: np.ndarray, what: str, out=None, at=None):
     """S = Y_kk - Y_ke W, for W = Y_ee^{-1} Y_ek handed in as a C-contiguous array.
 
-    ``Y_kk`` is sliced from ``y`` at positions ``kpos``.  S is a SciPy CSR
-    matrix when W is large and sparse.  Otherwise S is dense and is written
-    into ``out`` (by default a new k x k array), index i of S at the i-th
-    position of the slices ``at``, a stripe of ``_STRIPE`` rows at a time,
-    and ``out`` is returned.  Either way S is symmetrized exactly, since LU
-    roundoff breaks its symmetry, and one that overflows raises
-    :class:`NumericalError`.
+    ``Y_kk`` is sliced from ``y`` at positions ``kpos``.  Given a
+    destination ``out``, as a hybrid's H is, S is dense and is written into
+    it, index i of S at the i-th position of the slices ``at``, a stripe of
+    ``_STRIPE`` rows at a time, and ``out`` is returned.  With none, as for
+    Kron, S is a SciPy CSR matrix when W is large and sparse, and otherwise
+    a new dense k x k array written the same way.  Either way S is
+    symmetrized exactly, since LU roundoff breaks its symmetry, and one
+    that overflows raises :class:`NumericalError`.
     """
     k = len(kpos)
     with np.errstate(all="ignore"):  # an overflow is refused just after it happens
-        if _prefers_sparse(w.shape, np.count_nonzero(w)):
-            from scipy.sparse import csr_matrix as csr
-
-            s = csr(y._block(kpos, kpos)) - csr(y_ke) @ csr(w)
-            s = (s + s.T) * 0.5
-            s.eliminate_zeros()  # a halved subnormal
-            s.sort_indices()
-            _finite(s.data, f"{what}: the Schur complement")
-            return s
         if out is None:
+            if _prefers_sparse(w.shape, np.count_nonzero(w)):
+                from scipy.sparse import csr_matrix as csr
+
+                s = csr(y._block(kpos, kpos)) - csr(y_ke) @ csr(w)
+                s = (s + s.T) * 0.5
+                s.eliminate_zeros()  # a halved subnormal
+                s.sort_indices()
+                _finite(s.data, f"{what}: the Schur complement")
+                return s
             out, at = np.empty((k, k), dtype=np.complex128), [slice(0, k)]
         for v in _stripes(k):
             stripe = _dense(y._block(kpos[v], kpos))
@@ -150,10 +153,7 @@ def _schur(y: AdmittanceMatrix, kpos, y_ke, w: np.ndarray, what: str, out=None, 
             for sv, rows in _placed(at, v):
                 for cv, cols in _placed(at, slice(0, k)):
                     out[rows, cols] = stripe[sv, cv]
-        _symmetrize(out, at)
-        for a in at:
-            for b in at:
-                _finite(out[a, b], f"{what}: the Schur complement")
+        _symmetrize(out, at, f"{what}: the Schur complement")
     return out
 
 
@@ -166,9 +166,7 @@ def _reduce(y: AdmittanceMatrix, epos: np.ndarray, kpos: np.ndarray) -> Reductio
     what = "elimination block"
     cert = _certified(y, epos, what, NotReducibleError)
     with np.errstate(all="ignore"):  # an overflow is refused just after it happens
-        # LAPACK solves into Fortran order; a sparse Y_ke @ W would copy it per stripe
-        w = _finite(np.ascontiguousarray(cert.solve(y._block(epos, kpos))),
-                    f"{what}: W = Y_ee^-1 Y_ek")
+        w = _finite(cert.solve(y._block(epos, kpos)), f"{what}: W = Y_ee^-1 Y_ek")
     s = _schur(y, kpos, y._block(kpos, epos), w, what)
     order = y.node_order
     kept = tuple(order[i] for i in kpos)
@@ -304,7 +302,8 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
 
     H is the one N x N array.  Its blocks are written into it a stripe of
     rows at a time, and W, which S needs C-contiguous, is kept packed in
-    the memory of the rows of class p until -W takes its place there.
+    the memory of the rows of class p until S is written; -W then takes its
+    place there, read from the current-gain blocks.
     """
     part = view.partition
     n = part.node_count
@@ -324,18 +323,11 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
             for gv, rows in _placed(at, v):
                 h[rows, sp] = g[gv]
             w[:, v] = g.T
-    s = _schur(y, kpos, y_ke, w, what, h, at)
-    if s is not h:  # a sparse S
-        others = np.r_[0:sp.start, sp.stop:n]
-        h[np.ix_(others, others)] = 0
-        s = s.tocoo()
-        h[others[s.row], others[s.col]] = s.data
-    # -W into block row p, last stripe first: row i moves from offset i*k of
-    # the rows to i*n or later, so it never lands on a row not yet moved
-    for r in reversed(_stripes(e)):
-        neg = -w[r]
-        for wv, cols in _placed(at, slice(0, k)):
-            h[sp.start + r.start:sp.start + r.stop, cols] = neg[:, wv]
+    _schur(y, kpos, y_ke, w, what, h, at)
+    for r0 in range(sp.start, sp.stop, _STRIPE):  # -W = -(current gain)^T, over the packed W
+        r = slice(r0, min(r0 + _STRIPE, sp.stop))
+        for a in at:
+            h[r, a] = -h[a, r].T
     h[sp, sp] = h_pp
     h.flags.writeable = False
     roles = {

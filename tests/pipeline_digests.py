@@ -4,9 +4,13 @@ Usage: ``python tests/pipeline_digests.py [SRC]``
 
 Imports ``ybuskit`` from SRC (default: the ``src`` directory of this
 checkout) and runs ``ybuskit.cli.main`` in a temporary directory, one
-subdirectory per pipeline.  Every command prints one line with its exit
-code and the digest of its stdout, then one line per file it writes.
-Pipelines: ``randgen`` at N = 12, 60 and 150 (dense blocks only) and
+subdirectory per pipeline.  Kron and hybrid results, and some singular
+gaps, change in their last bits with the BLAS thread count, so the
+script sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 unless they are already set, before NumPy loads,
+and prints their values as its first line.  Every command prints one
+line with its exit code and the digest of its stdout, then one line per
+file it writes.  Pipelines: ``randgen`` at N = 12, 60 and 150 (dense blocks only) and
 N = 300 and 700 (the sparse branches), each under all three phase
 policies, then ``ybus``, ``rank`` direct and ``--method both`` on the
 network and on the matrix, ``kron --eliminate`` and ``--retain``, a staged
@@ -31,6 +35,7 @@ from pathlib import Path
 SIZES = ((12, 0.2, 0.3), (60, 0.1, 0.2), (150, 0.03, 0.1),
          (300, 2 * 300 / (300 * 299 // 2 - 299), 0.05), (700, 0.004, 0.05))
 POLICIES = ("re_positive", "arbitrary", "pure_imaginary")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _digest(data: bytes) -> str:
@@ -80,6 +85,9 @@ def _pipeline(main, n: int, density: float, shunts: float, policy: str) -> None:
 
 
 def main(argv: list[str]) -> int:
+    for var in THREAD_VARS:
+        os.environ.setdefault(var, "1")
+    print(" ".join(f"{var}={os.environ[var]}" for var in THREAD_VARS))
     src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
     from ybuskit.cli import main as cli_main

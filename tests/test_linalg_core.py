@@ -178,6 +178,22 @@ class TestLuSolve:
         zero = x[:, [0, 2, 4]]
         assert not zero.any() and not np.signbit([zero.real, zero.imag]).any()
 
+    @pytest.mark.parametrize("n", [65, 299])
+    @pytest.mark.parametrize("width", [2, 63, 64, 65, 129, 300])
+    @pytest.mark.parametrize("zero_columns", [False, True])
+    def test_wide_dense_solve_is_one_lapack_solve_in_c_order(self, n, width, zero_columns):
+        # solved a stripe of columns at a time, with the bits of one whole getrs
+        rng = np.random.default_rng(n * width)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+        if zero_columns:
+            b[:, ::3] = 0
+        nonzero = np.flatnonzero(b.any(axis=0))
+        want = np.zeros_like(b)
+        want[:, nonzero] = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b[:, nonzero])
+        x = full_rank_certificate(a).solve(b)
+        assert x.flags.c_contiguous and x.tobytes() == want.tobytes()
+
     def test_list_of_lists_rhs_solves(self):
         x = full_rank_certificate([[2.0, 0.0], [1.0, 4.0]]).solve([[2, 0], [5, 0]])
         np.testing.assert_array_equal(x, [[1, 0], [1, 0]])

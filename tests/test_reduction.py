@@ -111,6 +111,12 @@ class TestKronReduce:
         y = AdmittanceMatrix(np.array([[1, 1e200], [1e200, 1]], dtype=complex), (0, 1))
         with pytest.raises(NumericalError, match="elimination block: the Schur complement"):
             kron_reduce_nodes(y, [0])
+        # a hybrid's S lies in H on both sides of the solved middle class
+        y = AdmittanceMatrix(np.array([[1, 1e200, 0], [1e200, 1, 1e200], [0, 1e200, 1]],
+                                      dtype=complex), (0, 1, 2))
+        view = block_view(y, Partition.from_labels([0, 1, 2]))
+        with pytest.raises(NumericalError, match=r"block \(1,1\): the Schur complement"):
+            hybrid_parameters(view, 1)
 
     def test_class_route_matches_node_route(self):
         net = _random_net(seed=11, n_lo=8, n_hi=8)

@@ -361,8 +361,8 @@ class TestHybridStructure:
     entries): Y_pp is factored by SuperLU, Y_kp is a CSR matrix, and H is
     written in several stripes on either side of the solved class.  With
     classes of 45%, 10% and 45% of the nodes, the scattered middle class
-    has a nearly diagonal inverse, so W and S pass the sparse rule too and
-    S is scattered into H.
+    has a nearly diagonal inverse, so W passes the sparse rule too; S is
+    still written into H as dense stripes, as it is for every hybrid.
     """
 
     @pytest.fixture(scope="class", params=[(60, 0.0), (1200, 0.0), (1200, 0.1)])
