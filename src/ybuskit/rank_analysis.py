@@ -5,15 +5,19 @@ has rank N-1 when every node's shunt total is zero and full rank N as soon
 as one shunt is present.  :func:`rank_verdicts` measures that rank for a
 network or a bare matrix, by one or both of two routes:
 
-* "direct" measures the numerical rank of the assembled matrix.
-* "virtual_ground" rebuilds the shunted network over a virtual ground
-  node, turning every shunt into a branch.  The augmented shuntless
-  network must then exhibit rank (N+1)-1 = N, and its assembled matrix
-  must equal the block form ``[[Y, -t], [-t^T, sum(t)]]`` built from the
-  original matrix and its shunt vector ``t``.  Grounding the virtual node
-  of that matrix gives back Y, so this route is the direct one plus the
-  block-form match, not an independent check.  The augmentation and the
-  block form are private to this module.
+* "direct" measures the numerical rank of the assembled matrix Y.
+* "virtual_ground" predicts rank N through the virtual-ground
+  construction.  The bordered matrix ``B = [[Y, -t], [-t^T, sum(t)]]``,
+  with ``t`` the shunt vector, is ``L^T Y L`` for ``L = [I, -1]`` of full
+  row rank, so rank(B) = rank(Y) exactly and this route reuses the direct
+  measurement.  For a network it adds a check of its own: the network
+  rebuilt over a virtual ground node, every shunt turned into a branch, is
+  stamped on its own and must equal B entrywise, compared on compressed
+  rows in O(nnz).  The augmentation and the comparison are private to
+  this module.
+
+Every call measures the rank once, with one SVD of Y, whichever methods
+it is asked for.
 
 ``verify_rank``, ``verify_rank_via_augmentation`` and
 ``verify_matrix_rank`` are the one-method forms of :func:`rank_verdicts`.
@@ -51,9 +55,12 @@ class RankVerdict:
 
     ``singular_gap`` is sigma_rank / sigma_(rank+1), the separation between
     the accepted and the first rejected singular value (inf at full rank).
-    For the virtual-ground method, ``block_form_max_rel_error`` records how
-    closely the augmented assembly matched the expected block form, and
-    ``agrees`` additionally requires that match.
+    Both methods report the one measurement of Y, so they share
+    ``measured_rank`` and ``singular_gap``.  For the virtual-ground method
+    on a network, ``block_form_max_rel_error`` records how closely the
+    augmented assembly matched the bordered block form of Y, and ``agrees``
+    additionally requires that match; a bare matrix has no augmented
+    network to compare, and the field is None.
     """
 
     predicted_rank: int
@@ -102,29 +109,13 @@ def _augment_virtual_ground(net: Network) -> Network:
     return Network(node_count=ground + 1, branches=net.branches + grounded, shunts=())
 
 
-def _block_form_matrix(matrix: np.ndarray, shunts: np.ndarray) -> np.ndarray:
-    """The (N+1)-square block matrix ``[[Y, -t], [-t^T, sum(t)]]``.
-
-    This is the matrix the virtual-ground construction must reproduce,
-    with ``t`` the per-node shunt vector and the corner the total shunt
-    admittance.
-    """
-    n = matrix.shape[0]
-    out = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    out[:n, :n] = matrix
-    out[:n, n] = -shunts
-    out[n, :n] = -shunts
-    out[n, n] = shunts.sum()
-    return out
-
-
 def verify_rank_via_augmentation(net: Network) -> RankVerdict:
     """Verify full rank through the virtual-ground construction.
 
-    Asserts numerically that the augmented shuntless network has rank
-    (N+1)-1 = N, and that its assembled matrix equals the expected block
-    form entrywise to ``EQ_BLOCK_RTOL`` relative.  ``agrees`` requires
-    both.
+    Predicts rank N and measures Y, whose rank the augmented shuntless
+    network's matrix shares exactly if it is the block form of Y; that it
+    is, entrywise to ``EQ_BLOCK_RTOL`` relative, is checked on the stamped
+    augmented matrix.  ``agrees`` requires both.
     """
     return _rank_verdicts(net, ("virtual_ground",))[0]
 
@@ -137,11 +128,22 @@ def _pattern_connected(y: AdmittanceMatrix) -> bool:
                                                   y.indices[upper].tolist())))
 
 
-def _block_form_error(augmented: np.ndarray, y: np.ndarray, shunts: np.ndarray) -> float:
-    """Largest entrywise distance of ``augmented`` from the block form of ``y``, relative."""
-    expected = _block_form_matrix(y, shunts)
+def _block_form_error(augmented: AdmittanceMatrix, y: AdmittanceMatrix, t: np.ndarray) -> float:
+    """Largest entrywise distance of ``augmented`` from ``[[Y, -t], [-t^T, sum(t)]]``, relative.
+
+    Compared on the union of the positions either side stores, in O(nnz).
+    """
+    n = y.size
+    k = np.arange(n)
+    m = y.data.size + 2 * n + 1  # the block form's entries come first
+    keys = np.concatenate([y._rows() * (n + 1) + y.indices, k * (n + 1) + n, n * (n + 1) + k,
+                           [n * (n + 2)], augmented._rows() * (n + 1) + augmented.indices])
+    union, where = np.unique(keys, return_inverse=True)
+    expected, got = np.zeros((2, union.size), dtype=np.complex128)
+    expected[where[:m]] = np.concatenate([y.data, -t, -t, [t.sum()]])
+    got[where[m:]] = augmented.data
     scale = max(float(np.abs(expected).max()), TINY)
-    return float(np.abs(augmented - expected).max()) / scale
+    return float(np.abs(got - expected).max()) / scale
 
 
 def _norm(a: np.ndarray, e: int) -> float:
@@ -155,8 +157,8 @@ def rank_verdicts(source: Network | AdmittanceMatrix, methods) -> list[RankVerdi
     ``methods`` holds "direct" and/or "virtual_ground", as measured by
     :func:`verify_rank`, :func:`verify_rank_via_augmentation` and
     :func:`verify_matrix_rank`.  The input is prepared once for all of
-    them (preconditions checked, Y stamped, shunts counted), and every
-    precondition is checked before any rank is measured.
+    them (preconditions checked, Y stamped, shunts counted, Y's rank
+    measured), and every precondition is checked before the rank is.
     """
     return _rank_verdicts(source, methods)
 
@@ -187,33 +189,29 @@ def _rank_verdicts(source, methods) -> list[RankVerdict]:
         if not report.hypothesis1_ok:
             raise PreconditionError("rank prediction requires nonzero branch admittances; "
                                     + "; ".join(report.messages))
-        shunt_count = int(np.count_nonzero(np.abs(shunt_totals(net)) > DEFAULT_ZERO_TOL))
+        t = shunt_totals(net)
+        shunt_count = int(np.count_nonzero(np.abs(t) > DEFAULT_ZERO_TOL))
         shuntless = shunt_count == 0
     if shuntless and "virtual_ground" in methods:
         raise PreconditionError("virtual-ground verification needs at least one nonzero shunt")
 
-    y = source.matrix if net is None else assemble(net).matrix
-    n = y.shape[0]
+    y = source if net is None else assemble(net)
+    rr = numerical_rank(y.matrix)
+    predicted = y.size - 1 if shuntless else y.size  # virtual_ground was refused if shuntless
+    block_err = None
+    if net is not None and "virtual_ground" in methods:  # the augmented network, stamped apart
+        block_err = _block_form_error(assemble(_augment_virtual_ground(net)), y, t)
     verdicts = []
     for method in methods:
-        predicted, measured, block_err = n, y, None
-        if method == "direct":
-            predicted = n - 1 if shuntless else n
-        elif net is None:
-            measured = _block_form_matrix(y, t)
-        else:
-            # the augmented network is assembled on its own and checked against the block form
-            measured = assemble(_augment_virtual_ground(net)).matrix
-            block_err = _block_form_error(measured, y, shunt_totals(net))
-        rr = numerical_rank(measured)
+        err = block_err if method == "virtual_ground" else None
         verdicts.append(RankVerdict(
             predicted_rank=predicted,
             measured_rank=rr.rank,
-            agrees=rr.rank == predicted and (block_err is None or block_err <= EQ_BLOCK_RTOL),
+            agrees=rr.rank == predicted and (err is None or err <= EQ_BLOCK_RTOL),
             shunt_count=shunt_count,
             method=method,
             singular_gap=_gap(rr.singular_values, rr.rank),
-            block_form_max_rel_error=block_err,
+            block_form_max_rel_error=err,
         ))
     return verdicts
 

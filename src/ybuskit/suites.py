@@ -93,7 +93,7 @@ def _theorem1(i: int, seed: int, samples: int):
     yield (not direct.agrees or direct.predicted_rank != net.node_count,
            f"shunted sample {i} (seed {seed}): predicted {direct.predicted_rank}, "
            f"measured {direct.measured_rank}")
-    yield (not aug.agrees or aug.measured_rank != direct.measured_rank,
+    yield (not aug.agrees,
            f"shunted sample {i} (seed {seed}): virtual-ground disagrees "
            f"(measured {aug.measured_rank}, block error {aug.block_form_max_rel_error:.3e})")
 

@@ -7,8 +7,8 @@ instead of Schur complements, the incidence triple product instead of
 direct stamping, and an explicit grounded-equivalent network instead of a
 slice of the assembled matrix.  The element-by-element generator and
 stamping loops that the package's array code replaced are kept here too,
-as the bit-for-bit reference for it, and so are the dense N x N stamp and
-permuted copy that compressed-row storage replaced.  Values produced by these oracles are
+as the bit-for-bit reference for it, and so are the dense N x N stamp,
+permuted copy and bordered block form that compressed-row storage replaced.  Values produced by these oracles are
 what the tests compare the library against.  ``counterexample_block_singular``
 is the one fixed instance kept here: the network that shows why Theorem 2
 needs positive branch real parts.
@@ -33,6 +33,7 @@ from ybuskit import (
     shunt_totals,
 )
 from ybuskit.generator import _tree_from_prufer
+from ybuskit.linalg_core import TINY
 
 
 class QC:
@@ -390,6 +391,33 @@ def dense_stamp(net, zero_tol: float) -> np.ndarray:
         np.add.at(y.reshape(-1), flat, np.column_stack((adm, adm, -adm, -adm)).ravel())
         y[np.diag_indices(n)] += shunt_totals(net)
     return y
+
+
+def block_form_matrix(matrix: np.ndarray, shunts: np.ndarray) -> np.ndarray:
+    """The (N+1)-square block matrix ``[[Y, -t], [-t^T, sum(t)]]``.
+
+    This is the matrix the virtual-ground construction must reproduce,
+    with ``t`` the per-node shunt vector and the corner the total shunt
+    admittance.
+    """
+    n = matrix.shape[0]
+    out = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    out[:n, :n] = matrix
+    out[:n, n] = -shunts
+    out[n, :n] = -shunts
+    out[n, n] = shunts.sum()
+    return out
+
+
+def block_form_error(augmented: np.ndarray, y: np.ndarray, shunts: np.ndarray) -> float:
+    """Largest entrywise distance of dense ``augmented`` from the block form of ``y``, relative.
+
+    The dense computation the compressed-row comparison replaced, and its
+    bit-for-bit reference.
+    """
+    expected = block_form_matrix(y, shunts)
+    scale = max(float(np.abs(expected).max()), TINY)
+    return float(np.abs(augmented - expected).max()) / scale
 
 
 def reorder(y, perm) -> AdmittanceMatrix:

@@ -4,8 +4,8 @@ Usage: ``python tests/pipeline_digests.py [SRC]``
 
 Imports ``ybuskit`` from SRC (default: the ``src`` directory of this
 checkout) and runs ``ybuskit.cli.main`` in a temporary directory, one
-subdirectory per pipeline.  Kron and hybrid results, and some singular
-gaps, change in their last bits with the BLAS thread count, so the
+subdirectory per pipeline.  Kron and hybrid results change in their
+last bits with the BLAS thread count (``rank`` stdout does not), so the
 script sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1 unless they are already set, before NumPy loads,
 and prints their values as its first line.  Every command prints one

@@ -134,7 +134,7 @@ OVERFLOW_CASES = [
     (OVERFLOWING_SVD, ["rank", "{src}"], "a singular value of the 2x2 matrix"),
     (OVERFLOWING_BRANCH, ["rank", "{src}"], "a singular value of the 2x2 matrix"),
     (OVERFLOWING_SHUNT, ["rank", "{src}", "--method", "virtual-ground"],
-     "a singular value of the 3x3 matrix"),
+     "a singular value of the 2x2 matrix"),
 ]
 
 #: Text for a command-line flag: anything short, and numerals of every sign and size.
@@ -617,6 +617,22 @@ class TestRankCommand:
         assert main(["rank", mpath, "--method", "both"]) == 0
         assert capsys.readouterr().out.count("agrees") == 2
         assert len(pattern_checks) == 1
+
+    def test_both_methods_stdout_independent_of_blas_threads(self, tmp_path):
+        npath = str(tmp_path / "net.json")
+        assert _run_cli(["randgen", npath, "--nodes", "150", "--density", "0.03",
+                         "--shunt-prob", "0.1", "--min-shunts", "1", "--seed", "150"])[0] == 0
+        outs = []
+        for threads in ("1", "2"):
+            env = _child_env()
+            env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS"), threads))
+            proc = subprocess.run([sys.executable, "-m", "ybuskit", "rank", npath, "--method", "both"],
+                                  capture_output=True, text=True, check=False, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0].count("agrees") == 2
+        assert outs[0] == outs[1]
 
     def test_stdout_reproducible(self, tmp_path, capsys):
         npath = _net_file(tmp_path, generate(GenSpec(node_range=(12, 12),

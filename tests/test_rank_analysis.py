@@ -5,28 +5,39 @@ Gaussian elimination over rational complex numbers (tests/oracles.py) on
 networks with dyadic admittances, where float assembly is exact.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ybuskit import (
     AdmittanceMatrix,
     Branch,
+    GenSpec,
     Network,
     PreconditionError,
     RankVerdict,
     Shunt,
     assemble,
+    generate,
     rank_verdicts,
     shunt_totals,
     verify_matrix_rank,
     verify_rank,
     verify_rank_via_augmentation,
 )
-from ybuskit import ybus
-from ybuskit.rank_analysis import _augment_virtual_ground, _block_form_matrix
+from ybuskit import rank_analysis, ybus
+from ybuskit.rank_analysis import _augment_virtual_ground, _block_form_error
 from ybuskit.suites import run_suite
 
-from oracles import exact_assemble, exact_rank, random_rational_network
+from oracles import (
+    block_form_error,
+    block_form_matrix,
+    exact_assemble,
+    exact_rank,
+    grid_network,
+    random_rational_network,
+)
 
 
 def path(n, y=1.0):
@@ -182,7 +193,7 @@ class TestAugmentVirtualGround:
 def test_block_form_matrix_layout():
     y = np.array([[2.0, -1.0], [-1.0, 1.5]], dtype=complex)
     t = np.array([1j, 0.5], dtype=complex)
-    out = _block_form_matrix(y, t)
+    out = block_form_matrix(y, t)
     want = np.array(
         [[2.0, -1.0, -1j],
          [-1.0, 1.5, -0.5],
@@ -218,7 +229,7 @@ class TestVerifyViaAugmentation:
             if not any(abs(s.admittance) > 0 for s in net.shunts):
                 continue
             lhs = assemble(_augment_virtual_ground(net)).matrix
-            rhs = _block_form_matrix(assemble(net).matrix, shunt_totals(net))
+            rhs = block_form_matrix(assemble(net).matrix, shunt_totals(net))
             np.testing.assert_array_equal(lhs, rhs)
 
     def test_shuntless_refused(self):
@@ -227,12 +238,93 @@ class TestVerifyViaAugmentation:
 
     def test_block_form_mismatch_breaks_agreement(self, monkeypatch):
         # the rank still matches, so only the block-form check can refuse
-        def skewed(matrix, shunts):
-            return 2.0 * _block_form_matrix(matrix, shunts)
-        monkeypatch.setattr("ybuskit.rank_analysis._block_form_matrix", skewed)
+        def skewed(net):  # grounded branches doubled
+            aug = _augment_virtual_ground(net)
+            return Network(aug.node_count, tuple(
+                Branch(b.from_node, b.to_node, 2.0 * b.admittance) if b.to_node == net.node_count
+                else b for b in aug.branches), ())
+        monkeypatch.setattr("ybuskit.rank_analysis._augment_virtual_ground", skewed)
         v = verify_rank_via_augmentation(with_shunts(path(3), Shunt(1, 1.0)))
         assert v.predicted_rank == v.measured_rank == 3
         assert v.block_form_max_rel_error > 1e-12 and not v.agrees
+
+
+def _compressed_and_dense_block_form_errors(net, aug):
+    y, a, t = assemble(net), assemble(aug), shunt_totals(net)
+    return _block_form_error(a, y, t), block_form_error(a.matrix, y.matrix, t)
+
+
+class TestBlockFormError:
+    """The O(nnz) comparison against the dense oracle, bit for bit."""
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(47)
+        nonzero = 0
+        for k in range(30):
+            net = generate(GenSpec(node_range=(2, 40), edge_density=0.2, shunt_probability=0.4,
+                                   phase_policy=("re_positive", "arbitrary")[k % 2],
+                                   seed=int(rng.integers(2**31)), min_shunts=1))
+            # several shunts on some nodes: the augmented diagonal adds them one at a time
+            extra = tuple(Shunt(int(v), complex(*rng.normal(size=2)))
+                          for v in rng.integers(0, net.node_count, 3))
+            net = with_shunts(net, *extra)
+            got, want = _compressed_and_dense_block_form_errors(net, _augment_virtual_ground(net))
+            assert got == want
+            nonzero += got > 0
+        assert nonzero > 0  # rounding differences, not only exact matches, were compared
+
+    def test_shunts_that_cancel_at_a_node(self):
+        # node 1's shunts sum to zero: its border entries are -0 on one side
+        # and cancelled (unstored) on the other
+        net = with_shunts(path(4, 0.3 + 0.7j), Shunt(1, 0.1 + 0.2j), Shunt(1, -0.1 - 0.2j),
+                          Shunt(3, 0.5j))
+        assert shunt_totals(net)[1] == 0
+        got, want = _compressed_and_dense_block_form_errors(net, _augment_virtual_ground(net))
+        assert got == want
+
+    def test_positions_only_one_side_stores(self):
+        net = with_shunts(path(5), Shunt(0, 0.5), Shunt(2, 1.0), Shunt(4, 0.5j))
+        y, t = assemble(net), shunt_totals(net)
+        form = block_form_matrix(y.matrix, t)
+        extra = form.copy()  # an entry the block form does not store, and the largest error
+        extra[0, 3] = extra[3, 0] = 0.75
+        missing = form.copy()  # a border entry the block form stores, dropped
+        missing[2, 5] = missing[5, 2] = 0
+        for bad in (extra, missing):
+            a = AdmittanceMatrix(bad, range(6))
+            got, want = _block_form_error(a, y, t), block_form_error(bad, y.matrix, t)
+            assert got == want and got > 1e-12
+
+    @pytest.mark.parametrize("n", [300, 700])
+    def test_grid_networks(self, n):
+        rng = np.random.default_rng(n)
+        net = grid_network(n, rng)
+        net = with_shunts(net, *(Shunt(s.node, 0.5 * s.admittance) for s in net.shunts[::2]))
+        got, want = _compressed_and_dense_block_form_errors(net, _augment_virtual_ground(net))
+        assert got == want
+
+
+def test_both_methods_measure_one_rank(monkeypatch):
+    n = 400
+    net = grid_network(n, np.random.default_rng(5))
+    calls = []
+    original = rank_analysis.numerical_rank
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(rank_analysis, "numerical_rank", counted)
+    rank_verdicts(net, ("direct", "virtual_ground"))  # imports and warms up
+    assert calls == [(n, n)]
+    tracemalloc.start()
+    try:
+        direct, aug = rank_verdicts(net, ("direct", "virtual_ground"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert direct.agrees and aug.agrees and direct.measured_rank == aug.measured_rank == n
+    assert peak < 2 * n * n * 16, f"peak {peak / (n * n * 16):.2f} x N^2 complex"
 
 
 class TestVerifyMatrixRank:
