@@ -113,6 +113,36 @@ def numerical_rank(m) -> RankResult:
     return RankResult(rank=rank, singular_values=sigma, tolerance_used=tol)
 
 
+def _hermitian_part_certifies(n: int, rows, cols, data) -> bool:
+    """Whether a Cholesky factorization proves that an n x n Y has full numerical rank.
+
+    Y holds ``data`` at ``(rows, cols)``, each position once, in row-major
+    order.  sigma_min(Y) >= lambda_min(G_s) - ||K||_2 for G_s = Re(Y + Y^T)
+    / 2 and K = Im(Y - Y^T) / 2.  Factoring G_s - tau I proves it positive
+    definite up to a backward error below n (n + 1) (eps / 2) ||G_s - tau
+    I||_2 (Higham, Accuracy and Stability, Thm 10.3).  tau is twice that,
+    which covers rounding in G_s and the SVD's own error too, plus the
+    SVD's rank tolerance n eps sigma_max, with sigma_max <= sqrt(||Y||_1
+    ||Y||_inf), plus a bound on ||K||_1 >= ||K||_2.
+    """
+    keys, flip = rows * n + cols, cols * n + rows
+    at = np.minimum(np.searchsorted(keys, flip), keys.size - 1)
+    a = np.abs(data)
+    s = np.sqrt(np.bincount(cols, a, n).max()) * np.sqrt(np.bincount(rows, a, n).max())
+    g = np.zeros((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mirror = np.where(keys[at] == flip, data[at], 0)  # Y[c, r] at every stored (r, c)
+        k = np.abs((data - mirror).imag) / 2  # |K| at the stored positions
+        g[rows, cols] = g[cols, rows] = (data + mirror).real  # 2 G_s, exactly symmetric
+        # shifted by 2 tau (doubling is exact); each |K| entry sums into its row and column
+        g.flat[::n + 1] -= 2 * (n * (n + 2) * EPS * s + (np.bincount(rows, k, n)
+                                                         + np.bincount(cols, k, n)).max())
+        try:  # a NaN can pass the factorization, and then fills the factor
+            return bool(np.isfinite(np.linalg.cholesky(g)).all())
+        except np.linalg.LinAlgError:
+            return False
+
+
 def _zero_pivot(k: int) -> SingularMatrixError:
     return SingularMatrixError(
         f"matrix is exactly singular: zero pivot at index {k}", pivot_index=k

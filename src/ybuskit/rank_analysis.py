@@ -16,8 +16,14 @@ network or a bare matrix, by one or both of two routes:
   rows in O(nnz).  The augmentation and the comparison are private to
   this module.
 
-Every call measures the rank once, with one SVD of Y, whichever methods
-it is asked for.
+Every call measures the rank of Y once, whichever methods it is asked
+for.  For a unit x, sigma_min(Y) >= Re(x^H Y x) >= lambda_min(G_s) -
+||K||_2 with G_s = Re(Y + Y^T) / 2 and K = Im(Y - Y^T) / 2 (0 for a
+stamped Y).  So from ``SPARSE_MIN_ORDER`` nodes on, a prediction of rank N
+is measured by a Cholesky factorization of G_s, shifted past the SVD's
+rank tolerance, and takes no SVD when it succeeds.  The SVD of the dense
+view measures the rest: the N-1 prediction, smaller Y, and every Y whose
+shifted G_s is not positive definite.
 
 ``verify_rank``, ``verify_rank_via_augmentation`` and
 ``verify_matrix_rank`` are the one-method forms of :func:`rank_verdicts`.
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg_core import TINY, _finite, numerical_rank
+from .linalg_core import TINY, _finite, _hermitian_part_certifies, numerical_rank
 from .network_model import (
     DEFAULT_ZERO_TOL,
     Branch,
@@ -40,7 +46,7 @@ from .network_model import (
     shunt_totals,
     validate,
 )
-from .ybus import AdmittanceMatrix, assemble, shunt_vector
+from .ybus import SPARSE_MIN_ORDER, AdmittanceMatrix, assemble, shunt_vector
 
 #: Entrywise relative tolerance for the augmented-vs-block-form match.
 EQ_BLOCK_RTOL = 1e-12
@@ -196,8 +202,13 @@ def _rank_verdicts(source, methods) -> list[RankVerdict]:
         raise PreconditionError("virtual-ground verification needs at least one nonzero shunt")
 
     y = source if net is None else assemble(net)
-    rr = numerical_rank(y.matrix)
     predicted = y.size - 1 if shuntless else y.size  # virtual_ground was refused if shuntless
+    if predicted == y.size >= SPARSE_MIN_ORDER and _hermitian_part_certifies(
+            y.size, y._rows(), y.indices, y.data):
+        measured, gap = y.size, float("inf")  # what the SVD reports at full rank
+    else:
+        rr = numerical_rank(y.matrix)
+        measured, gap = rr.rank, _gap(rr.singular_values, rr.rank)
     block_err = None
     if net is not None and "virtual_ground" in methods:  # the augmented network, stamped apart
         block_err = _block_form_error(assemble(_augment_virtual_ground(net)), y, t)
@@ -206,11 +217,11 @@ def _rank_verdicts(source, methods) -> list[RankVerdict]:
         err = block_err if method == "virtual_ground" else None
         verdicts.append(RankVerdict(
             predicted_rank=predicted,
-            measured_rank=rr.rank,
-            agrees=rr.rank == predicted and (err is None or err <= EQ_BLOCK_RTOL),
+            measured_rank=measured,
+            agrees=measured == predicted and (err is None or err <= EQ_BLOCK_RTOL),
             shunt_count=shunt_count,
             method=method,
-            singular_gap=_gap(rr.singular_values, rr.rank),
+            singular_gap=gap,
             block_form_max_rel_error=err,
         ))
     return verdicts

@@ -232,7 +232,8 @@ def shunt_vector(y: AdmittanceMatrix) -> np.ndarray:
 
     For any assembled nodal matrix this recovers the per-node shunt
     admittance totals, so it works on matrices loaded from files with no
-    network provenance attached.  The sums run over the dense view, as the
-    rank verdicts that use them measure it.
+    network provenance attached.  The sums run over the dense view, in
+    NumPy's pairwise order, which fixes their last bits; the rank verdict
+    of a bare matrix takes its norm from that view too.
     """
     return np.asarray(y.matrix.sum(axis=1))

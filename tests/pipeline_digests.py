@@ -5,8 +5,8 @@ Usage: ``python tests/pipeline_digests.py [SRC]``
 Imports ``ybuskit`` from SRC (default: the ``src`` directory of this
 checkout) and runs ``ybuskit.cli.main`` in a temporary directory, one
 subdirectory per pipeline.  Kron and hybrid results change in their
-last bits with the BLAS thread count (``rank`` stdout does not), so the
-script sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+last bits with the BLAS thread count, and so does the singular gap a
+shuntless ``rank`` prints, so the script sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1 unless they are already set, before NumPy loads,
 and prints their values as its first line.  Every command prints one
 line with its exit code and the digest of its stdout, then one line per
@@ -15,8 +15,12 @@ N = 300 and 700 (the sparse branches), each under all three phase
 policies, then ``ybus``, ``rank`` direct and ``--method both`` on the
 network and on the matrix, ``kron --eliminate`` and ``--retain``, a staged
 second ``kron``, ``hybrid --partition`` solving a middle and then the last
-of three classes, and ``hybrid --class``; last, ``verify --suite all
---samples 20``.  Run it on two trees and ``diff`` the outputs: equal lines
+of three classes, and ``hybrid --class``.  At 300 and 700 nodes a
+shuntless ``randgen`` follows, with ``ybus`` and ``rank`` on the network
+and on the matrix: a shuntless rank is measured by the SVD, which a
+shunted ``re_positive`` network skips from ``SPARSE_MIN_ORDER`` (300)
+nodes on.  Last, ``verify --suite all --samples 20``.  Run it on two
+trees and ``diff`` the outputs: equal lines
 mean equal stdout and equal files.  Paths are relative, so the digests do
 not depend on the temporary directory.  This is a script, not a test
 module; pytest does not collect it.
@@ -34,6 +38,8 @@ from pathlib import Path
 #: (nodes, extra-edge density, shunt probability) per pipeline.
 SIZES = ((12, 0.2, 0.3), (60, 0.1, 0.2), (150, 0.03, 0.1),
          (300, 2 * 300 / (300 * 299 // 2 - 299), 0.05), (700, 0.004, 0.05))
+#: Node counts that also get a shuntless network.
+SHUNTLESS_SIZES = (300, 700)
 POLICIES = ("re_positive", "arbitrary", "pure_imaginary")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -82,6 +88,12 @@ def _pipeline(main, n: int, density: float, shunts: float, policy: str) -> None:
     step(["hybrid", "y.json", "h3.json", "--partition", thirds, "--solve-class", "2"], "h3.json")
     step(["hybrid", "k1.json", "h2.json", "--class", _labels(kept[::2]),
           "--class", _labels(kept[1::2]), "--solve-class", "0"], "h2.json")
+    if n in SHUNTLESS_SIZES:
+        step(["randgen", "s.json", "--nodes", str(n), "--density", repr(density),
+              "--phase", policy, "--seed", str(n)], "s.json")
+        step(["ybus", "s.json", "sy.json"], "sy.json")
+        for path in ("s.json", "sy.json"):
+            step(["rank", path])
 
 
 def main(argv: list[str]) -> int:

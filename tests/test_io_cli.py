@@ -619,20 +619,26 @@ class TestRankCommand:
         assert len(pattern_checks) == 1
 
     def test_both_methods_stdout_independent_of_blas_threads(self, tmp_path):
-        npath = str(tmp_path / "net.json")
-        assert _run_cli(["randgen", npath, "--nodes", "150", "--density", "0.03",
+        small, certified = str(tmp_path / "net.json"), str(tmp_path / "big.json")
+        assert _run_cli(["randgen", small, "--nodes", "150", "--density", "0.03",
                          "--shunt-prob", "0.1", "--min-shunts", "1", "--seed", "150"])[0] == 0
-        outs = []
-        for threads in ("1", "2"):
-            env = _child_env()
-            env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                      "MKL_NUM_THREADS"), threads))
-            proc = subprocess.run([sys.executable, "-m", "ybuskit", "rank", npath, "--method", "both"],
-                                  capture_output=True, text=True, check=False, env=env)
-            assert proc.returncode == 0, proc.stderr
-            outs.append(proc.stdout)
-        assert outs[0].count("agrees") == 2
-        assert outs[0] == outs[1]
+        assert _run_cli(["randgen", certified, "--nodes", "700", "--density", "0.004",
+                         "--shunt-prob", "0.05", "--min-shunts", "1", "--seed", "700"])[0] == 0
+        y = assemble(load_network(certified))  # settled by the Cholesky certificate, no SVD
+        assert linalg_core._hermitian_part_certifies(y.size, y._rows(), y.indices, y.data)
+        for npath in (small, certified):
+            outs = []
+            for threads in ("1", "2"):
+                env = _child_env()
+                env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS"), threads))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "ybuskit", "rank", npath, "--method", "both"],
+                    capture_output=True, text=True, check=False, env=env)
+                assert proc.returncode == 0, proc.stderr
+                outs.append(proc.stdout)
+            assert outs[0].count("agrees") == 2
+            assert outs[0] == outs[1]
 
     def test_stdout_reproducible(self, tmp_path, capsys):
         npath = _net_file(tmp_path, generate(GenSpec(node_range=(12, 12),

@@ -20,6 +20,7 @@ from ybuskit import (
     Shunt,
     assemble,
     generate,
+    numerical_rank,
     rank_verdicts,
     shunt_totals,
     verify_matrix_rank,
@@ -304,9 +305,8 @@ class TestBlockFormError:
         assert got == want
 
 
-def test_both_methods_measure_one_rank(monkeypatch):
-    n = 400
-    net = grid_network(n, np.random.default_rng(5))
+def _count_svds(monkeypatch) -> list:
+    """Record the shape of every matrix the rank verdicts hand to ``numerical_rank``."""
     calls = []
     original = rank_analysis.numerical_rank
 
@@ -315,8 +315,22 @@ def test_both_methods_measure_one_rank(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(rank_analysis, "numerical_rank", counted)
+    return calls
+
+
+def _svd_verdicts(monkeypatch, source, methods):
+    """The verdicts as the SVD of the dense view gives them, the certificate turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(rank_analysis, "_hermitian_part_certifies", lambda *args: False)
+        return rank_verdicts(source, methods)
+
+
+def test_both_methods_measure_one_rank(monkeypatch):
+    n = 400
+    net = grid_network(n, np.random.default_rng(5))
+    calls = _count_svds(monkeypatch)
     rank_verdicts(net, ("direct", "virtual_ground"))  # imports and warms up
-    assert calls == [(n, n)]
+    assert calls == []  # the certificate settles the full rank without an SVD
     tracemalloc.start()
     try:
         direct, aug = rank_verdicts(net, ("direct", "virtual_ground"))
@@ -325,6 +339,98 @@ def test_both_methods_measure_one_rank(monkeypatch):
         tracemalloc.stop()
     assert direct.agrees and aug.agrees and direct.measured_rank == aug.measured_rank == n
     assert peak < 2 * n * n * 16, f"peak {peak / (n * n * 16):.2f} x N^2 complex"
+    assert calls == []
+    assert [direct, aug] == _svd_verdicts(monkeypatch, net, ("direct", "virtual_ground"))
+
+    # one branch conductance negated far past the sum of all the others: G is indefinite
+    b = net.branches[0]
+    negated = Network(n, (Branch(b.from_node, b.to_node, complex(-1e6, b.admittance.imag)),)
+                      + net.branches[1:], net.shunts)
+    assert np.linalg.eigvalsh(assemble(negated).matrix.real)[0] < 0
+    calls.clear()
+    verdicts = rank_verdicts(negated, ("direct", "virtual_ground"))
+    assert calls == [(n, n)] and all(v.measured_rank == n for v in verdicts)
+
+
+def _certificate_shift(y) -> float:
+    """tau of ``_hermitian_part_certifies`` for an exactly symmetric Y, from the dense view."""
+    m = np.abs(y.matrix)
+    s = np.sqrt(m.sum(axis=0).max() * m.sum(axis=1).max())
+    return y.size * (y.size + 2) * np.finfo(float).eps * s
+
+
+class TestHermitianPartCertificate:
+    """The Cholesky certificate of full rank against the SVD of the dense view it replaces."""
+
+    @pytest.mark.parametrize("n", [300, 700])
+    @pytest.mark.parametrize("policy", ["re_positive", "arbitrary", "pure_imaginary"])
+    def test_verdicts_equal_the_svd_verdicts(self, monkeypatch, n, policy):
+        density = 0.004 if n == 700 else 2 * n / (n * (n - 1) // 2 - (n - 1))
+        net = generate(GenSpec(node_range=(n, n), edge_density=density, shunt_probability=0.05,
+                               phase_policy=policy, seed=n, min_shunts=1))
+        outcomes = []
+        original = rank_analysis._hermitian_part_certifies
+
+        def recorded(*args):
+            outcomes.append(original(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(rank_analysis, "_hermitian_part_certifies", recorded)
+        for source in (net, assemble(net)):
+            want = _svd_verdicts(monkeypatch, source, ("direct", "virtual_ground"))
+            assert all(v.measured_rank == n for v in want)
+            assert rank_verdicts(source, ("direct", "virtual_ground")) == want
+            assert rank_verdicts(source, ("direct",)) == want[:1]
+        if policy != "arbitrary":  # Re(y) > 0 everywhere certifies; a purely imaginary Y never
+            assert outcomes == [policy == "re_positive"] * 4
+
+    @pytest.mark.parametrize("n", [300, 700])
+    @pytest.mark.parametrize("factor, certified", [(0.5, False), (2.0, True)])
+    def test_margin(self, monkeypatch, n, factor, certified):
+        """lambda_min(G_s) at a multiple of tau: below tau the SVD decides, above it it agrees."""
+        grid = grid_network(n, np.random.default_rng(n))
+        shuntless = Network(n, grid.branches, ())
+        delta = factor * _certificate_shift(assemble(shuntless))
+        net = Network(n, grid.branches, tuple(Shunt(k, delta) for k in range(n)))
+        y = assemble(net)
+        tau = _certificate_shift(y)
+        lam = np.linalg.eigvalsh(y.matrix.real)[0]
+        assert lam == pytest.approx(factor * tau, rel=1e-3)
+        assert rank_analysis._hermitian_part_certifies(n, y._rows(), y.indices, y.data) == certified
+        calls = _count_svds(monkeypatch)
+        got = rank_verdicts(net, ("direct",))
+        assert calls == ([] if certified else [(n, n)])
+        assert got == _svd_verdicts(monkeypatch, net, ("direct",))
+        assert got[0].measured_rank == n and got[0].agrees
+
+    def test_loaded_dense_matrix_with_imaginary_asymmetry(self, monkeypatch):
+        n = 300
+        y = assemble(grid_network(n, np.random.default_rng(3))).matrix
+        rng = np.random.default_rng(4)
+        skew = rng.uniform(-1, 1, (n, n))
+        m = y + 1e-15 * np.abs(y).max() * 1j * (skew - skew.T)  # every entry stored
+        loaded = AdmittanceMatrix(m, range(n))
+        assert loaded.data.size == n * n and np.abs((m - m.T).imag).max() > 0
+        calls = _count_svds(monkeypatch)
+        got = rank_verdicts(loaded, ("direct", "virtual_ground"))
+        assert calls == []
+        assert got == _svd_verdicts(monkeypatch, loaded, ("direct", "virtual_ground"))
+
+    @pytest.mark.parametrize("a, certified", [(1.0, False), (0.6, False), (0.4, True)])
+    def test_antisymmetric_imaginary_part_counts(self, a, certified):
+        """Y = [[1, ia], [-ia, 1]]: G_s = I, sigma_min = 1 - a, and ||K||_1 = a is counted as 2a."""
+        rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        data = np.array([1, 1j * a, -1j * a, 1])
+        assert rank_analysis._hermitian_part_certifies(2, rows, cols, data) == certified
+        if certified:
+            assert numerical_rank(np.array([[1, 1j * a], [-1j * a, 1]])).rank == 2
+
+    @pytest.mark.parametrize("d", [(1.5e308, -1e308), (1e308, -1.7e308)])
+    def test_overflow_refuses(self, d):
+        """2 G_s and the shift overflow; the NaN they leave must not pass as a factor."""
+        data = np.array([d[0], d[1], d[1], d[0]], dtype=complex)
+        rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        assert not rank_analysis._hermitian_part_certifies(2, rows, cols, data)
 
 
 class TestVerifyMatrixRank:
