@@ -113,8 +113,8 @@ def numerical_rank(m) -> RankResult:
     return RankResult(rank=rank, singular_values=sigma, tolerance_used=tol)
 
 
-def _hermitian_part_certifies(n: int, rows, cols, data) -> bool:
-    """Whether a Cholesky factorization proves that an n x n Y has full numerical rank.
+def _hermitian_part_certifies(n: int, rows, cols, data, grounded: bool = False) -> bool:
+    """Whether a Cholesky factorization proves that an n x n Y has numerical rank n.
 
     Y holds ``data`` at ``(rows, cols)``, each position once, in row-major
     order.  sigma_min(Y) >= lambda_min(G_s) - ||K||_2 for G_s = Re(Y + Y^T)
@@ -124,19 +124,39 @@ def _hermitian_part_certifies(n: int, rows, cols, data) -> bool:
     which covers rounding in G_s and the SVD's own error too, plus the
     SVD's rank tolerance n eps sigma_max, with sigma_max <= sqrt(||Y||_1
     ||Y||_inf), plus a bound on ||K||_1 >= ||K||_2.
+
+    ``grounded`` proves numerical rank n - 1 instead.  Interlacing gives
+    sigma_(n-1)(Y) >= sigma_min(Y_g) for Y_g, Y without node 0's row and
+    column, so the same factorization of the grounded G_s, with tau of the
+    whole Y (the tolerance belongs to the n x n SVD), bounds sigma_(n-1)
+    from below.  From above, sigma_n(Y) <= ||Y 1||_2 / sqrt(n), and each
+    row sum as summed here is within (entries in the row + 1) eps sum_j
+    |Y_ij| of the exact one.  That bound must stay under half the rank
+    tolerance, n eps times the largest stored column 2-norm <= sigma_max;
+    the other half is left to the SVD's own error.
     """
     keys, flip = rows * n + cols, cols * n + rows
     at = np.minimum(np.searchsorted(keys, flip), keys.size - 1)
     a = np.abs(data)
-    s = np.sqrt(np.bincount(cols, a, n).max()) * np.sqrt(np.bincount(rows, a, n).max())
-    g = np.zeros((n, n))
+    row_abs = np.bincount(rows, a, n)
+    s = np.sqrt(np.bincount(cols, a, n).max()) * np.sqrt(row_abs.max())
+    o = int(grounded)  # the first row and column of G_s that the factor keeps
     with np.errstate(over="ignore", invalid="ignore"):
+        if grounded:  # norms taken of x / max(x), whose squares cannot overflow
+            sigma_low = a.max() * np.sqrt(np.bincount(cols, (a / a.max()) ** 2, n).max())
+            b = (np.hypot(np.bincount(rows, data.real, n), np.bincount(rows, data.imag, n))
+                 + (np.bincount(rows, minlength=n) + 1) * EPS * row_abs)
+            if not b.max() * np.linalg.norm(b / b.max()) <= n * np.sqrt(n) * EPS * sigma_low / 2:
+                return False
         mirror = np.where(keys[at] == flip, data[at], 0)  # Y[c, r] at every stored (r, c)
         k = np.abs((data - mirror).imag) / 2  # |K| at the stored positions
-        g[rows, cols] = g[cols, rows] = (data + mirror).real  # 2 G_s, exactly symmetric
+        kept = (rows >= o) & (cols >= o)
+        r, c = rows[kept] - o, cols[kept] - o
+        g = np.zeros((n - o, n - o))
+        g[r, c] = g[c, r] = (data + mirror).real[kept]  # 2 G_s, exactly symmetric
         # shifted by 2 tau (doubling is exact); each |K| entry sums into its row and column
-        g.flat[::n + 1] -= 2 * (n * (n + 2) * EPS * s + (np.bincount(rows, k, n)
-                                                         + np.bincount(cols, k, n)).max())
+        g.flat[::n - o + 1] -= 2 * (n * (n + 2) * EPS * s + (np.bincount(rows, k, n)
+                                                             + np.bincount(cols, k, n)).max())
         try:  # a NaN can pass the factorization, and then fills the factor
             return bool(np.isfinite(np.linalg.cholesky(g)).all())
         except np.linalg.LinAlgError:

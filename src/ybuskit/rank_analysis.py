@@ -19,11 +19,12 @@ network or a bare matrix, by one or both of two routes:
 Every call measures the rank of Y once, whichever methods it is asked
 for.  For a unit x, sigma_min(Y) >= Re(x^H Y x) >= lambda_min(G_s) -
 ||K||_2 with G_s = Re(Y + Y^T) / 2 and K = Im(Y - Y^T) / 2 (0 for a
-stamped Y).  So from ``SPARSE_MIN_ORDER`` nodes on, a prediction of rank N
-is measured by a Cholesky factorization of G_s, shifted past the SVD's
-rank tolerance, and takes no SVD when it succeeds.  The SVD of the dense
-view measures the rest: the N-1 prediction, smaller Y, and every Y whose
-shifted G_s is not positive definite.
+stamped Y).  So from ``SPARSE_MIN_ORDER`` nodes on, a prediction takes no
+SVD when a Cholesky factorization shifted past the SVD's rank tolerance
+certifies it: of G_s for rank N, and for rank N-1 of G_s with node 0
+grounded, together with a bound on ||Y 1|| under that tolerance.  The
+SVD of the dense view measures the rest: smaller Y, and every Y whose
+certificate fails.
 
 ``verify_rank``, ``verify_rank_via_augmentation`` and
 ``verify_matrix_rank`` are the one-method forms of :func:`rank_verdicts`.
@@ -60,7 +61,8 @@ class RankVerdict:
     """Predicted vs measured rank for one network or matrix.
 
     ``singular_gap`` is sigma_rank / sigma_(rank+1), the separation between
-    the accepted and the first rejected singular value (inf at full rank).
+    the accepted and the first rejected singular value; it is inf at full
+    rank, and whenever a certificate settled the rank without an SVD.
     Both methods report the one measurement of Y, so they share
     ``measured_rank`` and ``singular_gap``.  For the virtual-ground method
     on a network, ``block_form_max_rel_error`` records how closely the
@@ -203,9 +205,9 @@ def _rank_verdicts(source, methods) -> list[RankVerdict]:
 
     y = source if net is None else assemble(net)
     predicted = y.size - 1 if shuntless else y.size  # virtual_ground was refused if shuntless
-    if predicted == y.size >= SPARSE_MIN_ORDER and _hermitian_part_certifies(
-            y.size, y._rows(), y.indices, y.data):
-        measured, gap = y.size, float("inf")  # what the SVD reports at full rank
+    if y.size >= SPARSE_MIN_ORDER and _hermitian_part_certifies(
+            y.size, y._rows(), y.indices, y.data, grounded=shuntless):
+        measured, gap = predicted, float("inf")  # no SVD, so no singular gap
     else:
         rr = numerical_rank(y.matrix)
         measured, gap = rr.rank, _gap(rr.singular_values, rr.rank)

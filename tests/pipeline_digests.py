@@ -6,24 +6,26 @@ Imports ``ybuskit`` from SRC (default: the ``src`` directory of this
 checkout) and runs ``ybuskit.cli.main`` in a temporary directory, one
 subdirectory per pipeline.  Kron and hybrid results change in their
 last bits with the BLAS thread count, and so does the singular gap a
-shuntless ``rank`` prints, so the script sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-``MKL_NUM_THREADS`` to 1 unless they are already set, before NumPy loads,
-and prints their values as its first line.  Every command prints one
-line with its exit code and the digest of its stdout, then one line per
-file it writes.  Pipelines: ``randgen`` at N = 12, 60 and 150 (dense blocks only) and
+shuntless ``rank`` prints where an SVD measures it, so the script sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to
+1 unless they are already set, before NumPy loads, and prints their
+values as its first line.  Every command prints one line with its exit
+code and the digest of its stdout, then one line per file it writes.
+Pipelines: ``randgen`` at N = 12, 60 and 150 (dense blocks only) and
 N = 300 and 700 (the sparse branches), each under all three phase
 policies, then ``ybus``, ``rank`` direct and ``--method both`` on the
 network and on the matrix, ``kron --eliminate`` and ``--retain``, a staged
 second ``kron``, ``hybrid --partition`` solving a middle and then the last
 of three classes, and ``hybrid --class``.  At 300 and 700 nodes a
 shuntless ``randgen`` follows, with ``ybus`` and ``rank`` on the network
-and on the matrix: a shuntless rank is measured by the SVD, which a
-shunted ``re_positive`` network skips from ``SPARSE_MIN_ORDER`` (300)
-nodes on.  Last, ``verify --suite all --samples 20``.  Run it on two
-trees and ``diff`` the outputs: equal lines
-mean equal stdout and equal files.  Paths are relative, so the digests do
-not depend on the temporary directory.  This is a script, not a test
-module; pytest does not collect it.
+and on the matrix.  From ``SPARSE_MIN_ORDER`` (300) nodes on, the
+Cholesky certificates settle the ``re_positive`` ranks without an SVD,
+rank N when shunted and N-1 when shuntless; under the other two policies
+the SVD measures them.  Last, ``verify --suite all --samples 20``.  Run
+it on two trees and ``diff`` the outputs: equal lines mean equal stdout
+and equal files.  Paths are relative, so the digests do not depend on the
+temporary directory.  This is a script, not a test module; pytest does
+not collect it.
 """
 
 import contextlib

@@ -620,25 +620,33 @@ class TestRankCommand:
 
     def test_both_methods_stdout_independent_of_blas_threads(self, tmp_path):
         small, certified = str(tmp_path / "net.json"), str(tmp_path / "big.json")
+        shuntless = str(tmp_path / "shuntless.json")
         assert _run_cli(["randgen", small, "--nodes", "150", "--density", "0.03",
                          "--shunt-prob", "0.1", "--min-shunts", "1", "--seed", "150"])[0] == 0
         assert _run_cli(["randgen", certified, "--nodes", "700", "--density", "0.004",
                          "--shunt-prob", "0.05", "--min-shunts", "1", "--seed", "700"])[0] == 0
-        y = assemble(load_network(certified))  # settled by the Cholesky certificate, no SVD
-        assert linalg_core._hermitian_part_certifies(y.size, y._rows(), y.indices, y.data)
-        for npath in (small, certified):
+        assert _run_cli(["randgen", shuntless, "--nodes", "700", "--density", "0.004",
+                         "--seed", "700"])[0] == 0
+        # settled by the Cholesky certificates, rank N and rank N-1, with no SVD
+        for npath, grounded in ((certified, False), (shuntless, True)):
+            y = assemble(load_network(npath))
+            assert linalg_core._hermitian_part_certifies(y.size, y._rows(), y.indices, y.data,
+                                                         grounded=grounded)
+        for npath, methods in ((small, ["--method", "both"]), (certified, ["--method", "both"]),
+                               (shuntless, [])):
             outs = []
             for threads in ("1", "2"):
                 env = _child_env()
                 env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                           "MKL_NUM_THREADS"), threads))
                 proc = subprocess.run(
-                    [sys.executable, "-m", "ybuskit", "rank", npath, "--method", "both"],
+                    [sys.executable, "-m", "ybuskit", "rank", npath, *methods],
                     capture_output=True, text=True, check=False, env=env)
                 assert proc.returncode == 0, proc.stderr
                 outs.append(proc.stdout)
-            assert outs[0].count("agrees") == 2
+            assert outs[0].count("agrees") == (2 if methods else 1)
             assert outs[0] == outs[1]
+        assert "singular gap" not in outs[0]  # a certified verdict prints none
 
     def test_stdout_reproducible(self, tmp_path, capsys):
         npath = _net_file(tmp_path, generate(GenSpec(node_range=(12, 12),

@@ -5,6 +5,7 @@ Gaussian elimination over rational complex numbers (tests/oracles.py) on
 networks with dyadic admittances, where float assembly is exact.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from ybuskit.suites import run_suite
 from oracles import (
     block_form_error,
     block_form_matrix,
+    dyadic_admittance,
     exact_assemble,
     exact_rank,
     grid_network,
@@ -321,8 +323,13 @@ def _count_svds(monkeypatch) -> list:
 def _svd_verdicts(monkeypatch, source, methods):
     """The verdicts as the SVD of the dense view gives them, the certificate turned off."""
     with monkeypatch.context() as m:
-        m.setattr(rank_analysis, "_hermitian_part_certifies", lambda *args: False)
+        m.setattr(rank_analysis, "_hermitian_part_certifies", lambda *args, **kwargs: False)
         return rank_verdicts(source, methods)
+
+
+def _without_gap(verdicts):
+    """The verdicts with their singular gaps set aside, which only an SVD reports."""
+    return [dataclasses.replace(v, singular_gap=None) for v in verdicts]
 
 
 def test_both_methods_measure_one_rank(monkeypatch):
@@ -351,9 +358,24 @@ def test_both_methods_measure_one_rank(monkeypatch):
     verdicts = rank_verdicts(negated, ("direct", "virtual_ground"))
     assert calls == [(n, n)] and all(v.measured_rank == n for v in verdicts)
 
+    # shuntless: the grounded certificate and the Y 1 bound, no complex N^2 array
+    shuntless = Network(n, net.branches, ())
+    calls.clear()
+    tracemalloc.start()
+    try:
+        (v,) = rank_verdicts(shuntless, ("direct",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and v.agrees and v.measured_rank == n - 1
+    assert peak < 1.5 * n * n * 16, f"peak {peak / (n * n * 16):.2f} x N^2 complex"
+
 
 def _certificate_shift(y) -> float:
-    """tau of ``_hermitian_part_certifies`` for an exactly symmetric Y, from the dense view."""
+    """tau of ``_hermitian_part_certifies`` for an exactly symmetric Y, from the dense view.
+
+    Grounded or not, tau is that of the whole Y.
+    """
     m = np.abs(y.matrix)
     s = np.sqrt(m.sum(axis=0).max() * m.sum(axis=1).max())
     return y.size * (y.size + 2) * np.finfo(float).eps * s
@@ -371,8 +393,8 @@ class TestHermitianPartCertificate:
         outcomes = []
         original = rank_analysis._hermitian_part_certifies
 
-        def recorded(*args):
-            outcomes.append(original(*args))
+        def recorded(*args, **kwargs):
+            outcomes.append(original(*args, **kwargs))
             return outcomes[-1]
 
         monkeypatch.setattr(rank_analysis, "_hermitian_part_certifies", recorded)
@@ -431,6 +453,115 @@ class TestHermitianPartCertificate:
         data = np.array([d[0], d[1], d[1], d[0]], dtype=complex)
         rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
         assert not rank_analysis._hermitian_part_certifies(2, rows, cols, data)
+
+
+class TestGroundedCertificate:
+    """The certificate of rank N-1 against the SVD of the dense view it replaces."""
+
+    @pytest.mark.parametrize("n", [300, 700])
+    @pytest.mark.parametrize("policy", ["re_positive", "arbitrary", "pure_imaginary"])
+    def test_verdicts_equal_the_svd_verdicts(self, monkeypatch, n, policy):
+        density = 0.004 if n == 700 else 2 * n / (n * (n - 1) // 2 - (n - 1))
+        net = generate(GenSpec(node_range=(n, n), edge_density=density, phase_policy=policy,
+                               seed=n))
+        calls = _count_svds(monkeypatch)
+        for source in (net, assemble(net)):
+            want = _svd_verdicts(monkeypatch, source, ("direct",))
+            assert want[0].measured_rank == n - 1 and want[0].agrees
+            calls.clear()
+            got = rank_verdicts(source, ("direct",))
+            assert _without_gap(got) == _without_gap(want)
+            assert (got[0].singular_gap == float("inf")) == (calls == [])
+            if policy == "re_positive":
+                assert calls == []
+            elif policy == "pure_imaginary":  # G_s = 0 is never positive definite
+                assert calls == [(n, n)] and got == want
+
+    @pytest.mark.parametrize("n", [300, 700])
+    @pytest.mark.parametrize("factor, certified", [(0.5, False), (2.0, True)])
+    def test_margin(self, monkeypatch, n, factor, certified):
+        """A pendant node on node 0 by conductance c: grounded, lambda_min(G_g) = c exactly."""
+        grid = grid_network(n - 1, np.random.default_rng(n))
+        c = factor * _certificate_shift(assemble(Network(n, grid.branches, ())))
+        net = Network(n, grid.branches + (Branch(0, n - 1, c),), ())
+        y = assemble(net)
+        lam = np.linalg.eigvalsh(y.matrix.real[1:, 1:])[0]
+        assert lam == pytest.approx(factor * _certificate_shift(y), rel=1e-3)
+        assert rank_analysis._hermitian_part_certifies(
+            n, y._rows(), y.indices, y.data, grounded=True) == certified
+        calls = _count_svds(monkeypatch)
+        got = rank_verdicts(net, ("direct",))
+        assert calls == ([] if certified else [(n, n)])
+        want = _svd_verdicts(monkeypatch, net, ("direct",))
+        assert _without_gap(got) == _without_gap(want)
+        assert got[0].measured_rank == n - 1 and got[0].agrees
+
+    def test_exact_rank_drop_falls_back(self, monkeypatch):
+        """A triangle (1, 1, -0.5) at a cut vertex: its grounded determinant is 1 - 0.5 - 0.5 = 0."""
+        triangle = ((0, 1, 1.0), (1, 2, 1.0), (0, 2, -0.5))
+        assert exact_rank(exact_assemble(
+            Network(3, tuple(Branch(i, j, y) for i, j, y in triangle), ()))) == 1
+        grid = grid_network(300, np.random.default_rng(7))
+        ends = {0: 7, 1: 300, 2: 301}  # joined to the grid at node 7
+        n = 302
+        net = Network(n, grid.branches + tuple(Branch(ends[i], ends[j], y)
+                                               for i, j, y in triangle), ())
+        y = assemble(net)
+        assert not rank_analysis._hermitian_part_certifies(
+            n, y._rows(), y.indices, y.data, grounded=True)
+        calls = _count_svds(monkeypatch)
+        for source in (net, y):
+            calls.clear()
+            (v,) = rank_verdicts(source, ("direct",))
+            assert calls == [(n, n)]
+            assert v.predicted_rank == n - 1 and v.measured_rank == n - 2 and not v.agrees
+
+    def test_never_above_the_exact_rank(self):
+        """On dyadic networks, whose stamp is exact, a certified rank is the exact rank.
+
+        Every other draw carries the triangle (1, 1, -0.5) at a cut vertex,
+        which drops the exact rank below the predicted one, shunted or not.
+        The shunted draws are small and have Re(y) of either sign.  The Y 1
+        bound holds from about 20 nodes on, so the shuntless draws have 20,
+        under either sign of Re(y).
+        """
+        rng = np.random.default_rng(21)
+        draws = [(int(rng.integers(2, 9)), 1, False, k % 2 == 0) for k in range(100)]
+        draws += [(20, 0, k % 2 == 0, k % 4 < 2) for k in range(8)]
+        outcomes = set()
+        for n, shunts, re_positive, triangle in draws:
+            nodes, branches, _ = random_rational_network(rng, n, extra_edges=n,
+                                                         re_positive=re_positive)
+            if triangle:
+                branches += [(n - 1, n, 1.0), (n, n + 1, 1.0), (n - 1, n + 1, -0.5)]
+                nodes += 2
+            shunt = (Shunt(0, dyadic_admittance(rng)),) if shunts else ()
+            net = Network(nodes, tuple(Branch(i, j, y) for i, j, y in branches), shunt)
+            y, grounded = assemble(net), not shunts
+            certified = rank_analysis._hermitian_part_certifies(
+                nodes, y._rows(), y.indices, y.data, grounded=grounded)
+            exact = exact_rank(exact_assemble(net))
+            assert exact == nodes - grounded or not certified
+            outcomes.add((grounded, certified, exact == nodes - grounded))
+        # both kinds certify, and both kinds drop below the predicted rank somewhere
+        assert {(g, True, True) for g in (False, True)} <= outcomes
+        assert {(g, False, False) for g in (False, True)} <= outcomes
+
+    def test_bare_matrix_with_a_small_shunt_falls_back(self, monkeypatch):
+        """||Y 1|| above the rank tolerance but below the shuntless threshold: the SVD decides."""
+        n = 300
+        y = assemble(Network(n, grid_network(n, np.random.default_rng(9)).branches, ()))
+        sigma = np.linalg.svd(y.matrix, compute_uv=False)
+        tol = n * np.finfo(float).eps * sigma[0]
+        threshold = rank_analysis.MATRIX_SHUNTLESS_RTOL * np.linalg.norm(y.matrix)
+        delta = np.sqrt(tol * threshold / np.sqrt(n))  # ||Y 1|| = delta sqrt(n)
+        assert 10 * tol < delta and delta * np.sqrt(n) < threshold / 10
+        shunted = AdmittanceMatrix(y.matrix + delta * np.eye(n), range(n))
+        calls = _count_svds(monkeypatch)
+        (v,) = rank_verdicts(shunted, ("direct",))
+        assert calls == [(n, n)]
+        assert v.shunt_count == 0 and v.predicted_rank == n - 1
+        assert v.measured_rank == n and not v.agrees
 
 
 class TestVerifyMatrixRank:
