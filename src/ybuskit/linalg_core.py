@@ -2,21 +2,23 @@
 
 Backed by LAPACK through NumPy/SciPy, and by SuperLU for SciPy sparse
 matrices.  SciPy is imported inside the LU routines only, so importing the
-package (and every command that never factors a matrix) loads NumPy
-alone.  No other module sees LU factors: every solve goes through the
-certificate of :func:`full_rank_certificate`, which knows no size rule
-and factors the form it is handed (``AdmittanceMatrix._block`` decides
-which blocks of Y are sparse); it tells a SciPy sparse matrix by its
-``nnz`` attribute, without importing ``scipy.sparse``.  The transpose used
-throughout the package is the plain one (no conjugation): nodal
-admittance matrices are complex symmetric, not Hermitian, and every
-identity here is stated for the plain transpose.
+package (and every command that factors no block by LU) loads NumPy
+alone.  Every solve goes through a :class:`RankCertificate`: NumPy's, for
+a dense block whose Hermitian part :func:`_hermitian_part_certificate`
+proves positive definite, or the LU of :func:`full_rank_certificate`,
+which knows no size rule and factors the form it is handed
+(``AdmittanceMatrix._block`` decides which blocks of Y are sparse); it
+tells a SciPy sparse matrix by its ``nnz`` attribute, without importing
+``scipy.sparse``.  The transpose used throughout the package is the plain
+one (no conjugation): nodal admittance matrices are complex symmetric,
+not Hermitian, and every identity here is stated for the plain transpose.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -154,13 +156,80 @@ def _hermitian_part_certifies(n: int, rows, cols, data, grounded: bool = False) 
         r, c = rows[kept] - o, cols[kept] - o
         g = np.zeros((n - o, n - o))
         g[r, c] = g[c, r] = (data + mirror).real[kept]  # 2 G_s, exactly symmetric
-        # shifted by 2 tau (doubling is exact); each |K| entry sums into its row and column
-        g.flat[::n - o + 1] -= 2 * (n * (n + 2) * EPS * s + (np.bincount(rows, k, n)
-                                                             + np.bincount(cols, k, n)).max())
-        try:  # a NaN can pass the factorization, and then fills the factor
-            return bool(np.isfinite(np.linalg.cholesky(g)).all())
-        except np.linalg.LinAlgError:
-            return False
+        # each |K| entry sums into its row and column
+        return _shifted_cholesky_succeeds(
+            g, n, s, (np.bincount(rows, k, n) + np.bincount(cols, k, n)).max())
+
+
+def _shifted_cholesky_succeeds(g: np.ndarray, n: int, s: float, k1: float) -> bool:
+    """Whether ``g`` = 2 G_s less 2 tau I (shifted in place) has a Cholesky factor.
+
+    tau is that of an n x n Y with sqrt(||Y||_1 ||Y||_inf) <= s and ||K||_1
+    <= k1.  A tau below the normal range is refused: the bound assumes no
+    underflow.
+    """
+    tau = n * (n + 2) * EPS * s + k1
+    if not tau >= TINY:
+        return False
+    g.ravel()[::g.shape[0] + 1] -= 2 * tau  # doubling is exact
+    try:  # a NaN can pass the factorization and fill the factor; an overflowing sum refuses too
+        return isfinite(np.linalg.cholesky(g).sum())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _hermitian_part_certificate(a) -> RankCertificate | None:
+    """The test of :func:`_hermitian_part_certifies` on a nonempty dense block, else None.
+
+    2 G_s is ``a.real + a.real.T``, or ``2 * a.real`` for a complex
+    symmetric block.  No LU runs, so the condition estimate is NaN, and the
+    certificate solves with ``numpy.linalg.solve``.
+    """
+    n = a.shape[0]
+    if hasattr(a, "nnz"):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the factorization
+        mag, d = np.abs(a), a - a.T  # Im d = 2 K
+        if d.any():
+            s = sqrt(mag.sum(axis=0).max()) * sqrt(mag.sum(axis=1).max())
+            g, k1 = a.real + a.real.T, np.abs(d.imag).sum(axis=0).max() / 2
+        else:  # complex symmetric, as blocks of Y are: ||A||_inf = ||A||_1 and K = 0
+            g, s, k1 = 2 * a.real, mag.sum(axis=0).max(), 0.0
+        if not _shifted_cholesky_succeeds(g, n, s, k1):
+            return None
+    return RankCertificate(True, float("nan"), None, lambda b: _by_columns(
+        lambda c: _numpy_solve(a, _checked_rhs(c, n)), b, lambda k: [slice(0, k)]))
+
+
+def _numpy_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:  # LAPACK refuses only an exactly zero pivot, which the certificate excludes
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"solving with a certified block failed: {exc}") from exc
+
+
+def _by_columns(solve, b, groups=_stripes) -> np.ndarray:
+    """A^{-1} B by ``solve``: a vector whole, a matrix (dense or CSR) by its nonzero columns.
+
+    ``groups`` cuts their count into the slices solved at a time.  Every
+    other column of the one C-contiguous result is exactly +0.0, where a
+    whole LAPACK solve leaves zeros of either sign.  The result is
+    allocated after the first solve, which has freed its dense right-hand
+    side by then, and is that solve's own when it took every column.
+    """
+    if b.ndim != 2:
+        return solve(b)  # a vector, or a shape the solver refuses
+    cols = np.unique(b.indices[b.data != 0]) if hasattr(b, "nnz") else np.flatnonzero(b.any(axis=0))
+    cuts = groups(cols.size)
+    if len(cuts) == 1 and cols.size == b.shape[1]:
+        return np.ascontiguousarray(solve(_dense(b)))
+    out = None
+    for v in cuts:  # with no nonzero column, one empty group checks B's shape
+        x = solve(_dense(b[:, cols[v]]))
+        out = np.zeros(b.shape, dtype=np.complex128) if out is None else out
+        out[:, cols[v]] = x
+        del x  # before the next group is solved
+    return out
 
 
 def _zero_pivot(k: int) -> SingularMatrixError:
@@ -187,9 +256,9 @@ def lu_factor_checked(a: np.ndarray):
 class RankCertificate:
     """Outcome of a full-rank certification of a square matrix.
 
-    The certificate keeps the LU factors it was read from (out of its repr
-    and comparisons) and solves with them; an exactly singular matrix
-    keeps none, and solving then raises :class:`SingularMatrixError`.
+    The certificate keeps what it solves with, LU factors or the matrix (out
+    of its repr and comparisons); an exactly singular matrix keeps none,
+    and solving then raises :class:`SingularMatrixError`.
     """
 
     full_rank: bool
@@ -201,24 +270,14 @@ class RankCertificate:
     def solve(self, b) -> np.ndarray:
         """A^{-1} B for the certified matrix A and a finite vector or matrix B.
 
-        B is array-like or SciPy sparse.  A vector goes straight to the
-        factors.  A matrix is solved for its nonzero columns only, so every
-        other column of the result is exactly +0.0, where a whole LAPACK
-        solve leaves zeros of either sign.  LAPACK and SuperLU factors alike
-        solve them a stripe of columns at a time (:func:`_stripes`) into one
-        C-contiguous result.
+        B is array-like or SciPy sparse, and a matrix is solved for its
+        nonzero columns only (:func:`_by_columns`): LU factors solve them a
+        stripe at a time (:func:`_stripes`), and NumPy all at once, since
+        it factors the matrix again on every call.
         """
         if self._solve is None:
             raise _zero_pivot(self.failed_pivot)
-        sparse = hasattr(b, "nnz")
-        b = b.tocsr() if sparse else np.asarray(b, dtype=np.complex128)
-        if b.ndim != 2:
-            return self._solve(b)  # a vector, or a shape the factors refuse
-        cols = np.unique(b.indices[b.data != 0]) if sparse else np.flatnonzero(b.any(axis=0))
-        out = np.zeros(b.shape, dtype=np.complex128)
-        for block in _stripes(cols.size):  # no nonzero column: one empty stripe checks B's shape
-            out[:, cols[block]] = self._solve(_dense(b[:, cols[block]]))
-        return out
+        return self._solve(b.tocsr() if hasattr(b, "nnz") else np.asarray(b, dtype=np.complex128))
 
 
 def _checked_rhs(b, n: int) -> np.ndarray:
@@ -280,7 +339,7 @@ def _sparse_certificate(a) -> RankCertificate | None:
     if not np.isfinite(cond):
         cond = float("inf")
     return RankCertificate(cond < 1.0 / (n * EPS), cond, None,
-                           lambda b: lu.solve(_checked_rhs(b, n)))
+                           lambda b: _by_columns(lambda c: lu.solve(_checked_rhs(c, n)), b))
 
 
 def full_rank_certificate(m) -> RankCertificate:
@@ -305,7 +364,7 @@ def full_rank_certificate(m) -> RankCertificate:
         raise StructuralError(f"rank certification needs a square matrix, got {a.shape}")
     n = a.shape[0]
     if n == 0:  # ahead of SuperLU, which takes 0x0 where the estimate cannot
-        return RankCertificate(True, 1.0, None, lambda b: _checked_rhs(b, 0).copy())
+        return RankCertificate(True, 1.0, None, lambda b: _checked_rhs(_dense(b), 0).copy())
     if sparse:
         cert = _sparse_certificate(a)
         if cert is not None:
@@ -325,5 +384,5 @@ def full_rank_certificate(m) -> RankCertificate:
     if info != 0:
         raise NumericalError(f"condition estimation failed with LAPACK info={info}")
     cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)
-    return RankCertificate(cond < 1.0 / (n * EPS), cond, None,
-                           lambda b: getrs(lu, piv, _checked_rhs(b, n))[0])
+    return RankCertificate(cond < 1.0 / (n * EPS), cond, None, lambda b: _by_columns(
+        lambda c: getrs(lu, piv, _checked_rhs(c, n))[0], b))

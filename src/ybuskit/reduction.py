@@ -21,6 +21,7 @@ from .linalg_core import (
     _dense,
     _finite,
     _frozen,
+    _hermitian_part_certificate,
     _stripes,
     full_rank_certificate,
 )
@@ -63,10 +64,12 @@ class ReductionResult:
 def _certified(y: AdmittanceMatrix, epos, what: str, err_cls) -> RankCertificate:
     """Certify the block of ``y`` at positions ``epos`` invertible; the certificate solves with it.
 
-    An exactly zero pivot is named by its index in the block and by the
-    node of that column.
+    A dense block is first tested as Theorem 2 argues, by a Cholesky factorization of its
+    Hermitian part.  Any other block goes to :func:`full_rank_certificate`, whose
+    exactly zero pivot is named by its index in the block and by the node of that column.
     """
-    cert = full_rank_certificate(y._block(epos, epos))
+    a = y._block(epos, epos)
+    cert = _hermitian_part_certificate(a) or full_rank_certificate(a)
     if cert.failed_pivot is not None:
         raise err_cls(f"{what} is exactly singular (zero pivot at index {cert.failed_pivot}, "
                       f"node {y.node_order[epos[cert.failed_pivot]]})")

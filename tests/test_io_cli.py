@@ -1179,32 +1179,53 @@ class TestTopLevel:
 
     def test_kron_and_hybrid_at_the_cli_pipeline_size_leave_scipy_sparse_unloaded(self, tmp_path):
         # 300 nodes and about 3 branches per node, the benchmark's CLI pipeline:
-        # every block is below the sparse rule, and scipy.sparse costs an import
+        # every block is below the sparse rule and certified by its Hermitian
+        # part, so no SciPy loads; the LU route, run after it in the same
+        # child at one BLAS thread, must write the same bytes
         n = ybus.SPARSE_MIN_ORDER
-        path, red, hyb = (str(tmp_path / name) for name in ("y.json", "r.json", "h.json"))
+        path = str(tmp_path / "y.json")
         save_matrix(path, assemble(generate(GenSpec(
             node_range=(n, n), edge_density=2 * n / (n * (n - 1) // 2 - (n - 1)),
             shunt_probability=0.05, min_shunts=1, seed=2))))
         labels = ",".join(str(k % 3) for k in range(n))
+        commands = [["kron", path, "{dir}/r.json", "--retain", "0,20,40"],
+                    ["kron", path, "{dir}/e.json", "--eliminate", "5,6"],
+                    ["hybrid", path, "{dir}/h.json", "--partition", labels, "--solve-class", "0"]]
         script = (
             "import sys\n"
-            "import ybuskit.cli\n"
-            f"assert ybuskit.cli.main(['kron', {path!r}, {red!r}, '--retain', '0,20,40']) == 0\n"
-            f"assert ybuskit.cli.main(['kron', {path!r}, {red!r}, '--eliminate', '5,6']) == 0\n"
-            f"assert ybuskit.cli.main(['hybrid', {path!r}, {hyb!r}, '--partition', {labels!r},"
-            " '--solve-class', '0']) == 0\n"
+            "import ybuskit.cli, ybuskit.reduction\n"
+            f"commands = {commands!r}\n"
+            "def run(d):\n"
+            "    for argv in commands:\n"
+            "        assert ybuskit.cli.main([a.format(dir=d) for a in argv]) == 0\n"
+            f"run({str(tmp_path / 'certified')!r})\n"
+            "assert 'scipy' not in sys.modules, 'a certified dense block loaded scipy'\n"
+            "ybuskit.reduction._hermitian_part_certificate = lambda a: None\n"
+            f"run({str(tmp_path / 'lu')!r})\n"
             "assert 'scipy.linalg' in sys.modules, 'no block was factored'\n"
             "assert 'scipy.sparse' not in sys.modules, 'a dense block loaded scipy.sparse'\n"
         )
+        for d in ("certified", "lu"):
+            (tmp_path / d).mkdir()
+        env = _child_env()
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 "1"))
         proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, check=False, env=_child_env())
+                              capture_output=True, text=True, check=False, env=env)
         assert proc.returncode == 0, proc.stderr
+        names = sorted(f.name for f in (tmp_path / "lu").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "certified").iterdir())
+        assert len(names) == 5  # two reduced matrices, their recovery sidecars and H
+        for name in names:
+            certified, lu = (tmp_path / d / name for d in ("certified", "lu"))
+            assert certified.read_bytes() == lu.read_bytes(), name
 
     def test_kron_of_a_dense_matrix_past_the_sparse_order_leaves_scipy_sparse_unloaded(
             self, tmp_path):
         # the 305-node elimination block has more than SPARSE_MIN_ORDER² entries
         # but about 30 nonzeros per row, where the sparse rule allows 8, so it
-        # is scattered straight into an array, with no CSR built on the way
+        # is scattered straight into an array, with no CSR built on the way,
+        # and certified by its Hermitian part, with no LU
         n = ybus.SPARSE_MIN_ORDER + 10
         y = assemble(generate(GenSpec(node_range=(n, n), edge_density=0.1,
                                       shunt_probability=0.05, min_shunts=1, seed=4)))
@@ -1215,17 +1236,20 @@ class TestTopLevel:
             "import sys\n"
             "import ybuskit.cli\n"
             f"assert ybuskit.cli.main(['kron', {path!r}, {red!r}, '--retain', '0,1,2,3,4']) == 0\n"
-            "assert 'scipy.linalg' in sys.modules, 'no block was factored'\n"
-            "assert 'scipy.sparse' not in sys.modules, 'a dense block loaded scipy.sparse'\n"
+            "assert 'scipy' not in sys.modules, 'a certified dense block loaded scipy'\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, check=False, env=_child_env())
         assert proc.returncode == 0, proc.stderr
 
     def test_only_lu_commands_load_scipy(self, tmp_path):
-        mpath = str(tmp_path / "m.json")
+        # a lossless block has no positive definite Hermitian part, so its
+        # kron falls back to the LU
+        mpath, lossless = str(tmp_path / "m.json"), str(tmp_path / "j.json")
         red = str(tmp_path / "red.json")
         save_matrix(mpath, assemble(Network(3, PATH3.branches, (Shunt(0, 1.0),))))
+        save_matrix(lossless, assemble(Network(3, (Branch(0, 1, 1j), Branch(1, 2, 1j)),
+                                               (Shunt(0, 1j),))))
         script = (
             "import sys\n"
             "import ybuskit.cli\n"
@@ -1233,7 +1257,9 @@ class TestTopLevel:
             f"assert ybuskit.cli.main(['rank', {mpath!r}, '--method', 'both']) == 0\n"
             "assert 'scipy' not in sys.modules, 'rank loaded scipy'\n"
             f"assert ybuskit.cli.main(['kron', {mpath!r}, {red!r}, '--eliminate', '1']) == 0\n"
-            "assert 'scipy' in sys.modules, 'kron ran without scipy'\n"
+            "assert 'scipy' not in sys.modules, 'a certified kron loaded scipy'\n"
+            f"assert ybuskit.cli.main(['kron', {lossless!r}, {red!r}, '--eliminate', '1']) == 0\n"
+            "assert 'scipy.linalg' in sys.modules, 'a lossless kron ran without scipy.linalg'\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, check=False, env=_child_env())

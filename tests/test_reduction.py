@@ -5,6 +5,12 @@ numpy's own dense solver: reductions must reproduce its port behaviour,
 hybrid matrices must reproduce its mixed-boundary solutions.
 """
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,7 +37,7 @@ from ybuskit import (
     kron_reduce_nodes,
     recover_eliminated,
 )
-from ybuskit import reduction
+from ybuskit import linalg_core, reduction
 
 from oracles import blockwise_hybrid, counterexample_block_singular, reorder
 
@@ -350,10 +356,11 @@ class TestHybridParameters:
 
     def test_overflowing_inverse_refused(self, monkeypatch):
         # LAPACK's gecon reports rcond = 0 before an inverse overflows, so the
-        # certificate of a block whose inverse overflows is forged here
+        # certificate of a block whose inverse overflows is forged here; the
+        # network is lossless, so its block goes to the LU route
         forged = RankCertificate(True, 1.0, None, lambda b: np.where(b == 1, np.inf, b))
         monkeypatch.setattr(reduction, "full_rank_certificate", lambda a: forged)
-        net = Network(3, (Branch(0, 1, 1.0), Branch(1, 2, 1.0)), (Shunt(0, 1.0),))
+        net = Network(3, (Branch(0, 1, 1j), Branch(1, 2, 1j)), (Shunt(0, 1j),))
         view = block_view(assemble(net), Partition(((0,), (1, 2)), 3))
         with pytest.raises(NumericalError, match=r"block \(0,0\): the inverse"):
             hybrid_parameters(view, 0)
@@ -376,3 +383,166 @@ class TestHybridParameters:
             res.apply([1.0, 2.0, 3.0])
         assert res.node_order == (0, 1)
         assert res.partition.offsets == (0, 1)
+
+
+#: Runs Kron with --retain and --eliminate shapes and a hybrid on seeded
+#: networks of 5 to 50 nodes and of 300, under every phase policy, by the
+#: Hermitian-part route and by the LU route, and prints every case whose
+#: results (or error texts) differ in any byte.
+ROUTE_SCRIPT = """
+import numpy as np
+from ybuskit import GenSpec, Partition, assemble, block_view, generate, hybrid_parameters
+from ybuskit import kron_reduce_nodes, reduction
+
+def results(y, retain_complement, eliminate, part, p):
+    out = []
+    for call in (lambda: kron_reduce_nodes(y, retain_complement),
+                 lambda: kron_reduce_nodes(y, eliminate),
+                 lambda: hybrid_parameters(block_view(y, part), p)):
+        try:
+            r = call()
+        except Exception as exc:
+            out.append(repr(exc))
+        else:
+            out += [r.h.tobytes()] if hasattr(r, "h") else [r.reduced.matrix.tobytes(),
+                                                             r.recovery.tobytes()]
+    return out
+
+certify = reduction._hermitian_part_certificate
+cases = 0
+for policy in ("re_positive", "arbitrary", "pure_imaginary"):
+    for seed in range(9):
+        rng = np.random.default_rng(seed)
+        n = 300 if seed == 8 else int(rng.integers(5, 51))
+        y = assemble(generate(GenSpec(
+            node_range=(n, n), edge_density=2 * n / (n * (n - 1) // 2 - (n - 1)) if n == 300
+            else 0.2, shunt_probability=0.3, min_shunts=1, phase_policy=policy, seed=seed)))
+        ports = rng.choice(n, max(1, n // 20), replace=False)
+        retain_complement = np.setdiff1d(np.arange(n), ports).tolist()
+        eliminate = sorted(rng.choice(n, n // 2, replace=False).tolist())
+        labels = rng.integers(0, 3, n)
+        labels[:3] = [0, 1, 2]
+        args = (y, retain_complement, eliminate, Partition.from_labels(labels.tolist()), seed % 3)
+        reduction._hermitian_part_certificate = certify
+        new = results(*args)
+        reduction._hermitian_part_certificate = lambda a: None
+        if new != results(*args):
+            print("differs:", policy, seed, n)
+        cases += 1
+print("cases", cases)
+"""
+
+
+class TestHermitianPartRoute:
+    """Dense blocks certified by a Cholesky factorization of their Hermitian part.
+
+    Such a block is solved by ``numpy.linalg.solve``; every other block
+    takes the LU route of ``full_rank_certificate``.
+    """
+
+    def test_results_match_the_lu_route_byte_for_byte_at_one_blas_thread(self):
+        # OpenBLAS splits a solve among its threads by shape, so the bytes are
+        # compared in a child pinned to one thread, as the CLI's determinism
+        # promise is stated
+        env = dict(os.environ)
+        src = str(Path(reduction.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 "1"))
+        proc = subprocess.run([sys.executable, "-c", ROUTE_SCRIPT],
+                              capture_output=True, text=True, check=False, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "cases 27\n"
+
+    @pytest.mark.parametrize("policy", ["re_positive", "pure_imaginary"])
+    def test_lossy_blocks_need_no_lu_and_lossless_ones_always_do(self, policy, monkeypatch):
+        calls = []
+        original = linalg_core.lu_factor_checked
+
+        def counted(a):
+            calls.append(a.shape[0])
+            return original(a)
+
+        monkeypatch.setattr(linalg_core, "lu_factor_checked", counted)
+        for seed in range(6):
+            net = generate(GenSpec(node_range=(5, 50), edge_density=0.2, shunt_probability=0.3,
+                                   min_shunts=1, phase_policy=policy, seed=seed))
+            n = net.node_count
+            y = assemble(net)
+            labels = np.random.default_rng(seed).integers(0, 2, n)
+            labels[:2] = [0, 1]
+            kron_reduce_nodes(y, list(range(0, n, 2)))
+            hybrid_parameters(block_view(y, Partition.from_labels(labels.tolist())), 0)
+        # a lossless block has G_s = 0, so the LU certifies every block
+        assert len(calls) == (0 if policy == "re_positive" else 12)
+
+    def test_exactly_singular_blocks_are_never_certified(self):
+        # the lossless pair (branch 1j, shunt -1j) and the triangle (1, 1, -0.5),
+        # scaled by powers of two, which keep their blocks exactly singular
+        net, part = counterexample_block_singular()
+        triangle = Network(3, (Branch(0, 1, 1.0), Branch(1, 2, 1.0), Branch(0, 2, -0.5)), ())
+        for scale in (2.0 ** -60, 1.0, 2.0 ** 60):
+            for m in (assemble(net).matrix * scale, assemble(triangle).matrix * scale):
+                for k in range(1, m.shape[0] + 1):
+                    for nodes in itertools.combinations(range(m.shape[0]), k):
+                        block = m[np.ix_(nodes, nodes)]
+                        if full_rank_certificate(block).failed_pivot is not None:
+                            assert linalg_core._hermitian_part_certificate(block) is None
+        # a Hermitian block with G_s = I whose skew part K (norm 1) makes it singular
+        hermitian = np.array([[1, 1j], [-1j, 1]])
+        assert full_rank_certificate(hermitian).failed_pivot == 1
+        assert linalg_core._hermitian_part_certificate(hermitian) is None
+        # and their errors still name the LU's pivot and the node of its column
+        with pytest.raises(NotSolvableError, match=r"^block \(0,0\) is exactly singular "
+                                                   r"\(zero pivot at index 0, node 0\)$"):
+            hybrid_parameters(block_view(assemble(net), part), 0)
+        with pytest.raises(NotReducibleError, match=r"^elimination block is exactly singular "
+                                                    r"\(zero pivot at index 0, node 0\)$"):
+            kron_reduce_nodes(assemble(net), [0])
+        for eliminate, node in (([0, 1], 1), ([0, 2], 2), ([1, 2], 2)):
+            with pytest.raises(NotReducibleError, match=r"^elimination block is exactly "
+                                                        rf"singular \(zero pivot at index 1, "
+                                                        rf"node {node}\)$"):
+                kron_reduce_nodes(assemble(triangle), eliminate)
+
+    @pytest.mark.parametrize("margin, certified", [(0.5, False), (2.0, True)])
+    def test_margin_of_the_dense_front_end(self, margin, certified):
+        # A = Q diag(d) Q^T + 1j Q diag(b) Q^T with Q a scaled Hadamard matrix,
+        # whose entries (+-1/2) make every product exact: lambda_min(G_s) is
+        # d's last entry, set to margin * tau for tau = n (n + 2) eps s and s
+        # = sqrt(||A||_1 ||A||_inf), the shift of the certificate (K = 0)
+        q = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+        n = 4
+        mu = 0.0
+        for _ in range(3):  # s moves with mu only in its last bits
+            d = np.array([2.0, 1.0, 1.0, mu])
+            a = q @ np.diag(d) @ q.T + 1j * (q @ np.diag([1.0, 0.5, 0.25, 0.5]) @ q.T)
+            mag = np.abs(a)
+            tau = n * (n + 2) * linalg_core.EPS * np.sqrt(mag.sum(axis=0).max()
+                                                          * mag.sum(axis=1).max())
+            mu = margin * tau
+        assert (a == a.T).all()
+        assert np.linalg.eigvalsh(a.real)[0] == pytest.approx(margin * tau, rel=0.05)
+        cert = linalg_core._hermitian_part_certificate(a)
+        assert (cert is not None) == certified
+        if certified:  # and the LU route agrees that the block has full rank
+            assert np.isnan(cert.condition_estimate) and full_rank_certificate(a).full_rank
+
+    def test_a_shift_below_the_normal_range_is_refused(self):
+        # tau = 3 eps |a| for a 1 x 1 block: normal at 1e-280, subnormal at 1e-300,
+        # where rounding in the factorization is no longer relative
+        assert linalg_core._hermitian_part_certificate(np.array([[1e-280 + 0j]])) is not None
+        assert linalg_core._hermitian_part_certificate(np.array([[1e-300 + 0j]])) is None
+
+    def test_overflowing_w_of_a_certified_block_refused(self, monkeypatch):
+        # Y_ee = 1e-280 is certified (the LU route is not reached), and W =
+        # Y_ee^-1 Y_ek = -1e310 overflows, in Kron and in a hybrid
+        def refused(a):
+            raise AssertionError("the LU route was taken")
+
+        monkeypatch.setattr(reduction, "full_rank_certificate", refused)
+        y = AdmittanceMatrix(np.array([[1e-280, -1e30], [-1e30, 1e300]], dtype=complex), (0, 1))
+        with pytest.raises(NumericalError, match="elimination block: W = Y_ee"):
+            kron_reduce_nodes(y, [0])
+        with pytest.raises(NumericalError, match=r"block \(0,0\): W = Y_ee"):
+            hybrid_parameters(block_view(y, Partition.from_labels([0, 1])), 0)

@@ -35,7 +35,7 @@ from ybuskit import (
     kron_reduce_nodes,
     verify_block_rank,
 )
-from ybuskit import linalg_core, ybus
+from ybuskit import linalg_core, reduction, ybus
 from ybuskit.cli import main
 from ybuskit.io import save_matrix
 
@@ -351,6 +351,29 @@ def test_port_kron_allocates_little_besides_w():
     res, peak = _traced_peak(lambda: kron_reduce_nodes(y, eliminate))
     assert res.recovery.shape == (1600, 400)
     assert peak <= 1.5 * res.recovery.nbytes, f"peak {peak / res.recovery.nbytes:.2f} x W"
+
+
+def test_certified_interior_solve_allocates_little_besides_w():
+    # the benchmark's interior Kron shape: 10% of 2000 nodes eliminated, a dense
+    # 200 x 200 block certified by its Hermitian part, and W solved by NumPy for
+    # about 800 nonzero columns of Y_ek at once, whose dense copy is freed
+    # before W is allocated: the peak is W, the solution of those columns and
+    # the block the certificate keeps, and little else
+    rng = np.random.default_rng(13)
+    y = assemble(grid_network(2000, rng))
+    epos = np.sort(rng.choice(2000, 200, replace=False))
+    kpos = np.setdiff1d(np.arange(2000), epos)
+
+    def solve():
+        cert = reduction._certified(y, epos, "elimination block", NotReducibleError)
+        return cert, cert.solve(y._block(epos, kpos))
+
+    (cert, w), peak = _traced_peak(solve)
+    assert np.isnan(cert.condition_estimate)  # no LU ran
+    solved = np.count_nonzero(w.any(axis=0))
+    assert w.shape == (200, 1800) and 800 <= solved <= 850
+    assert peak <= w.nbytes * 1.02 + (solved + 200) * 200 * 16, f"peak {peak / w.nbytes:.2f} x W"
+    assert peak <= 1.6 * w.nbytes, f"peak {peak / w.nbytes:.2f} x W"
 
 
 class TestHybridStructure:
