@@ -3,11 +3,15 @@
 All numbers are emitted with Python's shortest round-trip float
 representation, so ``parse(emit(x)) == x`` holds bit-exactly and output
 is byte-for-byte reproducible.  Complex values are stored as two-element
-``[re, im]`` arrays; the n² body of a matrix, recovery or hybrid document
-is written row-major straight from its complex array, and a body that is
-not finite raises :class:`NumericalError`.  JSON's decimal point is
-always ``.`` regardless of locale.  Every number read must be finite: ``NaN``, ``Infinity`` and
-literals that overflow binary64 are rejected with :class:`FileFormatError`.
+``[re, im]`` arrays; the n² body of a dense matrix, recovery or hybrid
+document is written row-major straight from its complex array, a stripe
+of rows at a time.  A matrix with at most half its entries stored is
+written as a sparse document, its nonzeros as ``[i, j, re, im]`` in
+row-major order, and read back in O(nnz log nnz).  A body that is not
+finite raises :class:`NumericalError`.  JSON's decimal point is always
+``.`` regardless of locale.  Every number read must be finite: ``NaN``,
+``Infinity`` and literals that overflow binary64 are rejected with
+:class:`FileFormatError`.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ import csv
 import io as _io
 import json
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import FileFormatError, NumericalError
+from .linalg_core import _STRIPE
 from .network_model import Branch, Network, Shunt
-from .ybus import AdmittanceMatrix
+from .ybus import AdmittanceMatrix, _from_nonzeros
 
 #: Exact element types of a parsed ``[re, im]`` pair (``bool`` is not an ``int`` here).
 _REAL_TYPES = frozenset((int, float))
@@ -48,20 +54,26 @@ def _unpair(v, what: str) -> complex:
     return z
 
 
-def _flat_pairs(entries) -> list | None:
-    """The elements of a list of two-element lists, flattened, or None.
+def _is_table(rows, width: int) -> bool:
+    """Whether ``rows`` is a list of lists of ``width`` elements each."""
+    return (type(rows) is list and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {width})
 
-    None unless ``entries`` is a list, every entry is a list of length 2 and
-    every element is exactly an ``int`` or a ``float``.
+
+def _as_complex(flat: list) -> np.ndarray | None:
+    """Interleaved re, im numbers as a complex vector, in one NumPy call.
+
+    None unless every number is exactly an ``int`` or a ``float`` and
+    finite in binary64.
     """
-    if (
-        type(entries) is not list
-        or not set(map(type, entries)) <= {list}
-        or not set(map(len, entries)) <= {2}
-    ):
-        return None
-    flat = list(chain.from_iterable(entries))
-    return flat if set(map(type, flat)) <= _REAL_TYPES else None
+    if set(map(type, flat)) <= _REAL_TYPES:
+        try:
+            vals = np.array(flat, dtype=np.float64)
+        except OverflowError:  # an integer beyond the binary64 range
+            return None
+        if np.isfinite(vals).all():
+            return vals.view(np.complex128)
+    return None
 
 
 def _complex_entries(entries: list) -> np.ndarray:
@@ -70,18 +82,11 @@ def _complex_entries(entries: list) -> np.ndarray:
     Well-formed lists convert in one NumPy call; anything else goes entry by
     entry, so that the error names the first offending entry.
     """
-    flat = _flat_pairs(entries)
-    if flat is not None:
-        try:
-            vals = np.array(flat, dtype=np.float64)
-        except OverflowError:  # an integer beyond the binary64 range: reported below
-            pass
-        else:
-            if np.isfinite(vals).all():
-                return vals.view(np.complex128)
-    return np.array(
-        [_unpair(e, f"entry {i}") for i, e in enumerate(entries)], dtype=np.complex128
-    )
+    z = _as_complex(list(chain.from_iterable(entries))) if _is_table(entries, 2) else None
+    if z is None:
+        z = np.array([_unpair(e, f"entry {i}") for i, e in enumerate(entries)],
+                     dtype=np.complex128)
+    return z
 
 
 def _require_int(v, what: str) -> int:
@@ -188,19 +193,81 @@ def network_from_csv(text: str) -> Network:
 
 # -- matrix documents ---------------------------------------------------------
 
+#: One nonzero of a sparse matrix document, written as ``[i, j, re, im]``.
+_NONZERO = np.dtype([("i", np.intp), ("j", np.intp), ("z", np.complex128)])
+
+
+def _has_signed_zero(m: np.ndarray) -> bool:
+    """Whether a complex array has a zero entry with a sign bit set, a stripe of rows at a time."""
+    for r0 in range(0, len(m), _STRIPE):
+        rows = m[r0:r0 + _STRIPE]
+        parts = np.signbit(rows.view(np.float64))
+        if ((rows == 0) & (parts[:, 0::2] | parts[:, 1::2])).any():
+            return True
+    return False
+
+
 def matrix_to_dict(y: AdmittanceMatrix) -> dict:
-    return {
-        "n": y.size,
-        "node_order": list(y.node_order),
-        "entries": y.matrix,
-    }
+    """The sparse document of ``y`` where it is smaller and exact, else the dense one.
+
+    The sparse document lists the compressed rows under ``"nonzeros"``.
+    It is chosen when at most half of the n² entries are stored and no
+    dense view already held has a zero entry with a sign bit set (the
+    sparse document reads back every unstored entry as +0), so the choice
+    depends only on the matrix's value; ``y.matrix`` is never built here.
+    """
+    n = y.size
+    held = y.__dict__.get("matrix")
+    if 2 * y.data.size > n * n or (held is not None and _has_signed_zero(held)):
+        return {"n": n, "node_order": list(y.node_order), "entries": y.matrix}
+    nonzeros = np.empty(y.data.size, dtype=_NONZERO)
+    nonzeros["i"], nonzeros["j"], nonzeros["z"] = y._rows(), y.indices, y.data
+    return {"n": n, "node_order": list(y.node_order), "nonzeros": nonzeros}
+
+
+def _nonzero_arrays(nonzeros, n: int):
+    """A ``"nonzeros"`` list as intp rows and columns and a complex vector.
+
+    Every element must be ``[i, j, re, im]`` with exactly-``int``
+    positions, and ``[re, im]`` is checked as :func:`_complex_entries`
+    checks a pair; the error names the first element that fails.  A
+    position beyond the intp range becomes -1, which the checked
+    constructor refuses as out of range.
+    """
+    if not _is_table(nonzeros, 4) or not set(
+            map(type, chain.from_iterable(map(itemgetter(0, 1), nonzeros)))) <= {int}:
+        if not isinstance(nonzeros, list):
+            raise FileFormatError(
+                f'"nonzeros" must be a list of [i, j, re, im] arrays, got {nonzeros!r}')
+        k, v = next((k, v) for k, v in enumerate(nonzeros)
+                    if not (type(v) is list and len(v) == 4 and type(v[0]) is type(v[1]) is int))
+        raise FileFormatError(
+            f"nonzero {k} must be a four-element [i, j, re, im] array with integer positions, "
+            f"got {v!r}")
+    data = _as_complex(list(chain.from_iterable(map(itemgetter(2, 3), nonzeros))))
+    if data is None:
+        data = np.array([_unpair(v[2:], f"nonzero {k} value") for k, v in enumerate(nonzeros)],
+                        dtype=np.complex128)
+    rows, cols = (_positions(list(map(itemgetter(k), nonzeros)), n) for k in (0, 1))
+    return rows, cols, data
+
+
+def _positions(p: list, n: int) -> np.ndarray:
+    try:
+        return np.array(p, dtype=np.intp)
+    except OverflowError:  # beyond intp, so out of range: -1 stands for it
+        return np.array([v if 0 <= v < n else -1 for v in p], dtype=np.intp)
 
 
 def matrix_from_dict(doc) -> AdmittanceMatrix:
+    """Read a dense (``"entries"``) or sparse (``"nonzeros"``) matrix document."""
     if not isinstance(doc, dict):
         raise FileFormatError("matrix document must be a JSON object")
-    unknown = set(doc) - {"n", "node_order", "entries"}
+    body = "nonzeros" if "nonzeros" in doc else "entries"
+    unknown = set(doc) - {"n", "node_order", body}
     if unknown:
+        if body == "nonzeros" and "entries" in doc:
+            raise FileFormatError('a matrix document holds "entries" or "nonzeros", not both')
         raise FileFormatError(f"unknown matrix document keys: {sorted(unknown)}")
     n = _require_int(doc.get("n"), '"n"')
     if n < 1:
@@ -209,6 +276,8 @@ def matrix_from_dict(doc) -> AdmittanceMatrix:
     if not isinstance(order, list) or len(order) != n:
         raise FileFormatError(f'"node_order" must list {n} node ids')
     order = [_require_int(v, '"node_order" entry') for v in order]
+    if body == "nonzeros":
+        return _from_nonzeros(*_nonzero_arrays(doc["nonzeros"], n), order)
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != n * n:
         raise FileFormatError(f'"entries" must hold exactly {n * n} [re, im] pairs')
@@ -243,28 +312,51 @@ def hybrid_to_dict(hy) -> dict:
 # -- files --------------------------------------------------------------------
 
 _ENTRY_SEP = "\n    ],\n    [\n      "
+_ITEM_SEP = ",\n      "
+_BODIES = ("entries", "nonzeros")
+
+
+def _stripe_text(a: np.ndarray) -> str:
+    """Rows of a body array as ``json`` writes them, ``[re, im]`` or ``[i, j, re, im]`` each."""
+    if a.dtype == _NONZERO:
+        z = a["z"]
+        items = a["i"].tolist(), a["j"].tolist(), z.real.tolist(), z.imag.tolist()
+    else:
+        z = np.ascontiguousarray(a, np.complex128)
+        flat = z.reshape(-1).view(np.float64).tolist()
+        items = flat[0::2], flat[1::2]
+    if not np.isfinite(z).all():
+        raise NumericalError("cannot write NaN or infinite matrix entries")
+    return _ENTRY_SEP.join(map(_ITEM_SEP.join(["{!r}"] * len(items)).format, *items))
 
 
 def emit_json(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, with a complex array under ``"entries"``.
+    """``json.dumps(doc, indent=2) + "\\n"``, with an array body spliced in.
 
-    A top-level ``"entries"`` array (the n² body of matrix, recovery and
-    hybrid documents) is written as row-major ``[re, im]`` pairs in one
-    pass with ``float.__repr__``, as ``json`` formats floats, and spliced
-    into the encoding of the rest of the document; a non-finite array
-    raises :class:`NumericalError`.  Any other document is ``json``'s.
+    A top-level ``"entries"`` array (the n² complex body of matrix,
+    recovery and hybrid documents) is written as row-major ``[re, im]``
+    pairs, and a ``"nonzeros"`` array of ``_NONZERO`` records as
+    ``[i, j, re, im]`` lists, each number with ``repr``, as ``json``
+    formats it.  The body is formatted ``_STRIPE`` rows at a time, and the
+    stripes are spliced into the encoding of the rest of the document by
+    one join, so the text is built once; a non-finite body raises
+    :class:`NumericalError`.  Any other document is ``json``'s.
     """
-    entries = doc.get("entries") if isinstance(doc, dict) else None
-    if not isinstance(entries, np.ndarray):
+    key = next((k for k in _BODIES if isinstance(doc, dict)
+                and isinstance(doc.get(k), np.ndarray)), None)
+    if key is None:
         return json.dumps(doc, indent=2) + "\n"
-    if not np.isfinite(entries).all():
-        raise NumericalError("cannot write NaN or infinite matrix entries")
-    flat = np.ascontiguousarray(entries, np.complex128).reshape(-1).view(np.float64).tolist()
-    body = _ENTRY_SEP.join(map("{!r},\n      {!r}".format, flat[0::2], flat[1::2]))
-    body = f"[\n    [\n      {body}\n    ]\n  ]" if flat else "[]"
-    key = '\n  "entries": '  # strings escape newlines and deeper keys indent further
-    head = json.dumps({**doc, "entries": None}, indent=2)
-    return head.replace(key + "null", key + body, 1) + "\n"
+    body = doc[key]
+    field = f'\n  "{key}": '  # strings escape newlines and deeper keys indent further
+    head, tail = json.dumps({**doc, key: None}, indent=2).split(field + "null", 1)
+    if not body.size:
+        return f"{head}{field}[]{tail}\n"
+    parts = []
+    for r0 in range(0, len(body), _STRIPE):
+        parts += (_ENTRY_SEP, _stripe_text(body[r0:r0 + _STRIPE]))
+    parts[0] = f"{head}{field}[\n    [\n      "
+    parts.append(f"\n    ]\n  ]{tail}\n")
+    return "".join(parts)
 
 
 def _reject_constant(name: str):
@@ -341,6 +433,6 @@ def load_any(path: str):
     if path.lower().endswith(".csv"):
         return load_network(path)
     doc = _read_json(path)
-    if isinstance(doc, dict) and "entries" in doc:
+    if isinstance(doc, dict) and not doc.keys().isdisjoint(_BODIES):
         return matrix_from_dict(doc)
     return network_from_dict(doc)

@@ -88,20 +88,8 @@ class AdmittanceMatrix:
             m = _frozen(as_cmatrix(matrix))
             if m.shape[0] != m.shape[1]:
                 raise StructuralError(f"admittance matrix must be square, got {m.shape}")
-            if len(order) != m.shape[0]:
-                raise StructuralError(
-                    f"node_order length {len(order)} does not match matrix size {m.shape[0]}"
-                )
-            if len(set(order)) != len(order):
-                raise StructuralError("node_order contains duplicate nodes")
-            if m.size:
-                scale, asym = _scale_and_asymmetry(m)
-                if asym > SYMMETRY_RTOL * scale:
-                    raise StructuralError(
-                        f"matrix is not complex symmetric: max|Y - Y^T| = {asym:.3e} "
-                        f"exceeds {SYMMETRY_RTOL:.0e} * max|Y| = {SYMMETRY_RTOL * scale:.3e}"
-                    )
             n = m.shape[0]
+            _check_order_and_symmetry(order, n, *_scale_and_asymmetry(m))
             if m.size and np.count_nonzero(m) == m.size:  # every entry stored: data is m itself
                 csr = np.arange(0, m.size + 1, n), np.tile(np.arange(n), n), m.reshape(-1)
             else:
@@ -161,19 +149,79 @@ class AdmittanceMatrix:
         return block
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_DENSE_ORDER:
+        raise SizeLimitError(f"{n} nodes exceed the dense matrix limit of {MAX_DENSE_ORDER} nodes")
+
+
+def _check_order_and_symmetry(order: tuple, n: int, scale: float, asym: float) -> None:
+    """The checks of every matrix not built by the package: node labels, then symmetry."""
+    if len(order) != n:
+        raise StructuralError(f"node_order length {len(order)} does not match matrix size {n}")
+    if len(set(order)) != len(order):
+        raise StructuralError("node_order contains duplicate nodes")
+    if asym > SYMMETRY_RTOL * scale:
+        raise StructuralError(
+            f"matrix is not complex symmetric: max|Y - Y^T| = {asym:.3e} "
+            f"exceeds {SYMMETRY_RTOL:.0e} * max|Y| = {SYMMETRY_RTOL * scale:.3e}"
+        )
+
+
 def _scale_and_asymmetry(m: np.ndarray) -> tuple[float, float]:
     """max|Y| and max|Y - Y^T|, a block of rows at a time.
 
     Rows r0:r1 are compared with columns r0:r1 from column r0 on, which
     covers the upper triangle; |Y - Y^T| is symmetric, so its maximum there
-    is its maximum everywhere.
+    is its maximum everywhere.  A difference that overflows is infinite.
     """
     scale = asym = 0.0
     for r0 in range(0, m.shape[0], _STRIPE):
         rows = m[r0:r0 + _STRIPE]
         scale = max(scale, float(np.abs(rows).max()))
-        asym = max(asym, float(np.abs(rows[:, r0:] - m[r0:, r0:r0 + _STRIPE].T).max()))
+        with np.errstate(over="ignore"):
+            asym = max(asym, float(np.abs(rows[:, r0:] - m[r0:, r0:r0 + _STRIPE].T).max()))
     return scale, asym
+
+
+def _from_nonzeros(rows, cols, data, node_order) -> AdmittanceMatrix:
+    """A matrix from its nonzeros, checked as the dense constructor checks a dense one.
+
+    ``rows`` and ``cols`` are intp positions into ``node_order`` and must
+    lie in range and come in strictly ascending row-major order; ``data``
+    is finite.  Stored exact zeros are dropped.  The node order and the
+    complex symmetry are then checked with the dense constructor's
+    messages, in O(nnz log nnz): the mirror Y[c, r] of each entry is found
+    by binary search, and a mirror not stored is zero, so max|Y| and
+    max|Y - Y^T| are the dense check's values bit for bit.  More than
+    ``MAX_DENSE_ORDER`` nodes raise :class:`SizeLimitError`, as a network
+    that large does.
+    """
+    order = tuple(map(int, node_order))
+    n = len(order)
+    _check_size(n)
+    outside = np.flatnonzero((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n))
+    if outside.size:
+        raise StructuralError(f"nonzero {outside[0]} has a position outside 0..{n - 1}")
+    keys = rows * n + cols
+    unordered = np.flatnonzero(keys[1:] <= keys[:-1])
+    if unordered.size:
+        k = unordered[0] + 1
+        raise StructuralError(
+            f"nonzero {k} does not follow nonzero {k - 1} in strictly ascending row-major order"
+        )
+    if not data.all():
+        keep = data != 0
+        rows, cols, data, keys = rows[keep], cols[keep], data[keep], keys[keep]
+    scale = asym = 0.0
+    if data.size:
+        mirror_keys = cols * n + rows
+        at = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
+        mirror = np.where(keys[at] == mirror_keys, data[at], 0)
+        with np.errstate(over="ignore"):
+            scale, asym = float(np.abs(data).max()), float(np.abs(data - mirror).max())
+    _check_order_and_symmetry(order, n, scale, asym)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return AdmittanceMatrix._adopt(indptr, cols, data, order)
 
 
 def _stamp(net: Network, zero_tol: float) -> AdmittanceMatrix:
@@ -191,8 +239,7 @@ def _stamp(net: Network, zero_tol: float) -> AdmittanceMatrix:
     and a sum that overflows raises :class:`NumericalError`.
     """
     n = net.node_count
-    if n > MAX_DENSE_ORDER:
-        raise SizeLimitError(f"{n} nodes exceed the dense matrix limit of {MAX_DENSE_ORDER} nodes")
+    _check_size(n)
     branches = net.branches
     adm = np.array([b.admittance for b in branches], dtype=np.complex128)
     zero = _zero_admittances(adm, zero_tol)

@@ -90,6 +90,38 @@ MATRIX_FIELDS = [
     ("n",), ("node_order",), ("entries",), ("extra",), ("node_order", 0), ("node_order", 1),
     ("entries", 0), ("entries", 1), ("entries", 2, 0), ("entries", 3, 1),
 ]
+#: The same matrix as a sparse document, and key paths into it.
+SPARSE_MATRIX_FUZZ_BASE = {
+    "n": 2,
+    "node_order": [0, 1],
+    "nonzeros": [[0, 0, 1.0, -2.0], [0, 1, -1.0, 2.0], [1, 0, -1.0, 2.0], [1, 1, 1.5, -2.0]],
+}
+SPARSE_MATRIX_FIELDS = [
+    ("n",), ("node_order",), ("nonzeros",), ("entries",), ("extra",), ("node_order", 1),
+    ("nonzeros", 0), ("nonzeros", 3), ("nonzeros", 1, 0), ("nonzeros", 2, 1),
+    ("nonzeros", 0, 2), ("nonzeros", 3, 3),
+]
+#: Sparse documents that must exit 1, by what is wrong: (key path, value) edits of the base.
+SPARSE_MATRIX_FAULTS = {
+    "bool-position": [(("nonzeros", 1, 0), True)],
+    "bool-value": [(("nonzeros", 1, 3), False)],
+    "float-position": [(("nonzeros", 2, 1), 0.0)],
+    "huge-value": [(("nonzeros", 0, 2), 10**400)],
+    "nan": [(("nonzeros", 3, 3), float("nan"))],
+    "inf": [(("nonzeros", 0, 2), float("inf"))],
+    "position-n": [(("nonzeros", 3, 1), 2)],
+    "negative-position": [(("nonzeros", 0, 0), -1)],
+    "huge-position": [(("nonzeros", 2, 0), 10**30)],
+    "repeated": [(("nonzeros", 2), [0, 1, -1.0, 2.0])],
+    "unordered": [(("nonzeros", 1), [1, 0, -1.0, 2.0]), (("nonzeros", 2), [0, 1, -1.0, 2.0])],
+    "short": [(("nonzeros", 1), [0, 1, -1.0])],
+    "not-a-list": [(("nonzeros",), {"0": [0, 0, 1.0, 0.0]})],
+    "both-bodies": [(("entries",), MATRIX_FUZZ_BASE["entries"])],
+    "asymmetric": [(("nonzeros", 2, 2), -1.5)],
+    "overflowing-asymmetry": [(("nonzeros", 1, 2), 1.7e308), (("nonzeros", 2, 2), -1.7e308)],
+    "duplicate-node": [(("node_order", 1), 0)],
+    "too-many-nodes": [(("n",), 16385), (("node_order",), list(range(16385)))],
+}
 #: A branch-list CSV as rows of cells; header, two branches and a shunt.
 CSV_FUZZ_BASE = [["from", "to", "re", "im"], ["0", "1", "1.0", "-2.0"],
                  ["1", "2", "0.5", "0.0"], ["2", "-1", "0.0", "0.25"]]
@@ -221,6 +253,17 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
+def _edited(base, edits):
+    """A copy of the document ``base`` with each (key path, value) of ``edits`` set."""
+    doc = json.loads(json.dumps(base))
+    for (*path, last), value in edits:
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+    return doc
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -334,15 +377,13 @@ class TestMatrixDocuments:
         with pytest.raises(FileFormatError):
             matrix_from_dict(doc)
 
-    @settings(max_examples=400, deadline=None)
-    @given(field=st.sampled_from(MATRIX_FIELDS), value=JSON_VALUES)
+    @settings(max_examples=600, deadline=None)
+    @given(field=st.sampled_from([(MATRIX_FUZZ_BASE, f) for f in MATRIX_FIELDS]
+                                 + [(SPARSE_MATRIX_FUZZ_BASE, f) for f in SPARSE_MATRIX_FIELDS]),
+           value=JSON_VALUES)
     def test_any_value_in_any_field_is_a_result_or_exit_1(self, field, value):
-        doc = json.loads(json.dumps(MATRIX_FUZZ_BASE))
-        *path, last = field
-        target = doc
-        for key in path:
-            target = target[key]
-        target[last] = value
+        base, field = field
+        doc = _edited(base, [(field, value)])
         try:
             matrix_from_dict(doc)
             typed = False
@@ -359,6 +400,47 @@ class TestMatrixDocuments:
                     assert (code, out) == (1, "") and err.count("\n") == 1, (argv, err)
                 else:
                     assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, err)
+
+    @pytest.mark.parametrize("fault", sorted(SPARSE_MATRIX_FAULTS))
+    def test_malformed_sparse_document_exits_1_with_one_line_and_no_file(self, tmp_path, fault):
+        mpath, out = tmp_path / "m.json", tmp_path / "r.json"
+        mpath.write_text(json.dumps(_edited(SPARSE_MATRIX_FUZZ_BASE, SPARSE_MATRIX_FAULTS[fault])))
+        with pytest.raises((FileFormatError, StructuralError)):
+            load_matrix(str(mpath))
+        for argv in (["rank", str(mpath), "--method", "both"],
+                     ["kron", str(mpath), str(out), "--retain", "1"],
+                     ["hybrid", str(mpath), str(out), "--partition", "0,1", "--solve-class", "0"]):
+            code, stdout, err = _run_cli(argv)
+            assert (code, stdout) == (1, ""), (argv, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"], argv
+
+    @pytest.mark.parametrize("body", ["entries", "nonzeros"])
+    def test_overflowing_asymmetry_is_one_error_line(self, tmp_path, body):
+        # |Y - Y^T| overflows to inf, which the check reports without a warning
+        base = MATRIX_FUZZ_BASE if body == "entries" else SPARSE_MATRIX_FUZZ_BASE
+        doc = _edited(base, [((body, 1, 0 if body == "entries" else 2), 1.7e308),
+                             ((body, 2, 0 if body == "entries" else 2), -1.7e308)])
+        code, out, err = _run_cli(["rank", _write(tmp_path, "m.json", json.dumps(doc))])
+        assert (code, out) == (1, "")
+        assert err == ("error: matrix is not complex symmetric: max|Y - Y^T| = inf exceeds "
+                       "1e-14 * max|Y| = 1.700e+294\n")
+
+    def test_sparse_document_errors_name_the_nonzero(self):
+        for fault, message in (
+            ("bool-position", "nonzero 1 must be a four-element [i, j, re, im] array with "
+                              "integer positions, got [True, 1, -1.0, 2.0]"),
+            ("huge-value", "nonzero 0 value must hold finite numbers, got [" + "1" + "0" * 400
+                           + ", -2.0]"),
+            ("huge-position", "nonzero 2 has a position outside 0..1"),
+            ("position-n", "nonzero 3 has a position outside 0..1"),
+            ("repeated", "nonzero 2 does not follow nonzero 1 in strictly ascending row-major "
+                         "order"),
+            ("both-bodies", 'a matrix document holds "entries" or "nonzeros", not both'),
+        ):
+            with pytest.raises((FileFormatError, StructuralError)) as exc:
+                matrix_from_dict(_edited(SPARSE_MATRIX_FUZZ_BASE, SPARSE_MATRIX_FAULTS[fault]))
+            assert str(exc.value) == message, fault
 
     def test_load_any_dispatches_on_keys(self, tmp_path):
         net = PATH3
@@ -1219,6 +1301,58 @@ class TestTopLevel:
         for name in names:
             certified, lu = (tmp_path / d / name for d in ("certified", "lu"))
             assert certified.read_bytes() == lu.read_bytes(), name
+
+    @pytest.mark.parametrize("n", [50, ybus.SPARSE_MIN_ORDER])
+    def test_sparse_and_dense_matrix_files_give_the_same_bytes(self, tmp_path, n):
+        # ybus writes the sparse document; a hand-written dense document of
+        # the same matrix must give the same stdout and files, at one BLAS
+        # thread as README's determinism promise requires
+        y = assemble(generate(GenSpec(
+            node_range=(n, n), edge_density=2 * n / (n * (n - 1) // 2 - (n - 1)),
+            shunt_probability=0.05, min_shunts=1, seed=n)))
+        dense = {"n": n, "node_order": list(y.node_order),
+                 "entries": [[z.real, z.imag] for z in y.matrix.ravel().tolist()]}
+        for form in ("sparse", "dense"):
+            (tmp_path / form).mkdir()
+        save_matrix(str(tmp_path / "sparse" / "y.json"), y)
+        (tmp_path / "dense" / "y.json").write_text(json.dumps(dense, indent=2) + "\n")
+        commands = [
+            ["rank", "y.json", "--method", "both"],
+            ["kron", "y.json", "r.json", "--retain", ",".join(map(str, range(0, n, 20)))],
+            ["kron", "y.json", "e.json", "--eliminate", "5,6,7"],
+            ["hybrid", "y.json", "h.json", "--partition", ",".join(str(k % 3) for k in range(n)),
+             "--solve-class", "0"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import ybuskit.cli\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        runs.append([ybuskit.cli.main(argv), out.getvalue()])\n"
+            "print(json.dumps(runs))\n"
+        )
+        env = _child_env()
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                 "1"))
+        runs = {}
+        for form in ("sparse", "dense"):
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                                  cwd=tmp_path / form, capture_output=True, text=True,
+                                  check=False, env=env)
+            assert proc.returncode == 0, proc.stderr
+            runs[form] = json.loads(proc.stdout)
+        assert [code for code, _ in runs["sparse"]] == [0] * len(commands)
+        assert runs["sparse"] == runs["dense"]
+        names = sorted(f.name for f in (tmp_path / "sparse").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "dense").iterdir())
+        assert len(names) == 6  # y.json, two reduced matrices, their sidecars and H
+        assert '"nonzeros"' in (tmp_path / "sparse" / "e.json").read_text()
+        for name in names:
+            if name != "y.json":
+                sparse, dense = ((tmp_path / form / name).read_bytes() for form in runs)
+                assert sparse == dense, name
 
     def test_kron_of_a_dense_matrix_past_the_sparse_order_leaves_scipy_sparse_unloaded(
             self, tmp_path):
