@@ -4,8 +4,8 @@ Backed by LAPACK through NumPy/SciPy, and by SuperLU for SciPy sparse
 matrices.  SciPy is imported inside the LU routines only, so importing the
 package (and every command that factors no block by LU) loads NumPy
 alone.  Every solve goes through a :class:`RankCertificate`: NumPy's, for
-a dense block whose Hermitian part :func:`_hermitian_part_certificate`
-proves positive definite, or the LU of :func:`full_rank_certificate`,
+a dense block whose nonzeros the rank verdicts' :func:`_hermitian_part_certifies`
+proves invertible, or the LU of :func:`full_rank_certificate`,
 which knows no size rule and factors the form it is handed
 (``AdmittanceMatrix._block`` decides which blocks of Y are sparse); it
 tells a SciPy sparse matrix by its ``nnz`` attribute, without importing
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 
@@ -115,6 +115,13 @@ def numerical_rank(m) -> RankResult:
     return RankResult(rank=rank, singular_values=sigma, tolerance_used=tol)
 
 
+def _mirror(n: int, rows, cols, data) -> np.ndarray:
+    """Y[c, r] at each stored (r, c), by binary search of the row-major keys; 0 if not stored."""
+    keys, flip = rows * n + cols, cols * n + rows
+    at = np.minimum(np.searchsorted(keys, flip), keys.size - 1)
+    return np.where(keys[at] == flip, data[at], 0)
+
+
 def _hermitian_part_certifies(n: int, rows, cols, data, grounded: bool = False) -> bool:
     """Whether a Cholesky factorization proves that an n x n Y has numerical rank n.
 
@@ -125,7 +132,10 @@ def _hermitian_part_certifies(n: int, rows, cols, data, grounded: bool = False) 
     I||_2 (Higham, Accuracy and Stability, Thm 10.3).  tau is twice that,
     which covers rounding in G_s and the SVD's own error too, plus the
     SVD's rank tolerance n eps sigma_max, with sigma_max <= sqrt(||Y||_1
-    ||Y||_inf), plus a bound on ||K||_1 >= ||K||_2.
+    ||Y||_inf), plus the largest sum of |K| over the stored entries of a
+    row and of the same column, which is at least ||K||_1 >= ||K||_2 and
+    at most 2 ||K||_1.  A tau below the normal range is refused: the bound
+    assumes no underflow.
 
     ``grounded`` proves numerical rank n - 1 instead.  Interlacing gives
     sigma_(n-1)(Y) >= sigma_min(Y_g) for Y_g, Y without node 0's row and
@@ -137,66 +147,48 @@ def _hermitian_part_certifies(n: int, rows, cols, data, grounded: bool = False) 
     tolerance, n eps times the largest stored column 2-norm <= sigma_max;
     the other half is left to the SVD's own error.
     """
-    keys, flip = rows * n + cols, cols * n + rows
-    at = np.minimum(np.searchsorted(keys, flip), keys.size - 1)
-    a = np.abs(data)
-    row_abs = np.bincount(rows, a, n)
-    s = np.sqrt(np.bincount(cols, a, n).max()) * np.sqrt(row_abs.max())
-    o = int(grounded)  # the first row and column of G_s that the factor keeps
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the factorization
+        a = np.abs(data)
+        row_abs = np.bincount(rows, a, n)
+        s = np.sqrt(np.bincount(cols, a, n).max()) * np.sqrt(row_abs.max())
         if grounded:  # norms taken of x / max(x), whose squares cannot overflow
             sigma_low = a.max() * np.sqrt(np.bincount(cols, (a / a.max()) ** 2, n).max())
             b = (np.hypot(np.bincount(rows, data.real, n), np.bincount(rows, data.imag, n))
                  + (np.bincount(rows, minlength=n) + 1) * EPS * row_abs)
             if not b.max() * np.linalg.norm(b / b.max()) <= n * np.sqrt(n) * EPS * sigma_low / 2:
                 return False
-        mirror = np.where(keys[at] == flip, data[at], 0)  # Y[c, r] at every stored (r, c)
+        mirror = _mirror(n, rows, cols, data)
         k = np.abs((data - mirror).imag) / 2  # |K| at the stored positions
-        kept = (rows >= o) & (cols >= o)
-        r, c = rows[kept] - o, cols[kept] - o
-        g = np.zeros((n - o, n - o))
-        g[r, c] = g[c, r] = (data + mirror).real[kept]  # 2 G_s, exactly symmetric
-        # each |K| entry sums into its row and column
-        return _shifted_cholesky_succeeds(
-            g, n, s, (np.bincount(rows, k, n) + np.bincount(cols, k, n)).max())
-
-
-def _shifted_cholesky_succeeds(g: np.ndarray, n: int, s: float, k1: float) -> bool:
-    """Whether ``g`` = 2 G_s less 2 tau I (shifted in place) has a Cholesky factor.
-
-    tau is that of an n x n Y with sqrt(||Y||_1 ||Y||_inf) <= s and ||K||_1
-    <= k1.  A tau below the normal range is refused: the bound assumes no
-    underflow.
-    """
-    tau = n * (n + 2) * EPS * s + k1
-    if not tau >= TINY:
-        return False
-    g.ravel()[::g.shape[0] + 1] -= 2 * tau  # doubling is exact
-    try:  # a NaN can pass the factorization and fill the factor; an overflowing sum refuses too
-        return isfinite(np.linalg.cholesky(g).sum())
-    except np.linalg.LinAlgError:
-        return False
+        tau = n * (n + 2) * EPS * s + (np.bincount(rows, k, n) + np.bincount(cols, k, n)).max()
+        if not tau >= TINY:
+            return False
+        g = np.zeros((n - int(grounded),) * 2)
+        g2 = (data + mirror).real  # 2 G_s at the stored positions, exactly symmetric
+        if grounded:  # the factor keeps G_s without its first row and column
+            kept = (rows > 0) & (cols > 0)
+            rows, cols, g2 = rows[kept] - 1, cols[kept] - 1, g2[kept]
+        g[rows, cols] = g[cols, rows] = g2
+        g.ravel()[::g.shape[0] + 1] -= 2 * tau  # doubling is exact
+        try:  # NaN can pass the factorization and fill the factor; an overflowing sum refuses too
+            return isfinite(np.linalg.cholesky(g).sum())
+        except np.linalg.LinAlgError:
+            return False
 
 
 def _hermitian_part_certificate(a) -> RankCertificate | None:
     """The test of :func:`_hermitian_part_certifies` on a nonempty dense block, else None.
 
-    2 G_s is ``a.real + a.real.T``, or ``2 * a.real`` for a complex
-    symmetric block.  No LU runs, so the condition estimate is NaN, and the
+    The block's nonzeros, taken by ``np.nonzero`` in row-major order, are
+    the kernel's stored entries, so a dense block gets the rank verdicts'
+    tau.  No LU runs, so the condition estimate is NaN, and the
     certificate solves with ``numpy.linalg.solve``.
     """
-    n = a.shape[0]
     if hasattr(a, "nnz"):
         return None
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the factorization
-        mag, d = np.abs(a), a - a.T  # Im d = 2 K
-        if d.any():
-            s = sqrt(mag.sum(axis=0).max()) * sqrt(mag.sum(axis=1).max())
-            g, k1 = a.real + a.real.T, np.abs(d.imag).sum(axis=0).max() / 2
-        else:  # complex symmetric, as blocks of Y are: ||A||_inf = ||A||_1 and K = 0
-            g, s, k1 = 2 * a.real, mag.sum(axis=0).max(), 0.0
-        if not _shifted_cholesky_succeeds(g, n, s, k1):
-            return None
+    n = a.shape[0]
+    rows, cols = np.nonzero(a)
+    if not _hermitian_part_certifies(n, rows, cols, a[rows, cols]):
+        return None
     return RankCertificate(True, float("nan"), None, lambda b: _by_columns(
         lambda c: _numpy_solve(a, _checked_rhs(c, n)), b, lambda k: [slice(0, k)]))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisError, SizeLimitError, StructuralError
-from .linalg_core import _STRIPE, _finite, _frozen, as_cmatrix
+from .linalg_core import _STRIPE, _finite, _frozen, _mirror, as_cmatrix
 from .network_model import DEFAULT_ZERO_TOL, Network, _zero_admittances, shunt_totals
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
@@ -214,11 +214,9 @@ def _from_nonzeros(rows, cols, data, node_order) -> AdmittanceMatrix:
         rows, cols, data, keys = rows[keep], cols[keep], data[keep], keys[keep]
     scale = asym = 0.0
     if data.size:
-        mirror_keys = cols * n + rows
-        at = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
-        mirror = np.where(keys[at] == mirror_keys, data[at], 0)
         with np.errstate(over="ignore"):
-            scale, asym = float(np.abs(data).max()), float(np.abs(data - mirror).max())
+            scale = float(np.abs(data).max())
+            asym = float(np.abs(data - _mirror(n, rows, cols, data)).max())
     _check_order_and_symmetry(order, n, scale, asym)
     indptr = np.searchsorted(rows, np.arange(n + 1))
     return AdmittanceMatrix._adopt(indptr, cols, data, order)

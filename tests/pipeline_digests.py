@@ -16,7 +16,10 @@ N = 300 and 700 (the sparse branches), each under all three phase
 policies, then ``ybus``, ``rank`` direct and ``--method both`` on the
 network and on the matrix, ``kron --eliminate`` and ``--retain``, a staged
 second ``kron``, ``hybrid --partition`` solving a middle and then the last
-of three classes, and ``hybrid --class``.  At 300 and 700 nodes a
+of three classes, and ``hybrid --class``.  At 60 and 150 nodes a dense
+document of Y plus an antisymmetric imaginary part of 1e-15 max|Y|, so
+that K = Im(Y - Y^T) / 2 is not zero, goes through ``rank --method
+both``, ``kron --eliminate`` and ``hybrid --partition``.  At 300 and 700 nodes a
 shuntless ``randgen`` follows, with ``ybus`` and ``rank`` on the network
 and on the matrix.  From ``SPARSE_MIN_ORDER`` (300) nodes on, the
 Cholesky certificates settle the ``re_positive`` ranks without an SVD,
@@ -32,6 +35,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -42,6 +46,8 @@ SIZES = ((12, 0.2, 0.3), (60, 0.1, 0.2), (150, 0.03, 0.1),
          (300, 2 * 300 / (300 * 299 // 2 - 299), 0.05), (700, 0.004, 0.05))
 #: Node counts that also get a shuntless network.
 SHUNTLESS_SIZES = (300, 700)
+#: Node counts whose Y is also read with a small antisymmetric imaginary part.
+PERTURBED_SIZES = (60, 150)
 POLICIES = ("re_positive", "arbitrary", "pure_imaginary")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -62,6 +68,24 @@ def _step(main, tag: str, argv: list[str], *outputs: str) -> None:
 
 def _labels(nodes) -> str:
     return ",".join(map(str, nodes))
+
+
+def _perturbed(src: str, dst: str, n: int) -> None:
+    """Write sparse matrix ``src`` densely, with 1e-15 max|Y| (U - U^T) added to Im Y.
+
+    U is uniform on [0, 1) at seed n.  The largest |Y - Y^T| then stays
+    below the reader's symmetry tolerance of 1e-14 max|Y|.
+    """
+    import numpy as np
+
+    doc = json.loads(Path(src).read_text())
+    m = np.zeros((n, n), dtype=np.complex128)
+    for i, j, re, im in doc["nonzeros"]:
+        m[i, j] = complex(re, im)
+    u = np.random.default_rng(n).uniform(size=(n, n))
+    m.imag += 1e-15 * np.abs(m).max() * (u - u.T)
+    entries = [[z.real, z.imag] for z in m.ravel().tolist()]
+    Path(dst).write_text(json.dumps({"n": n, "node_order": doc["node_order"], "entries": entries}))
 
 
 def _pipeline(main, n: int, density: float, shunts: float, policy: str) -> None:
@@ -90,6 +114,14 @@ def _pipeline(main, n: int, density: float, shunts: float, policy: str) -> None:
     step(["hybrid", "y.json", "h3.json", "--partition", thirds, "--solve-class", "2"], "h3.json")
     step(["hybrid", "k1.json", "h2.json", "--class", _labels(kept[::2]),
           "--class", _labels(kept[1::2]), "--solve-class", "0"], "h2.json")
+    if n in PERTURBED_SIZES:
+        _perturbed("y.json", "a.json", n)
+        print(f"{tag}   a.json {_digest(Path('a.json').read_bytes())}")
+        step(["rank", "a.json", "--method", "both"])
+        step(["kron", "a.json", "ka.json", "--eliminate", _labels(interior)],
+             "ka.json", "ka.recovery.json")
+        step(["hybrid", "a.json", "ha.json", "--partition", thirds, "--solve-class", "1"],
+             "ha.json")
     if n in SHUNTLESS_SIZES:
         step(["randgen", "s.json", "--nodes", str(n), "--density", repr(density),
               "--phase", policy, "--seed", str(n)], "s.json")

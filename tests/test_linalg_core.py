@@ -9,15 +9,17 @@ import scipy.sparse
 
 from ybuskit import (
     Branch,
+    GenSpec,
     Network,
     NumericalError,
     Shunt,
     SingularMatrixError,
     StructuralError,
     full_rank_certificate,
+    generate,
     numerical_rank,
 )
-from ybuskit import ybus
+from ybuskit import linalg_core, ybus
 from ybuskit.linalg_core import as_cmatrix
 from ybuskit.ybus import assemble
 from oracles import exact_assemble, exact_rank, random_rational_network
@@ -304,3 +306,64 @@ class TestFullRankCertificate:
             for shape in ((0,), (0, 3)):
                 x = cert.solve(np.zeros(shape))
                 assert (x.shape, x.dtype) == (shape, np.complex128)
+
+
+def _hermitian_part_blocks():
+    """Dense blocks for the Hermitian-part certificate, verdicts of either sign among them.
+
+    Stamped networks of 1-60 nodes and principal blocks of them, under all
+    three phase policies; the same with an antisymmetric imaginary part
+    that a loaded matrix may carry (up to ``SYMMETRY_RTOL``); both scaled
+    by 2^-500 and 2^500; zero blocks; and Hermitian blocks with G_s = I.
+    """
+    rng = np.random.default_rng(24)
+    for policy in ("re_positive", "arbitrary", "pure_imaginary"):
+        for seed in range(12):
+            n = 1 if seed == 0 else int(rng.integers(2, 61))
+            m = assemble(generate(GenSpec(node_range=(n, n), edge_density=0.2,
+                                          shunt_probability=0.2 * (seed % 3), seed=seed,
+                                          phase_policy=policy))).matrix
+            p = rng.standard_normal((n, n))
+            p = (p - p.T) / np.abs(p - p.T).max(initial=1.0)  # antisymmetric, max |p| <= 1
+            loaded = m + 0.5j * rng.uniform() * ybus.SYMMETRY_RTOL * np.abs(m).max() * p
+            ybus.AdmittanceMatrix(loaded, range(n))  # a document may hold this matrix
+            nodes = np.sort(rng.choice(n, max(1, n // 2), replace=False))
+            for a in (m, loaded, loaded[np.ix_(nodes, nodes)]):
+                yield from (a, a * 2.0 ** -500, a * 2.0 ** 500)
+    for n in (1, 2, 5):
+        yield np.zeros((n, n), dtype=np.complex128)
+    for c in (0.3, 0.45, 0.5, 0.6, 0.9, 1.0):
+        yield np.array([[1, c * 1j], [-c * 1j, 1]])
+
+
+class TestHermitianPartKernel:
+    """Dense blocks and compressed rows get one verdict from the one kernel."""
+
+    def test_a_dense_block_gets_the_verdict_of_its_compressed_rows(self):
+        verdicts = []
+        for a in _hermitian_part_blocks():
+            csr = scipy.sparse.csr_matrix(a)  # row-major, without the zeros
+            rows = np.repeat(np.arange(a.shape[0]), np.diff(csr.indptr))
+            certified = linalg_core._hermitian_part_certifies(a.shape[0], rows, csr.indices,
+                                                              csr.data)
+            assert (linalg_core._hermitian_part_certificate(a) is not None) == certified
+            verdicts.append(certified)
+        assert 0 < sum(verdicts) < len(verdicts)
+        # K = 0.6 i counts in its row and its column: tau exceeds lambda_min(G_s) = 1
+        assert linalg_core._hermitian_part_certificate(np.array([[1, 0.6j], [-0.6j, 1]])) is None
+
+    def test_mirror_reads_zero_where_it_is_not_stored(self):
+        rows, cols = np.array([0, 0, 1, 2]), np.array([1, 2, 0, 2])
+        data = np.array([2, 5, 3, 7], dtype=np.complex128)
+        assert linalg_core._mirror(3, rows, cols, data).tolist() == [3, 0, 2, 7]
+        # the last mirror key lies past every stored key
+        assert linalg_core._mirror(3, rows[1:3], cols[1:3], data[1:3]).tolist() == [0, 0]
+        m = np.random.default_rng(5).standard_normal((9, 9))
+        m[np.arange(81).reshape(9, 9) % 4 != 0] = 0
+        r, c = np.nonzero(m)
+        assert (linalg_core._mirror(9, r, c, m[r, c]) == m.T[r, c]).all()
+
+    def test_mirror_of_no_entries_is_empty(self):
+        for n in (0, 3):
+            empty = np.zeros(0, dtype=np.intp)
+            assert linalg_core._mirror(n, empty, empty, np.zeros(0, dtype=np.complex128)).size == 0
