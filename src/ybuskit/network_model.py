@@ -12,7 +12,6 @@ All types are frozen dataclasses; every operation here is a pure function.
 from __future__ import annotations
 
 import cmath
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,49 +121,54 @@ def shunt_totals(net: Network) -> np.ndarray:
     return totals
 
 
-def _component_labels(n: int, edges) -> list[int]:
-    """Component index of each of ``n`` nodes under an undirected edge list.
+def _branch_arrays(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """The branches in branch order: an intp [from, to] row and a complex128 admittance each."""
+    branches = net.branches
+    # a node count past intp (possible in a network file) keeps its indices Python ints
+    ends = np.array([[b.from_node for b in branches], [b.to_node for b in branches]],
+                    dtype=np.intp if net.node_count <= np.iinfo(np.intp).max else object)
+    return ends.T, np.array([b.admittance for b in branches], dtype=np.complex128)
 
-    Components are numbered 0, 1, ... in order of their smallest node.  A
-    breadth-first search over adjacency lists, O(n + |edges|).
+
+def _component_labels(n: int, u, v) -> np.ndarray:
+    """Component index of each of ``n`` nodes joined by the edges of intp arrays ``u``, ``v``.
+
+    In each round every root hooks onto the smallest root across its edges
+    and every node then jumps to its root, until no edge joins two roots.
+    A root only hooks onto a smaller one, so each component ends rooted at
+    its smallest node, and components are numbered 0, 1, ... in the order
+    of their roots.  A root that no root hooked onto in one round hooks in
+    the next, so a component's roots halve every two rounds: O(log n)
+    rounds, each O(|edges| + n log n).
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    labels = [-1] * n
-    count = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = count
-        queue = deque([start])
-        while queue:
-            for v in adj[queue.popleft()]:
-                if labels[v] < 0:
-                    labels[v] = count
-                    queue.append(v)
-        count += 1
-    return labels
+    root = np.arange(n)
+    while True:
+        u, v = root[u], root[v]
+        cross = u != v
+        if not np.count_nonzero(cross):
+            return np.cumsum(root == np.arange(n))[root] - 1
+        u, v = u[cross], v[cross]
+        np.minimum.at(root, u, v)
+        np.minimum.at(root, v, u)
+        while np.count_nonzero((up := root[root]) != root):
+            root = up
 
 
-def _component_count(net: Network) -> int:
-    """Number of connected components of the branch graph.
+def _component_count(n: int, ends: np.ndarray) -> int:
+    """Number of connected components of ``n`` nodes joined by the branch ``ends``.
 
     Shunts are ignored; a node with no branches is a component of its own.
-    Only nodes that end a branch are searched, so the cost is
-    O(|branches|) whatever the node count.
+    Only nodes that end a branch are labelled, so the cost is that of
+    :func:`_component_labels` on |branches| edges, whatever ``n`` is.
     """
-    ends = sorted({v for b in net.branches for v in (b.from_node, b.to_node)})
-    local = {v: k for k, v in enumerate(ends)}
-    labels = _component_labels(
-        len(ends), ((local[b.from_node], local[b.to_node]) for b in net.branches))
-    return max(labels, default=-1) + 1 + net.node_count - len(ends)
+    nodes, local = np.unique(ends, return_inverse=True)
+    labels = _component_labels(nodes.size, *local.reshape(-1, 2).T)
+    return int(labels.max(initial=-1)) + 1 + n - nodes.size
 
 
 def is_connected(net: Network) -> bool:
-    """True iff the branch graph, shunts ignored, is one component; O(|branches|)."""
-    return _component_count(net) == 1
+    """True iff the branch graph, shunts ignored, is one component; labels branch ends only."""
+    return _component_count(net.node_count, _branch_arrays(net)[0]) == 1
 
 
 def validate(net: Network) -> ValidationReport:
@@ -175,13 +179,13 @@ def validate(net: Network) -> ValidationReport:
     whose magnitude overflows counts as nonzero.
     """
     messages: list[str] = []
+    ends, adm = _branch_arrays(net)
 
-    count = _component_count(net)
+    count = _component_count(net.node_count, ends)
     connected = count == 1
     if not connected:
         messages.append(f"graph is disconnected: {count} components")
 
-    adm = np.array([b.admittance for b in net.branches], dtype=np.complex128)
     zero = _zero_admittances(adm, DEFAULT_ZERO_TOL)
     hypothesis1_ok = not zero
     for i in zero:
@@ -190,16 +194,15 @@ def validate(net: Network) -> ValidationReport:
             f"branch {i} ({b.from_node},{b.to_node}) has near-zero admittance {b.admittance}"
         )
 
-    re_positive = True
-    for i, b in enumerate(net.branches):
-        if not b.admittance.real > 0.0:
-            re_positive = False
-            messages.append(
-                f"branch {i} ({b.from_node},{b.to_node}) has Re(y) = {b.admittance.real} <= 0"
-            )
+    re_nonpositive = np.flatnonzero(adm.real <= 0.0).tolist()
+    for i in re_nonpositive:
+        b = net.branches[i]
+        messages.append(
+            f"branch {i} ({b.from_node},{b.to_node}) has Re(y) = {b.admittance.real} <= 0"
+        )
     # Re(y) > 0 for a zero-magnitude branch is impossible, so the implication
     # theorem2_preconditions_ok => hypothesis1_ok holds by construction.
-    theorem2_ok = hypothesis1_ok and re_positive
+    theorem2_ok = hypothesis1_ok and not re_nonpositive
 
     passivity_ok = True
     for i, s in enumerate(net.shunts):

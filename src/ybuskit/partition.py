@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import StructuralError
 from .linalg_core import _dense, full_rank_certificate
-from .network_model import DEFAULT_ZERO_TOL, Network, _component_labels, shunt_totals, validate
+from .network_model import (
+    DEFAULT_ZERO_TOL, Network, _branch_arrays, _component_labels, shunt_totals, validate)
 from .ybus import AdmittanceMatrix, _stamp
 
 
@@ -176,7 +177,7 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     diagonal block of Y is the nodal matrix of that grounded equivalent,
     and it is block-diagonal across the connected components of the
     class's induced subgraph.  Y is stamped once, the components of every
-    class are labelled in one pass over the class-internal branches, and
+    class are labelled by one call on the class-internal branches, and
     each component sub-block, sliced from the compressed rows, gets its
     own LU condition certificate; no other factorization runs.  The
     structural claim that every component touches a boundary branch or a
@@ -192,17 +193,15 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
 
     # a branch inside a class joins two nodes of its grounded equivalent; a
     # branch between classes grounds both of its ends, as does a nonzero shunt total
-    labels = part.labels()
-    grounded = (np.abs(shunt_totals(net)) > DEFAULT_ZERO_TOL).tolist()
-    internal: list[tuple[int, int]] = []
-    for b in net.branches:
-        if labels[b.from_node] == labels[b.to_node]:
-            internal.append((b.from_node, b.to_node))
-        else:
-            grounded[b.from_node] = grounded[b.to_node] = True
+    ends = _branch_arrays(net)[0]
+    class_of = np.array(part.labels())[ends]
+    inside = class_of[:, 0] == class_of[:, 1]
+    grounded = np.abs(shunt_totals(net)) > DEFAULT_ZERO_TOL
+    grounded[ends[~inside]] = True
+    grounded = grounded.tolist()
     # numbered by smallest node, so grouping a class's sorted nodes by label
     # lists its components in order of their smallest node
-    piece = _component_labels(net.node_count, internal)
+    piece = _component_labels(net.node_count, *ends[inside].T).tolist()
 
     class_reports: list[ClassBlockReport] = []
     for ci, keep in enumerate(part.classes):

@@ -129,11 +129,10 @@ def verify_rank_via_augmentation(net: Network) -> RankVerdict:
 
 
 def _pattern_connected(y: AdmittanceMatrix) -> bool:
-    """Connectivity of the graph read off the stored off-diagonal entries, O(nnz)."""
+    """Connectivity of the graph read off the stored upper-triangle entries, labelled as edges."""
     rows = y._rows()
     upper = y.indices > rows
-    return not any(_component_labels(y.size, zip(rows[upper].tolist(),
-                                                  y.indices[upper].tolist())))
+    return not _component_labels(y.size, rows[upper], y.indices[upper]).any()
 
 
 def _block_form_error(augmented: AdmittanceMatrix, y: AdmittanceMatrix, t: np.ndarray) -> float:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import HypothesisError, SizeLimitError, StructuralError
 from .linalg_core import _STRIPE, _finite, _frozen, _mirror, as_cmatrix
-from .network_model import DEFAULT_ZERO_TOL, Network, _zero_admittances, shunt_totals
+from .network_model import (
+    DEFAULT_ZERO_TOL, Network, _branch_arrays, _zero_admittances, shunt_totals)
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
 SYMMETRY_RTOL = 1e-14
@@ -238,18 +239,14 @@ def _stamp(net: Network, zero_tol: float) -> AdmittanceMatrix:
     """
     n = net.node_count
     _check_size(n)
-    branches = net.branches
-    adm = np.array([b.admittance for b in branches], dtype=np.complex128)
+    ends, adm = _branch_arrays(net)
     zero = _zero_admittances(adm, zero_tol)
     if zero:
-        b = branches[zero[0]]
+        b = net.branches[zero[0]]
         raise HypothesisError(
             f"branch {zero[0]} ({b.from_node},{b.to_node}) has admittance {b.admittance} "
             f"with magnitude <= {zero_tol}; zero-admittance branches are not representable"
         )
-    ends = np.empty((len(branches), 2), dtype=np.intp)
-    ends[:, 0] = [b.from_node for b in branches]
-    ends[:, 1] = [b.to_node for b in branches]
     # the keys row * n + col of (i, i), (j, j), (i, j) and (j, i), with values y, y, -y, -y
     flat = (ends @ np.array([[n + 1, 0, n, 1], [0, n + 1, 1, n]])).ravel()
     keys, slot = np.unique(np.concatenate((flat, np.arange(n) * (n + 1))), return_inverse=True)

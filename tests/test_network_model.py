@@ -7,13 +7,18 @@ from ybuskit import (
     Branch,
     Network,
     Partition,
+    PreconditionError,
     Shunt,
     StructuralError,
+    assemble,
     is_connected,
+    rank_verdicts,
     shunt_totals,
     validate,
     verify_block_rank,
 )
+from ybuskit.network_model import _component_labels
+from ybuskit.rank_analysis import _pattern_connected
 from oracles import closure_components, exact_int_rank, incidence_matrix
 
 
@@ -101,6 +106,25 @@ class TestValidate:
         assert not report.shunt_passivity_ok
         assert report.connected  # reporting, not gating
 
+    def test_findings_of_every_kind_keep_their_text_and_order(self):
+        net = Network(
+            5,
+            branches=(
+                Branch(0, 1, -2 + 1j),
+                Branch(1, 2, 1 + 1j),
+                Branch(2, 0, 1e-13 + 0j),
+                Branch(3, 4, 0.5j),
+            ),
+            shunts=(Shunt(1, 1.0), Shunt(4, -0.25 + 1j)),
+        )
+        assert validate(net).messages == (
+            "graph is disconnected: 2 components",
+            "branch 2 (2,0) has near-zero admittance (1e-13+0j)",
+            "branch 0 (0,1) has Re(y) = -2.0 <= 0",
+            "branch 3 (3,4) has Re(y) = 0.0 <= 0",
+            "shunt 1 at node 4 has Re(y) = -0.25 < 0",
+        )
+
     def test_theorem2_implies_hypothesis1(self):
         nets = [
             Network(2, branches=(Branch(0, 1, 0j),)),
@@ -135,6 +159,85 @@ class TestConnectivity:
             net = Network(n, branches=tuple(Branch(i, j, 1 + 1j) for i, j in edges))
             expected = len(closure_components(n, edges)) == 1
             assert is_connected(net) == expected
+
+    def test_node_indices_past_int64_are_counted(self):
+        big = 10**30
+        net = Network(big + 1, (Branch(0, big, 1.0), Branch(big, 2, 1.0)))
+        assert validate(net).messages == (f"graph is disconnected: {big - 1} components",)
+        assert not is_connected(net)
+
+    def test_branches_that_cancel_in_y_still_connect_the_network(self):
+        # the parallel branches cancel exactly, so Y stores no (0, 1) entry:
+        # a network's connectivity is its branch graph's, not Y's pattern's
+        net = Network(3, (Branch(0, 1, 1.0), Branch(0, 1, -1.0), Branch(1, 2, 1.0)))
+        report = validate(net)
+        assert report.connected
+        assert report.messages == ("branch 1 (0,1) has Re(y) = -1.0 <= 0",)
+        assert is_connected(net)
+        y = assemble(net)
+        assert not _pattern_connected(y)
+        [verdict] = rank_verdicts(net, ("direct",))
+        assert (verdict.predicted_rank, verdict.measured_rank, verdict.agrees) == (2, 1, False)
+        with pytest.raises(PreconditionError, match="off-diagonal pattern is disconnected"):
+            rank_verdicts(y, ("direct",))
+        rep = verify_block_rank(net, Partition(((0, 1), (2,)), 3))
+        assert [[c.nodes for c in r.components] for r in rep.classes] == [[(0, 1)], [(2,)]]
+
+
+def oracle_labels(n, edges):
+    """Component index per node, components numbered in order of their smallest node."""
+    labels = [-1] * n
+    for k, comp in enumerate(closure_components(n, edges)):
+        for v in comp:
+            labels[v] = k
+    return labels
+
+
+def shuffled_path(n, rng):
+    order = rng.permutation(n).tolist()
+    return list(zip(order, order[1:]))
+
+
+class TestComponentLabels:
+    """The labeller against the closure oracle where hooking takes the most rounds."""
+
+    @pytest.mark.parametrize("edges", [
+        pytest.param([(k + 1, k) for k in reversed(range(199))], id="reversed-path"),
+        pytest.param(shuffled_path(200, np.random.default_rng(5)), id="shuffled-path"),
+        pytest.param([(199, k) for k in range(199)], id="star-with-largest-centre"),
+        pytest.param([(k, 199) for k in range(0, 199, 2)], id="star-and-isolated-nodes"),
+        pytest.param([(3, 7), (7, 3), (3, 7), (0, 9), (9, 0)] * 4, id="parallel-branches"),
+        pytest.param([], id="no-edges"),
+    ])
+    def test_matches_closure_oracle(self, edges):
+        n = 1 + max((max(e) for e in edges), default=11)
+        u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        assert _component_labels(n, u, v).tolist() == oracle_labels(n, edges)
+
+    def test_random_graphs_match_closure_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            n = int(rng.integers(1, 200))
+            m = int(rng.integers(0, n + 1))
+            u, v = rng.integers(0, n, size=(2, m))
+            edges = [(i, j) for i, j in zip(u.tolist(), v.tolist()) if i != j]
+            keep = u != v
+            assert _component_labels(n, u[keep], v[keep]).tolist() == oracle_labels(n, edges)
+
+    def test_block_rank_pieces_of_a_path_in_alternating_classes(self):
+        rng = np.random.default_rng(11)
+        n = 200
+        net = path(n, y=1 - 0.5j)
+        runs = rng.integers(1, 6, size=n)  # class k % 2 owns the k-th run of nodes
+        labels = np.repeat(np.arange(n) % 2, runs)[:n].tolist()
+        part = Partition.from_labels(labels)
+        rep = verify_block_rank(net, part)
+        edges = [(k, k + 1) for k in range(n - 1)]
+        for cls, r in zip(part.classes, rep.classes):
+            inside = set(cls)
+            induced = [(i, j) for i, j in edges if i in inside and j in inside]
+            expected = [tuple(sorted(c)) for c in closure_components(n, induced) if c <= inside]
+            assert [c.nodes for c in r.components] == expected
 
 
 def components(net, subset):
