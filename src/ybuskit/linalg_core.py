@@ -36,6 +36,14 @@ _STRIPE = 64
 #: largest entry in its column, which preserves the symmetric
 #: ``MMD_AT_PLUS_A`` ordering and bounds the growth per step by 1 + 1/0.1.
 SPARSE_PIVOT_THRESHOLD = 0.1
+#: The Hermitian-part certificate eliminates nodes by least degree while
+#: more than _DENSE_ORDER nodes remain and they hold fewer than
+#: _ELIMINATION_DENSITY m^2 entries, and factors the rest densely
+#: (:func:`_cholesky_succeeds`).  Below about 128 nodes the rounds cost
+#: more than the dense factorization they shrink, measured on blocks of
+#: ``perfbench`` grids.
+_DENSE_ORDER = 128
+_ELIMINATION_DENSITY = 0.04
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -115,11 +123,23 @@ def numerical_rank(m) -> RankResult:
     return RankResult(rank=rank, singular_values=sigma, tolerance_used=tol)
 
 
-def _mirror(n: int, rows, cols, data) -> np.ndarray:
-    """Y[c, r] at each stored (r, c), by binary search of the row-major keys; 0 if not stored."""
+def _mirror_at(n: int, rows, cols) -> np.ndarray:
+    """Where Y[c, r] is stored, for each stored (r, c) of an n x n Y in row-major order; -1 if not.
+
+    The mirror keys are sorted first, so the binary searches of the
+    row-major keys run in order.
+    """
     keys, flip = rows * n + cols, cols * n + rows
-    at = np.minimum(np.searchsorted(keys, flip), keys.size - 1)
-    return np.where(keys[at] == flip, data[at], 0)
+    order = np.argsort(flip)
+    at = np.empty_like(order)
+    at[order] = np.minimum(np.searchsorted(keys, flip[order]), keys.size - 1)
+    return np.where(keys[at] == flip, at, -1)
+
+
+def _mirror(n: int, rows, cols, data) -> np.ndarray:
+    """Y[c, r] at each stored (r, c) of an n x n Y in row-major order; 0 if not stored."""
+    at = _mirror_at(n, rows, cols)
+    return np.where(at >= 0, data[at], 0)
 
 
 def _hermitian_part_certifies(n: int, rows, cols, data, grounded: bool = False) -> bool:
@@ -157,36 +177,128 @@ def _hermitian_part_certifies(n: int, rows, cols, data, grounded: bool = False) 
                  + (np.bincount(rows, minlength=n) + 1) * EPS * row_abs)
             if not b.max() * np.linalg.norm(b / b.max()) <= n * np.sqrt(n) * EPS * sigma_low / 2:
                 return False
-        mirror = _mirror(n, rows, cols, data)
+        at = _mirror_at(n, rows, cols)
+        mirror = np.where(at >= 0, data[at], 0)
         k = np.abs((data - mirror).imag) / 2  # |K| at the stored positions
         tau = n * (n + 2) * EPS * s + (np.bincount(rows, k, n) + np.bincount(cols, k, n)).max()
         if not tau >= TINY:
             return False
-        g = np.zeros((n - int(grounded),) * 2)
         g2 = (data + mirror).real  # 2 G_s at the stored positions, exactly symmetric
+        lone = at < 0
+        if lone.any():  # the mirror of an entry not stored holds the same entry of 2 G_s
+            rows, cols = np.concatenate((rows, cols[lone])), np.concatenate((cols, rows[lone]))
+            g2 = np.concatenate((g2, g2[lone]))
         if grounded:  # the factor keeps G_s without its first row and column
             kept = (rows > 0) & (cols > 0)
             rows, cols, g2 = rows[kept] - 1, cols[kept] - 1, g2[kept]
-        g[rows, cols] = g[cols, rows] = g2
-        g.ravel()[::g.shape[0] + 1] -= 2 * tau  # doubling is exact
-        try:  # NaN can pass the factorization and fill the factor; an overflowing sum refuses too
-            return isfinite(np.linalg.cholesky(g).sum())
-        except np.linalg.LinAlgError:
+        return _cholesky_succeeds(n - int(grounded), rows, cols, g2, 2 * tau)  # doubling is exact
+
+
+def _dense_cholesky_succeeds(m: int, rows, cols, g, shift: float) -> bool:
+    """Whether ``numpy.linalg.cholesky`` factors the m x m G - shift I, G holding ``g`` at (rows, cols)."""
+    a = np.zeros((m, m))
+    a[rows, cols] = g
+    a.ravel()[::m + 1] -= shift
+    try:  # NaN can pass the factorization and fill the factor; an overflowing sum refuses too
+        return isfinite(np.linalg.cholesky(a).sum())
+    except np.linalg.LinAlgError:
+        return False
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the factorization
+def _cholesky_succeeds(m: int, rows, cols, g, shift: float) -> bool:
+    """Whether a Cholesky factorization of P (G - shift I) P^T succeeds, for a permutation P.
+
+    The real symmetric m x m G holds ``g`` at (rows, cols), each position
+    once, and its pattern is symmetric.  Up to ``_DENSE_ORDER`` nodes, or
+    from ``_ELIMINATION_DENSITY`` m^2 entries on, G - shift I is factored
+    densely as it stands.  Otherwise it is held as sorted row-major keys
+    over its pattern and the whole diagonal, without off-diagonal zeros,
+    and rounds of elimination run until the remaining nodes pass either
+    bound.  A round eliminates, at once, every remaining node whose degree
+    is the least in its neighbourhood, ties broken by the lower index: an
+    independent set of minimum-degree nodes, the multiple elimination of
+    George and Liu (SIAM Review 31(1), 1989), taken by local minima.  Each
+    pivot p_k, a diagonal entry, must be finite and positive; l_ik = a_ik /
+    sqrt(p_k), and every pair (i, j) of the pivot's neighbours gets
+    -l_ik l_jk.  One ``np.bincount`` adds each surviving entry and then its
+    updates, in pivot order, so (i, j) and (j, i) get the same terms in the
+    same order and G stays exactly symmetric.  The remaining nodes are then
+    factored densely.
+
+    These are the operations of Cholesky on P (G - shift I) P^T, with P
+    the elimination order: each entry of the factor is the same quotient,
+    and each entry of a Schur complement the same sum a_ij - sum_k l_ik l_jk,
+    taken in another order.  Higham's Thm 10.3 (Accuracy and Stability)
+    bounds the backward error of Cholesky in any order of those sums, and
+    its bound depends only on m and on ||G - shift I||_2, which P leaves
+    unchanged, as it leaves the eigenvalues.  So success proves G - shift
+    I positive definite under the shift the dense factorization needs.
+    """
+    def dense(alive: int, entries: int) -> bool:
+        return alive <= _DENSE_ORDER or entries >= _ELIMINATION_DENSITY * alive * alive
+
+    if dense(m, rows.size):
+        return _dense_cholesky_succeeds(m, rows, cols, g, shift)
+    no_diagonal = np.ones(m, dtype=bool)
+    no_diagonal[rows[rows == cols]] = False
+    keys = np.concatenate((rows * m + cols, np.flatnonzero(no_diagonal) * (m + 1)))
+    g = np.concatenate((g, np.zeros(keys.size - g.size)))
+    order = np.argsort(keys)
+    keys, g = keys[order], g[order]
+    r, c = np.divmod(keys, m)
+    g = np.where(r == c, g - shift, g)
+    keep = (r == c) | (g != 0)
+    keys, r, c, g = keys[keep], r[keep], c[keep], g[keep]
+    alive = m
+    while not dense(alive, keys.size):
+        on = np.flatnonzero(r == c)  # one diagonal entry per remaining node
+        degree = np.bincount(r, minlength=m)  # neighbours plus one
+        priority = degree * m + np.arange(m)  # (degree, index) as one number
+        chosen = np.zeros(m, dtype=bool)
+        chosen[r[on]] = True
+        chosen[r[priority[c] < priority[r]]] = False  # a neighbour comes first
+        on = on[chosen[r[on]]]  # the pivots, in node order
+        pivots = g[on]
+        if not ((pivots > 0) & (pivots < np.inf)).all():
             return False
+        below = chosen[r] & (r != c)  # the pivot rows' neighbours, pivot by pivot
+        neighbours = c[below]
+        count = degree[r[on]] - 1
+        l = g[below] / np.repeat(np.sqrt(pivots), count)
+        if not np.isfinite(l).all():
+            return False
+        # the pairs (i, j) of every pivot's neighbours, pivot by pivot, i-major
+        pairs = count * count
+        pivot = np.repeat(np.arange(count.size), pairs)
+        k = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        start = (np.cumsum(count) - count)[pivot]
+        i, j = start + k // count[pivot], start + k % count[pivot]
+        stay = ~(chosen[r] | chosen[c])
+        alive -= pivots.size
+        keys, where = np.unique(np.concatenate((keys[stay], neighbours[i] * m + neighbours[j])),
+                                return_inverse=True)
+        g = np.bincount(where, np.concatenate((g[stay], -(l[i] * l[j]))), keys.size)
+        r, c = np.divmod(keys, m)
+    live = r[r == c]
+    position = np.zeros(m, dtype=np.intp)
+    position[live] = np.arange(live.size)
+    return _dense_cholesky_succeeds(live.size, position[r], position[c], g, 0.0)
 
 
 def _hermitian_part_certificate(a) -> RankCertificate | None:
     """The test of :func:`_hermitian_part_certifies` on a nonempty dense block, else None.
 
-    The block's nonzeros, taken by ``np.nonzero`` in row-major order, are
-    the kernel's stored entries, so a dense block gets the rank verdicts'
-    tau.  No LU runs, so the condition estimate is NaN, and the
+    The block's nonzeros, taken by ``np.nonzero`` of ``a != 0`` in
+    row-major order (a boolean scan beats the complex one from about order
+    30 on), are the kernel's stored entries, so a dense block gets the rank
+    verdicts' tau.  No LU runs, so the condition estimate is NaN, and the
     certificate solves with ``numpy.linalg.solve``.
     """
     if hasattr(a, "nnz"):
         return None
     n = a.shape[0]
-    rows, cols = np.nonzero(a)
+    rows, cols = np.nonzero(a != 0)
     if not _hermitian_part_certifies(n, rows, cols, a[rows, cols]):
         return None
     return RankCertificate(True, float("nan"), None, lambda b: _by_columns(

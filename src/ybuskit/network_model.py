@@ -178,9 +178,12 @@ def validate(net: Network) -> ValidationReport:
     findings.  A branch counts as zero when |y| <= ``DEFAULT_ZERO_TOL``; one
     whose magnitude overflows counts as nonzero.
     """
-    messages: list[str] = []
-    ends, adm = _branch_arrays(net)
+    return _validate(net, *_branch_arrays(net))
 
+
+def _validate(net: Network, ends: np.ndarray, adm: np.ndarray) -> ValidationReport:
+    """:func:`validate` of a network whose :func:`_branch_arrays` the caller has built."""
+    messages: list[str] = []
     count = _component_count(net.node_count, ends)
     connected = count == 1
     if not connected:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import StructuralError
 from .linalg_core import _dense, full_rank_certificate
 from .network_model import (
-    DEFAULT_ZERO_TOL, Network, _branch_arrays, _component_labels, shunt_totals, validate)
+    DEFAULT_ZERO_TOL, Network, _branch_arrays, _component_labels, _validate, shunt_totals)
 from .ybus import AdmittanceMatrix, _stamp
 
 
@@ -187,13 +187,14 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
         raise StructuralError(
             f"partition covers {part.node_count} nodes but network has {net.node_count}"
         )
-    report = validate(net)
+    arrays = _branch_arrays(net)
+    report = _validate(net, *arrays)
     findings = list(report.messages)
-    y = _stamp(net, 0.0)
+    y = _stamp(net, 0.0, arrays)
 
     # a branch inside a class joins two nodes of its grounded equivalent; a
     # branch between classes grounds both of its ends, as does a nonzero shunt total
-    ends = _branch_arrays(net)[0]
+    ends = arrays[0]
     class_of = np.array(part.labels())[ends]
     inside = class_of[:, 0] == class_of[:, 1]
     grounded = np.abs(shunt_totals(net)) > DEFAULT_ZERO_TOL

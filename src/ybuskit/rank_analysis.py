@@ -153,11 +153,6 @@ def _block_form_error(augmented: AdmittanceMatrix, y: AdmittanceMatrix, t: np.nd
     return float(np.abs(got - expected).max()) / scale
 
 
-def _norm(a: np.ndarray, e: int) -> float:
-    """2-norm of complex ``a`` taken of ``a / 2**e``; 2**e near max|a| keeps squares in range."""
-    return float(np.ldexp(np.linalg.norm(np.ldexp(a.view(np.float64), -e).view(np.complex128)), e))
-
-
 def rank_verdicts(source: Network | AdmittanceMatrix, methods) -> list[RankVerdict]:
     """One rank verdict per method for a network or a bare matrix, in order.
 
@@ -182,11 +177,12 @@ def _rank_verdicts(source, methods) -> list[RankVerdict]:
             raise PreconditionError(
                 "matrix off-diagonal pattern is disconnected; rank prediction does not apply"
             )
-        e = int(np.frexp(np.abs(source.matrix.view(np.float64)).max())[1])
         with np.errstate(over="ignore"):  # an overflowing norm is refused
             t = shunt_vector(source)
-            fro = _finite(max(_norm(source.matrix, e), TINY), "the Frobenius norm of the matrix")
-            shuntless = _norm(t, e) <= MATRIX_SHUNTLESS_RTOL * fro
+            # 2-norms by chained hypot over the real and imaginary parts, whose squares may not fit
+            fro = _finite(max(np.hypot.reduce(source.data.view(np.float64), initial=0.0), TINY),
+                          "the Frobenius norm of the matrix")
+            shuntless = np.hypot.reduce(t.view(np.float64)) <= MATRIX_SHUNTLESS_RTOL * fro
         per_node_tol = MATRIX_SHUNTLESS_RTOL * fro / max(np.sqrt(source.size), 1.0)
         shunt_count = 0 if shuntless else int(np.count_nonzero(np.abs(t) > per_node_tol))
     else:

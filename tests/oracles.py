@@ -8,7 +8,9 @@ direct stamping, and an explicit grounded-equivalent network instead of a
 slice of the assembled matrix.  The element-by-element generator and
 stamping loops that the package's array code replaced are kept here too,
 as the bit-for-bit reference for it, and so are the dense N x N stamp,
-permuted copy and bordered block form that compressed-row storage replaced.  Values produced by these oracles are
+permuted copy and bordered block form that compressed-row storage replaced,
+and the Hermitian-part certificate that factors the whole of G_s densely,
+which elimination by least degree replaced.  Values produced by these oracles are
 what the tests compare the library against.  ``counterexample_block_singular``
 is the one fixed instance kept here: the network that shows why Theorem 2
 needs positive branch real parts.
@@ -33,7 +35,7 @@ from ybuskit import (
     shunt_totals,
 )
 from ybuskit.generator import _tree_from_prufer
-from ybuskit.linalg_core import TINY
+from ybuskit.linalg_core import EPS, TINY, _mirror
 
 
 class QC:
@@ -418,6 +420,41 @@ def block_form_error(augmented: np.ndarray, y: np.ndarray, shunts: np.ndarray) -
     expected = block_form_matrix(y, shunts)
     scale = max(float(np.abs(expected).max()), TINY)
     return float(np.abs(augmented - expected).max()) / scale
+
+
+def dense_hermitian_part_certifies(n: int, rows, cols, data, grounded: bool = False) -> bool:
+    """The Hermitian-part certificate with G_s - tau I scattered into one dense array.
+
+    The same tau and the same checks as ``linalg_core._hermitian_part_certifies``;
+    ``numpy.linalg.cholesky`` then factors the whole (grounded) G_s - tau I
+    in its natural order.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the factorization
+        a = np.abs(data)
+        row_abs = np.bincount(rows, a, n)
+        s = np.sqrt(np.bincount(cols, a, n).max()) * np.sqrt(row_abs.max())
+        if grounded:  # norms taken of x / max(x), whose squares cannot overflow
+            sigma_low = a.max() * np.sqrt(np.bincount(cols, (a / a.max()) ** 2, n).max())
+            b = (np.hypot(np.bincount(rows, data.real, n), np.bincount(rows, data.imag, n))
+                 + (np.bincount(rows, minlength=n) + 1) * EPS * row_abs)
+            if not b.max() * np.linalg.norm(b / b.max()) <= n * np.sqrt(n) * EPS * sigma_low / 2:
+                return False
+        mirror = _mirror(n, rows, cols, data)
+        k = np.abs((data - mirror).imag) / 2  # |K| at the stored positions
+        tau = n * (n + 2) * EPS * s + (np.bincount(rows, k, n) + np.bincount(cols, k, n)).max()
+        if not tau >= TINY:
+            return False
+        g = np.zeros((n - int(grounded),) * 2)
+        g2 = (data + mirror).real  # 2 G_s at the stored positions, exactly symmetric
+        if grounded:  # the factor keeps G_s without its first row and column
+            kept = (rows > 0) & (cols > 0)
+            rows, cols, g2 = rows[kept] - 1, cols[kept] - 1, g2[kept]
+        g[rows, cols] = g[cols, rows] = g2
+        g.ravel()[::g.shape[0] + 1] -= 2 * tau  # doubling is exact
+        try:  # NaN can pass the factorization and fill the factor; an overflowing sum refuses too
+            return math.isfinite(np.linalg.cholesky(g).sum())
+        except np.linalg.LinAlgError:
+            return False
 
 
 def reorder(y, perm) -> AdmittanceMatrix:

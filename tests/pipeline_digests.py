@@ -24,7 +24,11 @@ shuntless ``randgen`` follows, with ``ybus`` and ``rank`` on the network
 and on the matrix.  From ``SPARSE_MIN_ORDER`` (300) nodes on, the
 Cholesky certificates settle the ``re_positive`` ranks without an SVD,
 rank N when shunted and N-1 when shuntless; under the other two policies
-the SVD measures them.  Last, ``verify --suite all --samples 20``.  Run
+the SVD measures them.  A 2000-node ``re_positive`` network, shunted and
+shuntless, then gets ``ybus`` and ``rank`` on the network and on the
+matrix (``--method both`` when shunted): its certificates run rounds of
+elimination before they factor a dense core.  Last, ``verify --suite all
+--samples 20``.  Run
 it on two trees and ``diff`` the outputs: equal lines mean equal stdout
 and equal files.  Paths are relative, so the digests do not depend on the
 temporary directory.  This is a script, not a test module; pytest does
@@ -48,6 +52,8 @@ SIZES = ((12, 0.2, 0.3), (60, 0.1, 0.2), (150, 0.03, 0.1),
 SHUNTLESS_SIZES = (300, 700)
 #: Node counts whose Y is also read with a small antisymmetric imaginary part.
 PERTURBED_SIZES = (60, 150)
+#: (nodes, extra-edge density, shunt probability) of the re_positive rank pipeline.
+ELIMINATION_SIZE = (2000, 2 * 2000 / (2000 * 1999 // 2 - 1999), 0.05)
 POLICIES = ("re_positive", "arbitrary", "pure_imaginary")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -130,6 +136,20 @@ def _pipeline(main, n: int, density: float, shunts: float, policy: str) -> None:
             step(["rank", path])
 
 
+def _rank_pipeline(main, n: int, density: float, shunts: float) -> None:
+    step = functools.partial(_step, main, f"n{n}-re_positive")
+    common = ["--nodes", str(n), "--density", repr(density), "--phase", "re_positive",
+              "--seed", str(n)]
+    for net, y, extra, method in (
+            ("net.json", "y.json", ["--shunt-prob", repr(shunts), "--min-shunts", "1"],
+             ["--method", "both"]),
+            ("s.json", "sy.json", [], [])):
+        step(["randgen", net, *common, *extra], net)
+        step(["ybus", net, y], y)
+        for path in (net, y):
+            step(["rank", path, *method])
+
+
 def main(argv: list[str]) -> int:
     for var in THREAD_VARS:
         os.environ.setdefault(var, "1")
@@ -147,6 +167,10 @@ def main(argv: list[str]) -> int:
                     work.mkdir()
                     os.chdir(work)
                     _pipeline(cli_main, n, density, shunts, policy)
+            work = Path(tmp) / f"n{ELIMINATION_SIZE[0]}-re_positive"
+            work.mkdir()
+            os.chdir(work)
+            _rank_pipeline(cli_main, *ELIMINATION_SIZE)
             os.chdir(tmp)
             _step(cli_main, "all", ["verify", "--suite", "all", "--samples", "20"])
         finally:

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse
 
 from ybuskit import (
+    PHASE_POLICIES,
     Branch,
     GenSpec,
     Network,
@@ -22,7 +23,9 @@ from ybuskit import (
 from ybuskit import linalg_core, ybus
 from ybuskit.linalg_core import as_cmatrix
 from ybuskit.ybus import assemble
-from oracles import exact_assemble, exact_rank, random_rational_network
+from oracles import (
+    dense_hermitian_part_certifies, exact_assemble, exact_rank, grid_network,
+    random_rational_network)
 
 
 class TestBasicOps:
@@ -367,3 +370,89 @@ class TestHermitianPartKernel:
         for n in (0, 3):
             empty = np.zeros(0, dtype=np.intp)
             assert linalg_core._mirror(n, empty, empty, np.zeros(0, dtype=np.complex128)).size == 0
+
+
+def _stored(y):
+    """The stored entries of a matrix, as the Hermitian-part kernel takes them."""
+    return y.size, y._rows(), y.indices, y.data
+
+
+class TestEliminationKernel:
+    """Elimination by least degree against the dense factorization it replaced."""
+
+    @pytest.mark.parametrize("n", [300, 700, 2000])
+    def test_verdicts_equal_the_dense_factorization(self, n):
+        """Seeded networks of about three branches per node, shunted and grounded shuntless."""
+        density = 2 * n / (n * (n - 1) // 2 - (n - 1))
+        nets = [generate(GenSpec(node_range=(n, n), edge_density=density, shunt_probability=0.05,
+                                 min_shunts=1, phase_policy=policy, seed=n))
+                for policy in PHASE_POLICIES]
+        nets.append(grid_network(n, np.random.default_rng(n)))
+        outcomes = []
+        for net in nets:
+            for shunts, grounded in ((net.shunts, False), ((), True)):
+                args = _stored(assemble(Network(n, net.branches, shunts)))
+                assert args[1].size < linalg_core._ELIMINATION_DENSITY * n * n  # eliminated
+                certified = linalg_core._hermitian_part_certifies(*args, grounded=grounded)
+                assert certified == dense_hermitian_part_certifies(*args, grounded=grounded)
+                outcomes.append(certified)
+        # re_positive and the grid certify, shunted and grounded; G_s = 0 never does
+        assert outcomes[0:2] == outcomes[6:8] == [True, True]
+        assert outcomes[4:6] == [False, False]
+
+    def test_dense_blocks_keep_the_dense_verdict(self):
+        for a in _hermitian_part_blocks():
+            csr = scipy.sparse.csr_matrix(a)
+            rows = np.repeat(np.arange(a.shape[0]), np.diff(csr.indptr))
+            args = (a.shape[0], rows, csr.indices.astype(np.intp), csr.data)
+            assert (linalg_core._hermitian_part_certifies(*args)
+                    == dense_hermitian_part_certifies(*args))
+
+    @staticmethod
+    def _path(m):
+        """A path's Laplacian plus 3 I in row-major order: positive definite, and sparse."""
+        i = np.arange(m)
+        rows = np.concatenate((i, i[:-1], i[1:]))
+        cols = np.concatenate((i, i[1:], i[:-1]))
+        g = np.concatenate((np.full(m, 5.0), -np.ones(2 * (m - 1))))
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], g[order]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_pivot_that_is_not_finite_is_refused(self, bad):
+        m = 4 * linalg_core._DENSE_ORDER
+        rows, cols, g = self._path(m)
+        assert rows.size < linalg_core._ELIMINATION_DENSITY * m * m
+        assert linalg_core._cholesky_succeeds(m, rows, cols, g, 1.0)
+        for node in (0, m // 2, m - 1):  # ends are pivots of the first round, the middle later
+            g_bad = g.copy()
+            g_bad[(rows == node) & (cols == node)] = bad
+            assert not linalg_core._cholesky_succeeds(m, rows, cols, g_bad, 1.0)
+
+    def test_a_factor_entry_that_is_not_finite_is_refused(self):
+        """A pivot row's entry that overflows: l_ik is infinite although the pivot is finite."""
+        m = 4 * linalg_core._DENSE_ORDER
+        rows, cols, g = self._path(m)
+        g_bad = g.copy()
+        g_bad[((rows == 0) & (cols == 1)) | ((rows == 1) & (cols == 0))] = 1e300
+        g_bad[(rows == 0) & (cols == 0)] = 1e-300
+        assert not linalg_core._cholesky_succeeds(m, rows, cols, g_bad, 0.0)
+
+    def test_an_asymmetric_pattern_is_symmetrized(self):
+        """Entries whose mirror is not stored, as a loaded matrix may hold, with or without a diagonal."""
+        n = 300
+        m = assemble(grid_network(n, np.random.default_rng(8))).matrix.copy()
+        lone = np.flatnonzero(m[0, 1:])[:3] + 1
+        m[lone, 0] = 0  # row 0 keeps entries whose mirrors are gone
+        verdicts = []
+        # with no diagonal G_s is not positive definite; with a dominant one it is, by more
+        # than the sums of |K| that the lone entries add to tau
+        for diagonal in (0.0, 1.0):
+            m[np.arange(n), np.arange(n)] = diagonal * (4 * np.abs(m).sum(axis=1) + 1e3)
+            rows, cols = np.nonzero(m)
+            args = (n, rows, cols, m[rows, cols])
+            assert (linalg_core._mirror_at(n, rows, cols) < 0).sum() == lone.size
+            assert rows.size < linalg_core._ELIMINATION_DENSITY * n * n
+            verdicts.append(linalg_core._hermitian_part_certifies(*args))
+            assert verdicts[-1] == dense_hermitian_part_certifies(*args)
+        assert verdicts == [False, True]

@@ -371,6 +371,26 @@ def test_both_methods_measure_one_rank(monkeypatch):
     assert peak < 1.5 * n * n * 16, f"peak {peak / (n * n * 16):.2f} x N^2 complex"
 
 
+def test_a_certified_verdict_allocates_only_the_dense_core(monkeypatch):
+    """3000 nodes and 1.5 branches per node: no N x N array, on either input, either rank."""
+    n = 3000
+    net = generate(GenSpec(node_range=(n, n), edge_density=3.3e-4, shunt_probability=0.05,
+                           min_shunts=1, seed=3))
+    shuntless = Network(n, net.branches, ())
+    calls = _count_svds(monkeypatch)
+    rank_verdicts(net, ("direct",))  # imports and warms up
+    for source in (net, assemble(net), shuntless, assemble(shuntless)):
+        tracemalloc.start()
+        try:
+            (v,) = rank_verdicts(source, ("direct",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.agrees and v.singular_gap == float("inf")
+        assert peak < 8 * n * n / 5, f"peak {peak / (8 * n * n):.3f} x 8 N^2 bytes"
+    assert calls == []
+
+
 def _certificate_shift(y) -> float:
     """tau of ``_hermitian_part_certifies`` for an exactly symmetric Y, from the dense view.
 
