@@ -6,13 +6,16 @@ shunts (admittances from a node to ground).  Ground is implicit: it never
 appears in the node index space, and every shunt connects to it.  Branches
 carry no mutual coupling terms; the schema enforces that by construction.
 
-All types are frozen dataclasses; every operation here is a pure function.
+All types are frozen dataclasses.  A network checks its node references
+once, when it is made, and keeps its branches and shunts as read-only
+arrays, which ``validate``, ``assemble``, the rank verdicts and
+``verify_block_rank`` read.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from .errors import StructuralError
 
 #: Default threshold (in siemens) below which an admittance counts as zero.
 DEFAULT_ZERO_TOL = 1e-12
+_INTP_MAX = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -67,27 +71,50 @@ class Network:
     Multiple branches between the same node pair are allowed (parallel
     circuits are distinct edges).  Multiple shunts at the same node are
     allowed and get summed when the nodal matrix is assembled.
+
+    Construction checks all node references at once and keeps, in list
+    order, the read-only arrays every layer reads: ``ends`` (N_b x 2),
+    ``branch_y``, ``shunt_nodes`` and ``shunt_y``.  Node indices are intp,
+    or Python ints in object arrays past intp (possible in a network file).
+    Equality and hashing see the node count, branches and shunts only.
     """
 
     node_count: int
     branches: tuple[Branch, ...] = ()
     shunts: tuple[Shunt, ...] = ()
+    ends: np.ndarray = field(init=False, compare=False, repr=False)
+    branch_y: np.ndarray = field(init=False, compare=False, repr=False)
+    shunt_nodes: np.ndarray = field(init=False, compare=False, repr=False)
+    shunt_y: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "node_count", int(self.node_count))
-        object.__setattr__(self, "branches", tuple(self.branches))
-        object.__setattr__(self, "shunts", tuple(self.shunts))
-        if self.node_count < 1:
+        object.__setattr__(self, "node_count", n := int(self.node_count))
+        object.__setattr__(self, "branches", branches := tuple(self.branches))
+        object.__setattr__(self, "shunts", shunts := tuple(self.shunts))
+        if n < 1:
             raise StructuralError("a network needs at least one node")
-        n = self.node_count
-        for i, b in enumerate(self.branches):
-            if b.from_node >= n or b.to_node >= n:
-                raise StructuralError(
-                    f"branch {i} references node outside [0, {n}): ({b.from_node}, {b.to_node})"
-                )
-        for i, s in enumerate(self.shunts):
-            if s.node >= n:
-                raise StructuralError(f"shunt {i} references node {s.node} outside [0, {n})")
+        nb = len(branches)  # nodes: the from nodes, then the to nodes, then the shunt nodes
+        nodes = ([b.from_node for b in branches] + [b.to_node for b in branches]
+                 + [s.node for s in shunts])
+        try:
+            nodes = np.array(nodes, dtype=np.intp if n <= _INTP_MAX else object)
+        except OverflowError:  # an index past intp is past ``n`` too, and kept to be named
+            nodes = np.array(nodes, dtype=object)
+        if nodes.size and nodes.max() >= n:
+            outside = nodes >= n
+            bad = np.flatnonzero(outside[:nb] | outside[nb:2 * nb])
+            if bad.size:
+                b = branches[bad[0]]
+                raise StructuralError(f"branch {bad[0]} references node outside [0, {n}): "
+                                      f"({b.from_node}, {b.to_node})")
+            i = np.flatnonzero(outside[2 * nb:])[0]
+            raise StructuralError(f"shunt {i} references node {shunts[i].node} outside [0, {n})")
+        branch_y = np.array([b.admittance for b in branches], dtype=np.complex128)
+        shunt_y = np.array([s.admittance for s in shunts], dtype=np.complex128)
+        for name, a in (("ends", nodes[:2 * nb].reshape(2, -1).T), ("branch_y", branch_y),
+                        ("shunt_nodes", nodes[2 * nb:]), ("shunt_y", shunt_y)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -114,20 +141,10 @@ def _zero_admittances(adm: np.ndarray, zero_tol: float) -> list[int]:
 
 
 def shunt_totals(net: Network) -> np.ndarray:
-    """Per-node sums of shunt admittances, as a complex vector of length N."""
+    """Per-node sums of shunt admittances, added in shunt order, as a complex N-vector."""
     totals = np.zeros(net.node_count, dtype=np.complex128)
-    for s in net.shunts:
-        totals[s.node] += s.admittance
+    np.add.at(totals, net.shunt_nodes, net.shunt_y)
     return totals
-
-
-def _branch_arrays(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """The branches in branch order: an intp [from, to] row and a complex128 admittance each."""
-    branches = net.branches
-    # a node count past intp (possible in a network file) keeps its indices Python ints
-    ends = np.array([[b.from_node for b in branches], [b.to_node for b in branches]],
-                    dtype=np.intp if net.node_count <= np.iinfo(np.intp).max else object)
-    return ends.T, np.array([b.admittance for b in branches], dtype=np.complex128)
 
 
 def _component_labels(n: int, u, v) -> np.ndarray:
@@ -168,7 +185,7 @@ def _component_count(n: int, ends: np.ndarray) -> int:
 
 def is_connected(net: Network) -> bool:
     """True iff the branch graph, shunts ignored, is one component; labels branch ends only."""
-    return _component_count(net.node_count, _branch_arrays(net)[0]) == 1
+    return _component_count(net.node_count, net.ends) == 1
 
 
 def validate(net: Network) -> ValidationReport:
@@ -178,18 +195,13 @@ def validate(net: Network) -> ValidationReport:
     findings.  A branch counts as zero when |y| <= ``DEFAULT_ZERO_TOL``; one
     whose magnitude overflows counts as nonzero.
     """
-    return _validate(net, *_branch_arrays(net))
-
-
-def _validate(net: Network, ends: np.ndarray, adm: np.ndarray) -> ValidationReport:
-    """:func:`validate` of a network whose :func:`_branch_arrays` the caller has built."""
     messages: list[str] = []
-    count = _component_count(net.node_count, ends)
+    count = _component_count(net.node_count, net.ends)
     connected = count == 1
     if not connected:
         messages.append(f"graph is disconnected: {count} components")
 
-    zero = _zero_admittances(adm, DEFAULT_ZERO_TOL)
+    zero = _zero_admittances(net.branch_y, DEFAULT_ZERO_TOL)
     hypothesis1_ok = not zero
     for i in zero:
         b = net.branches[i]
@@ -197,7 +209,7 @@ def _validate(net: Network, ends: np.ndarray, adm: np.ndarray) -> ValidationRepo
             f"branch {i} ({b.from_node},{b.to_node}) has near-zero admittance {b.admittance}"
         )
 
-    re_nonpositive = np.flatnonzero(adm.real <= 0.0).tolist()
+    re_nonpositive = np.flatnonzero(net.branch_y.real <= 0.0).tolist()
     for i in re_nonpositive:
         b = net.branches[i]
         messages.append(
@@ -207,16 +219,15 @@ def _validate(net: Network, ends: np.ndarray, adm: np.ndarray) -> ValidationRepo
     # theorem2_preconditions_ok => hypothesis1_ok holds by construction.
     theorem2_ok = hypothesis1_ok and not re_nonpositive
 
-    passivity_ok = True
-    for i, s in enumerate(net.shunts):
-        if s.admittance.real < 0.0:
-            passivity_ok = False
-            messages.append(f"shunt {i} at node {s.node} has Re(y) = {s.admittance.real} < 0")
+    active = np.flatnonzero(net.shunt_y.real < 0.0).tolist()
+    for i in active:
+        s = net.shunts[i]
+        messages.append(f"shunt {i} at node {s.node} has Re(y) = {s.admittance.real} < 0")
 
     return ValidationReport(
         connected=connected,
         hypothesis1_ok=hypothesis1_ok,
         theorem2_preconditions_ok=theorem2_ok,
-        shunt_passivity_ok=passivity_ok,
+        shunt_passivity_ok=not active,
         messages=tuple(messages),
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import StructuralError
 from .linalg_core import _dense, full_rank_certificate
 from .network_model import (
-    DEFAULT_ZERO_TOL, Network, _branch_arrays, _component_labels, _validate, shunt_totals)
+    DEFAULT_ZERO_TOL, Network, _component_labels, shunt_totals, validate)
 from .ybus import AdmittanceMatrix, _stamp
 
 
@@ -176,25 +176,25 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     Grounding every other class turns boundary branches into shunts, so a
     diagonal block of Y is the nodal matrix of that grounded equivalent,
     and it is block-diagonal across the connected components of the
-    class's induced subgraph.  Y is stamped once, the components of every
-    class are labelled by one call on the class-internal branches, and
-    each component sub-block, sliced from the compressed rows, gets its
-    own LU condition certificate; no other factorization runs.  The
-    structural claim that every component touches a boundary branch or a
-    nonzero shunt total is checked as well.
+    class's induced subgraph.  Every step reads the arrays the network
+    keeps.  Y is stamped once, the components of every class are labelled
+    by one call on the class-internal branches, and each component
+    sub-block, sliced from the compressed rows, gets its own LU condition
+    certificate; no other factorization runs.  The structural claim that
+    every component touches a boundary branch or a nonzero shunt total is
+    checked as well.
     """
     if part.node_count != net.node_count:
         raise StructuralError(
             f"partition covers {part.node_count} nodes but network has {net.node_count}"
         )
-    arrays = _branch_arrays(net)
-    report = _validate(net, *arrays)
+    report = validate(net)
     findings = list(report.messages)
-    y = _stamp(net, 0.0, arrays)
+    y = _stamp(net, 0.0)
 
     # a branch inside a class joins two nodes of its grounded equivalent; a
     # branch between classes grounds both of its ends, as does a nonzero shunt total
-    ends = arrays[0]
+    ends = net.ends
     class_of = np.array(part.labels())[ends]
     inside = class_of[:, 0] == class_of[:, 1]
     grounded = np.abs(shunt_totals(net)) > DEFAULT_ZERO_TOL

@@ -38,15 +38,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .linalg_core import TINY, _finite, _hermitian_part_certifies, numerical_rank
-from .network_model import (
-    DEFAULT_ZERO_TOL,
-    Branch,
-    Network,
-    _component_labels,
-    _zero_admittances,
-    shunt_totals,
-    validate,
-)
+from .network_model import (DEFAULT_ZERO_TOL, Branch, Network, _component_labels,
+                            _zero_admittances, shunt_totals, validate)
 from .ybus import SPARSE_MIN_ORDER, AdmittanceMatrix, assemble, shunt_vector
 
 #: Entrywise relative tolerance for the augmented-vs-block-form match.
@@ -105,16 +98,12 @@ def _augment_virtual_ground(net: Network) -> Network:
     shunts, and it is connected whenever the input is.  Requires at least
     one nonzero shunt entry (the construction is vacuous otherwise).
     """
-    ground = net.node_count
-    zero = set(_zero_admittances(
-        np.array([s.admittance for s in net.shunts], dtype=np.complex128), DEFAULT_ZERO_TOL))
-    grounded = tuple(Branch(s.node, ground, s.admittance)
+    zero = set(_zero_admittances(net.shunt_y, DEFAULT_ZERO_TOL))
+    grounded = tuple(Branch(s.node, net.node_count, s.admittance)
                      for k, s in enumerate(net.shunts) if k not in zero)
     if not grounded:
-        raise PreconditionError(
-            "virtual-ground augmentation needs at least one nonzero shunt"
-        )
-    return Network(node_count=ground + 1, branches=net.branches + grounded, shunts=())
+        raise PreconditionError("virtual-ground augmentation needs at least one nonzero shunt")
+    return Network(net.node_count + 1, net.branches + grounded)
 
 
 def verify_rank_via_augmentation(net: Network) -> RankVerdict:

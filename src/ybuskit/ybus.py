@@ -19,7 +19,7 @@ import numpy as np
 from .errors import HypothesisError, SizeLimitError, StructuralError
 from .linalg_core import _STRIPE, _finite, _frozen, _mirror, as_cmatrix
 from .network_model import (
-    DEFAULT_ZERO_TOL, Network, _branch_arrays, _zero_admittances, shunt_totals)
+    DEFAULT_ZERO_TOL, Network, _zero_admittances, shunt_totals)
 
 #: Entrywise relative tolerance for the complex-symmetry invariant.
 SYMMETRY_RTOL = 1e-14
@@ -224,11 +224,8 @@ def _from_nonzeros(rows, cols, data, node_order) -> AdmittanceMatrix:
     return AdmittanceMatrix._adopt(indptr, cols, data, order)
 
 
-def _stamp(net: Network, zero_tol: float, arrays=None) -> AdmittanceMatrix:
-    """Stamp the nodal matrix of a network into compressed rows.
-
-    ``arrays`` are the network's :func:`_branch_arrays`, built here unless
-    the caller has them.
+def _stamp(net: Network, zero_tol: float) -> AdmittanceMatrix:
+    """Stamp the nodal matrix of a network into compressed rows, from its branch and shunt arrays.
 
     Branches with |y| <= ``zero_tol`` are refused (they violate the
     nonzero-admittance hypothesis and would silently drop an edge).  Every
@@ -243,7 +240,7 @@ def _stamp(net: Network, zero_tol: float, arrays=None) -> AdmittanceMatrix:
     """
     n = net.node_count
     _check_size(n)
-    ends, adm = _branch_arrays(net) if arrays is None else arrays
+    ends, adm = net.ends, net.branch_y
     zero = _zero_admittances(adm, zero_tol)
     if zero:
         b = net.branches[zero[0]]

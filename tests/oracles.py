@@ -6,11 +6,12 @@ closure instead of breadth-first search, whole-system dense solves
 instead of Schur complements, the incidence triple product instead of
 direct stamping, and an explicit grounded-equivalent network instead of a
 slice of the assembled matrix.  The element-by-element generator and
-stamping loops that the package's array code replaced are kept here too,
-as the bit-for-bit reference for it, and so are the dense N x N stamp,
-permuted copy and bordered block form that compressed-row storage replaced,
-and the Hermitian-part certificate that factors the whole of G_s densely,
-which elimination by least degree replaced.  Values produced by these oracles are
+stamping loops, the per-branch range check and the per-shunt sum that
+the package's array code replaced are kept here too, as the bit-for-bit
+reference for it, and so are the dense N x N stamp, permuted copy and
+bordered block form that compressed-row storage replaced, and the
+Hermitian-part certificate that factors the whole of G_s densely, which
+elimination by least degree replaced.  Values produced by these oracles are
 what the tests compare the library against.  ``counterexample_block_singular``
 is the one fixed instance kept here: the network that shows why Theorem 2
 needs positive branch real parts.
@@ -347,6 +348,30 @@ def loop_generate(spec) -> Network:
         Shunt(int(v), _loop_admittance(rng, spec)) for v in np.flatnonzero(shunted)
     )
     return Network(node_count=n, branches=branches, shunts=shunts)
+
+
+def loop_range_error(node_count: int, branches, shunts) -> str | None:
+    """The message ``Network`` must raise for these lists, checked one element at a time.
+
+    Names the first branch with an endpoint outside [0, node_count), else
+    the first such shunt; None when every reference is in range.
+    """
+    n = node_count
+    for i, b in enumerate(branches):
+        if b.from_node >= n or b.to_node >= n:
+            return f"branch {i} references node outside [0, {n}): ({b.from_node}, {b.to_node})"
+    for i, s in enumerate(shunts):
+        if s.node >= n:
+            return f"shunt {i} references node {s.node} outside [0, {n})"
+    return None
+
+
+def loop_shunt_totals(net) -> np.ndarray:
+    """Per-node shunt sums, one shunt at a time in list order."""
+    totals = np.zeros(net.node_count, dtype=np.complex128)
+    for s in net.shunts:
+        totals[s.node] += s.admittance
+    return totals
 
 
 def loop_stamp(net, zero_tol: float) -> np.ndarray:

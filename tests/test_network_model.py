@@ -1,16 +1,21 @@
 """Data model, validation findings and graph queries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ybuskit import (
+    PHASE_POLICIES,
     Branch,
+    GenSpec,
     Network,
     Partition,
     PreconditionError,
     Shunt,
     StructuralError,
     assemble,
+    generate,
     is_connected,
     rank_verdicts,
     shunt_totals,
@@ -19,7 +24,26 @@ from ybuskit import (
 )
 from ybuskit.network_model import _component_labels
 from ybuskit.rank_analysis import _pattern_connected
-from oracles import closure_components, exact_int_rank, incidence_matrix
+from oracles import (
+    closure_components,
+    exact_int_rank,
+    incidence_matrix,
+    loop_range_error,
+    loop_shunt_totals,
+)
+
+
+def assert_arrays_match(net):
+    """The network's arrays are read-only and hold its branches and shunts entry for entry."""
+    assert net.ends.shape == (len(net.branches), 2)
+    assert net.ends.tolist() == [[b.from_node, b.to_node] for b in net.branches]
+    assert net.branch_y.tolist() == [b.admittance for b in net.branches]
+    assert net.shunt_nodes.tolist() == [s.node for s in net.shunts]
+    assert net.shunt_y.tolist() == [s.admittance for s in net.shunts]
+    assert net.branch_y.dtype == net.shunt_y.dtype == np.complex128
+    for a in (net.ends, net.branch_y, net.shunt_nodes, net.shunt_y):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def path(n, y=1 + 0j, shunts=()):
@@ -65,11 +89,66 @@ class TestDataModel:
         net = Network(2, branches=[b], shunts=[Shunt(0, 1)])
         assert isinstance(net.branches, tuple)
         assert isinstance(net.shunts, tuple)
+        assert_arrays_match(net)
+        assert net.ends.dtype == net.shunt_nodes.dtype == np.intp
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.ends = np.zeros((1, 2), dtype=np.intp)
+        same = Network(2, branches=(b,), shunts=(Shunt(0, 1),))
+        assert net == same and hash(net) == hash(same)
+        assert net != Network(2, branches=(b,))
+
+        bare = dataclasses.replace(net, shunts=())
+        assert_arrays_match(bare)
+        assert bare.shunt_nodes.size == bare.shunt_y.size == 0
+        assert bare.ends.tolist() == [[0, 1]]
+
+        big = 10**30
+        huge = Network(big + 1, (Branch(0, big, 1.0),), (Shunt(big, 2j),))
+        assert_arrays_match(huge)
+        assert huge.ends.dtype == huge.shunt_nodes.dtype == object
 
     def test_ground_is_not_a_node(self):
         # shunts reference only regular nodes; there is no ground index
         net = Network(1, shunts=(Shunt(0, 1 + 1j),))
         assert net.node_count == 1
+
+
+def random_references(rng, n, count):
+    """``count`` node indices for ``n`` nodes: mostly in range, some at or past ``n`` or intp."""
+    kinds = rng.choice(5, size=count, p=[0.45, 0.45, 0.04, 0.03, 0.03]).tolist()
+    steps = rng.integers(0, 3, size=count).tolist()
+    return [[k % n, max(n - 1 - k, 0), n + k, 2**63 + k, 10**31 + k][kind]
+            for kind, k in zip(kinds, steps)]
+
+
+class TestRangeCheck:
+    """``Network`` names the first bad branch, then the first bad shunt, as a loop would."""
+
+    @pytest.mark.parametrize("base", [0, 2**62, 10**30])
+    def test_matches_the_per_branch_loop(self, base):
+        rng = np.random.default_rng(base % 1000 + 27)
+        for _ in range(150):
+            n = base + int(rng.integers(1, 6))
+            count = int(rng.integers(0, 5))
+            ends = zip(random_references(rng, n, count), random_references(rng, n, count))
+            branches = [Branch(i, j, 1 + 1j) for i, j in ends if i != j]
+            shunts = [Shunt(v, 1j) for v in random_references(rng, n, int(rng.integers(0, 4)))]
+            expected = loop_range_error(n, branches, shunts)
+            if expected is None:
+                assert_arrays_match(Network(n, branches, shunts))
+            else:
+                with pytest.raises(StructuralError) as info:
+                    Network(n, branches, shunts)
+                assert str(info.value) == expected
+
+    def test_first_bad_branch_is_named_before_any_shunt(self):
+        branches = (Branch(0, 1, 1.0), Branch(2, 0, 1.0), Branch(0, 2**70, 1.0))
+        with pytest.raises(StructuralError) as info:
+            Network(2, branches, (Shunt(5, 1.0),))
+        assert str(info.value) == "branch 1 references node outside [0, 2): (2, 0)"
+        with pytest.raises(StructuralError) as info:
+            Network(2, branches[:1], (Shunt(1, 1.0), Shunt(2**64, 1.0), Shunt(2, 1.0)))
+        assert str(info.value) == f"shunt 1 references node {2**64} outside [0, 2)"
 
 
 class TestValidate:
@@ -309,6 +388,30 @@ class TestShuntTotals:
     def test_opposite_shunts_cancel_exactly(self):
         net = Network(1, shunts=(Shunt(0, 1 + 1j), Shunt(0, -1 - 1j)))
         assert shunt_totals(net)[0] == 0j
+
+    @pytest.mark.parametrize("policy", PHASE_POLICIES)
+    def test_bit_identical_to_the_per_shunt_loop(self, policy):
+        for seed in range(12):
+            net = generate(GenSpec(node_range=(2, 40), shunt_probability=0.6, seed=seed,
+                                   phase_policy=policy, magnitude_range=(1e-6, 1e6)))
+            assert shunt_totals(net).tobytes() == loop_shunt_totals(net).tobytes()
+
+    def test_repeated_and_signed_zero_shunts_bit_identical_to_the_loop(self):
+        shunts = (Shunt(0, 0.1 + 0.2j), Shunt(2, -0j), Shunt(0, 0.2), Shunt(2, complex(-0.0, 0.0)),
+                  Shunt(1, 1e16), Shunt(0, 0.3 - 0.2j), Shunt(1, 1.0), Shunt(1, -1e16),
+                  Shunt(3, 1 + 1j), Shunt(3, -1 - 1j), Shunt(2, 0j))
+        net = Network(5, shunts=shunts)
+        assert shunt_totals(net).tobytes() == loop_shunt_totals(net).tobytes()
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            count = int(rng.integers(0, 12))
+            nodes = rng.integers(0, 4, size=count).tolist()
+            parts = rng.standard_normal((count, 2)) * 10.0 ** rng.integers(-8, 9, (count, 1))
+            parts[rng.random(parts.shape) < 0.2] = 0.0
+            parts[rng.random(parts.shape) < 0.2] = -0.0
+            shunts = [Shunt(v, complex(re, im)) for v, (re, im) in zip(nodes, parts.tolist())]
+            net = Network(4, shunts=shunts)
+            assert shunt_totals(net).tobytes() == loop_shunt_totals(net).tobytes()
 
 
 class TestIncidence:
