@@ -3,9 +3,10 @@
 Backed by LAPACK through NumPy/SciPy, and by SuperLU for SciPy sparse
 matrices.  SciPy is imported inside the LU routines only, so importing the
 package (and every command that factors no block by LU) loads NumPy
-alone.  Every solve goes through a :class:`RankCertificate`: NumPy's, for
-a dense block whose nonzeros the rank verdicts' :func:`_hermitian_part_certifies`
-proves invertible, or the LU of :func:`full_rank_certificate`,
+alone.  The one Hermitian-part kernel, :func:`_hermitian_part_certifies`,
+reads only stored entries, as Y's compressed rows hold them.  Every solve
+goes through a :class:`RankCertificate`: NumPy's, for a dense block the
+kernel proves invertible, or the LU of :func:`full_rank_certificate`,
 which knows no size rule and factors the form it is handed
 (``AdmittanceMatrix._block`` decides which blocks of Y are sparse); it
 tells a SciPy sparse matrix by its ``nnz`` attribute, without importing
@@ -118,9 +119,7 @@ def numerical_rank(m) -> RankResult:
     # eps is a power of two, so this is n * sigma_max * eps without its overflow
     tol = max(a.shape, default=0) * EPS * (float(sigma[0]) if sigma.size else 0.0)
     rank = int(np.count_nonzero(sigma > tol))
-    sigma = sigma.copy()
-    sigma.flags.writeable = False
-    return RankResult(rank=rank, singular_values=sigma, tolerance_used=tol)
+    return RankResult(rank=rank, singular_values=_frozen(sigma), tolerance_used=tol)
 
 
 def _mirror_at(n: int, rows, cols) -> np.ndarray:
@@ -286,30 +285,18 @@ def _cholesky_succeeds(m: int, rows, cols, g, shift: float) -> bool:
     return _dense_cholesky_succeeds(live.size, position[r], position[c], g, 0.0)
 
 
-def _hermitian_part_certificate(a) -> RankCertificate | None:
-    """The test of :func:`_hermitian_part_certifies` on a nonempty dense block, else None.
-
-    The block's nonzeros, taken by ``np.nonzero`` of ``a != 0`` in
-    row-major order (a boolean scan beats the complex one from about order
-    30 on), are the kernel's stored entries, so a dense block gets the rank
-    verdicts' tau.  No LU runs, so the condition estimate is NaN, and the
-    certificate solves with ``numpy.linalg.solve``.
-    """
-    if hasattr(a, "nnz"):
-        return None
+def _numpy_certificate(a: np.ndarray) -> RankCertificate:
+    """A dense block's certificate once the kernel proves it invertible: NumPy solves, no LU."""
     n = a.shape[0]
-    rows, cols = np.nonzero(a != 0)
-    if not _hermitian_part_certifies(n, rows, cols, a[rows, cols]):
-        return None
-    return RankCertificate(True, float("nan"), None, lambda b: _by_columns(
-        lambda c: _numpy_solve(a, _checked_rhs(c, n)), b, lambda k: [slice(0, k)]))
 
+    def solve(c):
+        try:  # LAPACK refuses only an exactly zero pivot, which the kernel excludes
+            return np.linalg.solve(a, _checked_rhs(c, n))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"solving with a certified block failed: {exc}") from exc
 
-def _numpy_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:  # LAPACK refuses only an exactly zero pivot, which the certificate excludes
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"solving with a certified block failed: {exc}") from exc
+    return RankCertificate(True, float("nan"), None,
+                           lambda b: _by_columns(solve, b, lambda k: [slice(0, k)]))
 
 
 def _by_columns(solve, b, groups=_stripes) -> np.ndarray:

@@ -7,7 +7,7 @@ and every branch has positive real part, each diagonal block is
 invertible: grounding the other classes turns boundary branches into
 shunts, and every connected piece of a class then owns at least one
 effective shunt.  ``verify_block_rank`` checks exactly that argument,
-component by component.
+for all components at once, and for each one only if that fails.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError
-from .linalg_core import _dense, full_rank_certificate
+from .linalg_core import RankCertificate, _dense, _hermitian_part_certifies, full_rank_certificate
 from .network_model import (
     DEFAULT_ZERO_TOL, Network, _component_labels, shunt_totals, validate)
 from .ybus import AdmittanceMatrix, _stamp
@@ -137,7 +137,7 @@ class ComponentReport:
     nodes: tuple[int, ...]
     full_rank: bool
     grounded: bool  # touches a boundary branch or a nonzero shunt total
-    condition_estimate: float
+    condition_estimate: float  # NaN where one kernel call certified the partition: no LU ran
 
 
 @dataclass(frozen=True)
@@ -176,13 +176,16 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     Grounding every other class turns boundary branches into shunts, so a
     diagonal block of Y is the nodal matrix of that grounded equivalent,
     and it is block-diagonal across the connected components of the
-    class's induced subgraph.  Every step reads the arrays the network
-    keeps.  Y is stamped once, the components of every class are labelled
-    by one call on the class-internal branches, and each component
-    sub-block, sliced from the compressed rows, gets its own LU condition
-    certificate; no other factorization runs.  The structural claim that
-    every component touches a boundary branch or a nonzero shunt total is
-    checked as well.
+    class's induced subgraph.  Y is stamped once from the network's arrays,
+    and the components of every class are labelled by one call on the
+    class-internal branches.  Y's stored entries whose ends share a
+    component hold B, the block diagonal of all components, and one call of
+    the Hermitian-part kernel certifies B at order N.  B's singular values
+    are the union of its components', so for each A_c of order m_c <= N,
+    sigma_min(A_c) >= sigma_min(B) > N eps sigma_max(B) >= m_c eps
+    sigma_max(A_c).  Only a refused B gives each component sub-block its
+    own LU condition certificate.  Every component must also touch a
+    boundary branch or a nonzero shunt total.
     """
     if part.node_count != net.node_count:
         raise StructuralError(
@@ -202,7 +205,11 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     grounded = grounded.tolist()
     # numbered by smallest node, so grouping a class's sorted nodes by label
     # lists its components in order of their smallest node
-    piece = _component_labels(net.node_count, *ends[inside].T).tolist()
+    piece = _component_labels(net.node_count, *ends[inside].T)
+    rows = y._rows()
+    same = piece[rows] == piece[y.indices]  # row-major still
+    certified = _hermitian_part_certifies(y.size, rows[same], y.indices[same], y.data[same])
+    piece, kernel = piece.tolist(), RankCertificate(True, float("nan"), None)
 
     class_reports: list[ClassBlockReport] = []
     for ci, keep in enumerate(part.classes):
@@ -211,7 +218,7 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
             pieces.setdefault(piece[v], []).append(v)
         comp_reports: list[ComponentReport] = []
         for nodes in map(tuple, pieces.values()):
-            cert = full_rank_certificate(y._block(nodes, nodes))
+            cert = kernel if certified else full_rank_certificate(y._block(nodes, nodes))
             touched = any(grounded[v] for v in nodes)
             comp_reports.append(
                 ComponentReport(nodes, cert.full_rank, touched, cert.condition_estimate))
@@ -227,10 +234,6 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
         class_reports.append(ClassBlockReport(
             ci, keep, tuple(comp_reports), all(c.full_rank for c in comp_reports)))
 
-    return BlockRankReport(
-        connected=report.connected,
-        hypothesis1_ok=report.hypothesis1_ok,
-        branches_re_positive=report.theorem2_preconditions_ok,
-        classes=tuple(class_reports),
-        findings=tuple(findings),
-    )
+    return BlockRankReport(connected=report.connected, hypothesis1_ok=report.hypothesis1_ok,
+                           branches_re_positive=report.theorem2_preconditions_ok,
+                           classes=tuple(class_reports), findings=tuple(findings))

@@ -10,11 +10,11 @@ network or a bare matrix, by one or both of two routes:
   construction.  The bordered matrix ``B = [[Y, -t], [-t^T, sum(t)]]``,
   with ``t`` the shunt vector, is ``L^T Y L`` for ``L = [I, -1]`` of full
   row rank, so rank(B) = rank(Y) exactly and this route reuses the direct
-  measurement.  For a network it adds a check of its own: the network
-  rebuilt over a virtual ground node, every shunt turned into a branch, is
-  stamped on its own and must equal B entrywise, compared on compressed
-  rows in O(nnz).  The augmentation and the comparison are private to
-  this module.
+  measurement.  For a network it adds a check of its own: its branch
+  arrays, extended to a virtual ground node by every shunt turned into a
+  branch, are stamped on their own and must equal B entrywise, compared
+  on compressed rows in O(nnz).  The augmentation and the comparison are
+  private to this module.
 
 Every call measures the rank of Y once, whichever methods it is asked
 for.  For a unit x, sigma_min(Y) >= Re(x^H Y x) >= lambda_min(G_s) -
@@ -38,9 +38,9 @@ import numpy as np
 
 from .errors import PreconditionError
 from .linalg_core import TINY, _finite, _hermitian_part_certifies, numerical_rank
-from .network_model import (DEFAULT_ZERO_TOL, Branch, Network, _component_labels,
-                            _zero_admittances, shunt_totals, validate)
-from .ybus import SPARSE_MIN_ORDER, AdmittanceMatrix, assemble, shunt_vector
+from .network_model import (DEFAULT_ZERO_TOL, Network, _component_labels, _zero_admittances,
+                            shunt_totals, validate)
+from .ybus import SPARSE_MIN_ORDER, AdmittanceMatrix, _stamp_arrays, assemble, shunt_vector
 
 #: Entrywise relative tolerance for the augmented-vs-block-form match.
 EQ_BLOCK_RTOL = 1e-12
@@ -90,20 +90,22 @@ def verify_rank(net: Network) -> RankVerdict:
     return _rank_verdicts(net, ("direct",))[0]
 
 
-def _augment_virtual_ground(net: Network) -> Network:
-    """Rebuild the network over a virtual ground, absorbing all shunts.
+def _augment_virtual_ground(net: Network) -> AdmittanceMatrix:
+    """The nodal matrix of the network rebuilt over a virtual ground, absorbing all shunts.
 
-    Node N of the result is the old ground; every shunt (n, y) with
-    |y| > ``DEFAULT_ZERO_TOL`` becomes a branch (n, N, y).  The result has no
-    shunts, and it is connected whenever the input is.  Requires at least
-    one nonzero shunt entry (the construction is vacuous otherwise).
+    Node N is the old ground; every shunt (n, y) with |y| > ``DEFAULT_ZERO_TOL``
+    becomes a branch (n, N, y) after the network's own, and the branch arrays are
+    stamped with no shunts.  Requires at least one nonzero shunt entry (the
+    construction is vacuous otherwise).
     """
-    zero = set(_zero_admittances(net.shunt_y, DEFAULT_ZERO_TOL))
-    grounded = tuple(Branch(s.node, net.node_count, s.admittance)
-                     for k, s in enumerate(net.shunts) if k not in zero)
-    if not grounded:
+    kept = np.delete(np.arange(net.shunt_y.size), _zero_admittances(net.shunt_y, DEFAULT_ZERO_TOL))
+    if not kept.size:
         raise PreconditionError("virtual-ground augmentation needs at least one nonzero shunt")
-    return Network(net.node_count + 1, net.branches + grounded)
+    n = net.node_count
+    ground = np.column_stack((net.shunt_nodes[kept], np.full(kept.size, n)))
+    return _stamp_arrays(n + 1, np.concatenate((net.ends, ground)),
+                         np.concatenate((net.branch_y, net.shunt_y[kept])),
+                         np.zeros(n + 1, dtype=np.complex128), DEFAULT_ZERO_TOL)
 
 
 def verify_rank_via_augmentation(net: Network) -> RankVerdict:
@@ -197,7 +199,7 @@ def _rank_verdicts(source, methods) -> list[RankVerdict]:
         measured, gap = rr.rank, _gap(rr.singular_values, rr.rank)
     block_err = None
     if net is not None and "virtual_ground" in methods:  # the augmented network, stamped apart
-        block_err = _block_form_error(assemble(_augment_virtual_ground(net)), y, t)
+        block_err = _block_form_error(_augment_virtual_ground(net), y, t)
     verdicts = []
     for method in methods:
         err = block_err if method == "virtual_ground" else None

@@ -21,7 +21,8 @@ from .linalg_core import (
     _dense,
     _finite,
     _frozen,
-    _hermitian_part_certificate,
+    _hermitian_part_certifies,
+    _numpy_certificate,
     _stripes,
     full_rank_certificate,
 )
@@ -64,12 +65,20 @@ class ReductionResult:
 def _certified(y: AdmittanceMatrix, epos, what: str, err_cls) -> RankCertificate:
     """Certify the block of ``y`` at positions ``epos`` invertible; the certificate solves with it.
 
-    A dense block is first tested as Theorem 2 argues, by a Cholesky factorization of its
-    Hermitian part.  Any other block goes to :func:`full_rank_certificate`, whose
-    exactly zero pivot is named by its index in the block and by the node of that column.
+    Its stored entries, gathered once, go to the Hermitian-part kernel unless the block is
+    sparse, which SuperLU takes first.  :func:`full_rank_certificate` takes the rest, and
+    its exactly zero pivot is named by its index in the block and the node of that column.
     """
-    a = y._block(epos, epos)
-    cert = _hermitian_part_certificate(a) or full_rank_certificate(a)
+    m = len(epos)
+    rows, cols, data = y._entries(epos, epos)
+    a = y._block(epos, epos, (rows, cols, data))
+    if not hasattr(a, "nnz"):
+        if (np.diff(epos) <= 0).any():  # the kernel reads them in row-major order
+            order = np.argsort(rows * m + cols)
+            rows, cols, data = rows[order], cols[order], data[order]
+        if _hermitian_part_certifies(m, rows, cols, data):
+            return _numpy_certificate(a)
+    cert = full_rank_certificate(a)
     if cert.failed_pivot is not None:
         raise err_cls(f"{what} is exactly singular (zero pivot at index {cert.failed_pivot}, "
                       f"node {y.node_order[epos[cert.failed_pivot]]})")
@@ -201,11 +210,8 @@ def kron_reduce_nodes(y: AdmittanceMatrix, eliminate) -> ReductionResult:
     pos = _node_positions(y, labels)
     n = y.size
     if not labels:
-        return ReductionResult(
-            reduced=y,
-            eliminated_order=(),
-            recovery=np.zeros((0, n), dtype=np.complex128),
-        )
+        return ReductionResult(reduced=y, eliminated_order=(),
+                               recovery=np.zeros((0, n), dtype=np.complex128))
     if len(labels) == n:
         raise NotReducibleError("cannot eliminate every node; at least one must remain")
 
@@ -338,10 +344,5 @@ def hybrid_parameters(view: BlockView, p: int) -> HybridResult:
         else (ROLE_CURRENT_GAIN if k == p else ROLE_ADMITTANCE)
         for q in range(part.class_count) for k in range(part.class_count)
     }
-    return HybridResult(
-        h=h,
-        solved_class=p,
-        partition=part,
-        node_order=view.node_order,
-        block_roles=roles,
-    )
+    return HybridResult(h=h, solved_class=p, partition=part, node_order=view.node_order,
+                        block_roles=roles)

@@ -119,18 +119,8 @@ class AdmittanceMatrix:
         m.flags.writeable = False
         return m
 
-    def _block(self, rows, cols):
-        """Rows ``rows`` and columns ``cols`` (positions), in the form its kernels use.
-
-        This is the one place that decides a block's form.  Below
-        ``SPARSE_MIN_ORDER`` nodes the block is a slice of the dense view.
-        Otherwise it is gathered from the compressed rows in O(nnz of those
-        rows), and :func:`_prefers_sparse` is asked before anything is
-        built: a canonical SciPy CSR matrix if the block passes, else a
-        dense array.
-        """
-        if self.size < SPARSE_MIN_ORDER:
-            return self.matrix[np.ix_(rows, cols)]
+    def _entries(self, rows, cols):
+        """The stored entries (r, c, data) of ``rows`` x ``cols``, row-major if ``cols`` ascend."""
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         where = np.full(self.size, -1, dtype=np.intp)
         where[cols] = np.arange(cols.size)
@@ -140,8 +130,21 @@ class AdmittanceMatrix:
         take = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts, counts)
         c = where[self.indices[take]]
         keep = c >= 0
-        r, c, data = np.repeat(np.arange(rows.size), counts)[keep], c[keep], self.data[take[keep]]
-        shape = (rows.size, cols.size)
+        return np.repeat(np.arange(rows.size), counts)[keep], c[keep], self.data[take[keep]]
+
+    def _block(self, rows, cols, entries=None):
+        """Rows ``rows`` and columns ``cols`` (positions), in the form its kernels use.
+
+        This is the one place that decides a block's form.  Below
+        ``SPARSE_MIN_ORDER`` nodes and given no stored ``entries`` (of
+        :meth:`_entries`), it is a slice of the dense view.  Otherwise
+        :func:`_prefers_sparse` is asked before anything is built from them:
+        a canonical SciPy CSR matrix if the block passes, else a dense array.
+        """
+        if entries is None and self.size < SPARSE_MIN_ORDER:
+            return self.matrix[np.ix_(rows, cols)]
+        r, c, data = self._entries(rows, cols) if entries is None else entries
+        shape = (len(rows), len(cols))
         if _prefers_sparse(shape, data.size):
             import scipy.sparse
 
@@ -225,27 +228,31 @@ def _from_nonzeros(rows, cols, data, node_order) -> AdmittanceMatrix:
 
 
 def _stamp(net: Network, zero_tol: float) -> AdmittanceMatrix:
-    """Stamp the nodal matrix of a network into compressed rows, from its branch and shunt arrays.
+    """Stamp a network's arrays by :func:`_stamp_arrays`, its size checked before its shunts."""
+    _check_size(net.node_count)
+    return _stamp_arrays(net.node_count, net.ends, net.branch_y, shunt_totals(net), zero_tol)
+
+
+def _stamp_arrays(n: int, ends, adm, totals, zero_tol: float) -> AdmittanceMatrix:
+    """Stamp the nodal matrix of n nodes from branch ``ends`` and ``adm`` and shunt ``totals``.
 
     Branches with |y| <= ``zero_tol`` are refused (they violate the
     nonzero-admittance hypothesis and would silently drop an edge).  Every
     entry a branch touches, and the diagonal, gets one slot in row-major
     order; one unbuffered ``np.add.at`` stamps all branches into the slots
-    in branch order, then the shunt totals are added, so each entry sums
-    its terms in the order a dense stamp one branch at a time does: bit
-    for bit the same, and exactly symmetric, in O(|branches| log
-    |branches|).  Entries that cancel exactly are not stored.  A node
-    count beyond ``MAX_DENSE_ORDER`` raises :class:`SizeLimitError` first,
-    and a sum that overflows raises :class:`NumericalError`.
+    in branch order, then the totals are added, so each entry sums its
+    terms in the order a dense stamp one branch at a time does: bit for
+    bit the same, and exactly symmetric, in O(|branches| log |branches|).
+    Entries that cancel exactly are not stored.  A node count beyond
+    ``MAX_DENSE_ORDER`` raises :class:`SizeLimitError` first, and a sum
+    that overflows raises :class:`NumericalError`.
     """
-    n = net.node_count
     _check_size(n)
-    ends, adm = net.ends, net.branch_y
     zero = _zero_admittances(adm, zero_tol)
     if zero:
-        b = net.branches[zero[0]]
         raise HypothesisError(
-            f"branch {zero[0]} ({b.from_node},{b.to_node}) has admittance {b.admittance} "
+            f"branch {zero[0]} ({ends[zero[0], 0]},{ends[zero[0], 1]}) has admittance "
+            f"{complex(adm[zero[0]])} "
             f"with magnitude <= {zero_tol}; zero-admittance branches are not representable"
         )
     # the keys row * n + col of (i, i), (j, j), (i, j) and (j, i), with values y, y, -y, -y
@@ -254,7 +261,7 @@ def _stamp(net: Network, zero_tol: float) -> AdmittanceMatrix:
     data = np.zeros(keys.size, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused next
         np.add.at(data, slot[:flat.size], np.column_stack((adm, adm, -adm, -adm)).ravel())
-        data[slot[flat.size:]] += shunt_totals(net)
+        data[slot[flat.size:]] += totals
     _finite(data, "a stamped nodal matrix entry")
     if not data.all():  # entries that cancel exactly are not stored
         keys, data = keys[data != 0], data[data != 0]

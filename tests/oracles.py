@@ -9,9 +9,12 @@ slice of the assembled matrix.  The element-by-element generator and
 stamping loops, the per-branch range check and the per-shunt sum that
 the package's array code replaced are kept here too, as the bit-for-bit
 reference for it, and so are the dense N x N stamp, permuted copy and
-bordered block form that compressed-row storage replaced, and the
+bordered block form that compressed-row storage replaced, the
 Hermitian-part certificate that factors the whole of G_s densely, which
-elimination by least degree replaced.  Values produced by these oracles are
+elimination by least degree replaced, the virtual-ground network built of
+``Branch`` objects, which stamping from arrays replaced, and the
+per-component LU loop of ``verify_block_rank``, which one certificate of
+the whole partition replaced where it succeeds.  Values produced by these oracles are
 what the tests compare the library against.  ``counterexample_block_singular``
 is the one fixed instance kept here: the network that shows why Theorem 2
 needs positive branch real parts.
@@ -33,10 +36,15 @@ from ybuskit import (
     PreconditionError,
     Shunt,
     StructuralError,
+    full_rank_certificate,
     shunt_totals,
+    validate,
 )
+from ybuskit.partition import BlockRankReport, ClassBlockReport, ComponentReport
 from ybuskit.generator import _tree_from_prufer
 from ybuskit.linalg_core import EPS, TINY, _mirror
+from ybuskit.network_model import DEFAULT_ZERO_TOL, _component_labels
+from ybuskit.ybus import _stamp
 
 
 class QC:
@@ -445,6 +453,70 @@ def block_form_error(augmented: np.ndarray, y: np.ndarray, shunts: np.ndarray) -
     expected = block_form_matrix(y, shunts)
     scale = max(float(np.abs(expected).max()), TINY)
     return float(np.abs(augmented - expected).max()) / scale
+
+
+def augmented_network(net: Network) -> Network:
+    """The network rebuilt over a virtual ground node N, one ``Branch`` per nonzero shunt.
+
+    Every shunt (n, y) with |y| > ``DEFAULT_ZERO_TOL`` becomes the branch
+    (n, N, y), after the network's own branches; the result has no shunts.
+    Assembled, it is the reference for the augmented matrix that the rank
+    verdicts stamp from arrays.
+    """
+    grounded = tuple(Branch(s.node, net.node_count, s.admittance)
+                     for s in net.shunts if abs(s.admittance) > DEFAULT_ZERO_TOL)
+    if not grounded:
+        raise PreconditionError("virtual-ground augmentation needs at least one nonzero shunt")
+    return Network(net.node_count + 1, net.branches + grounded)
+
+
+def per_component_block_rank(net: Network, part: Partition) -> BlockRankReport:
+    """``verify_block_rank`` with one LU certificate per class component, and no kernel call.
+
+    The loop every partition took before one Hermitian-part certificate of
+    the whole block diagonal replaced it; a partition that certificate
+    refuses still takes it.  Components, ``grounded`` flags and findings
+    come out as the library's, in the same order.
+    """
+    if part.node_count != net.node_count:
+        raise StructuralError(
+            f"partition covers {part.node_count} nodes but network has {net.node_count}"
+        )
+    report = validate(net)
+    findings = list(report.messages)
+    y = _stamp(net, 0.0)
+    ends = net.ends
+    class_of = np.array(part.labels())[ends]
+    inside = class_of[:, 0] == class_of[:, 1]
+    grounded = np.abs(shunt_totals(net)) > DEFAULT_ZERO_TOL
+    grounded[ends[~inside]] = True
+    grounded = grounded.tolist()
+    piece = _component_labels(net.node_count, *ends[inside].T).tolist()
+    class_reports = []
+    for ci, keep in enumerate(part.classes):
+        pieces: dict[int, list[int]] = {}
+        for v in sorted(keep):
+            pieces.setdefault(piece[v], []).append(v)
+        comp_reports = []
+        for nodes in map(tuple, pieces.values()):
+            cert = full_rank_certificate(y._block(nodes, nodes))
+            touched = any(grounded[v] for v in nodes)
+            comp_reports.append(
+                ComponentReport(nodes, cert.full_rank, touched, cert.condition_estimate))
+            if not cert.full_rank:
+                findings.append(
+                    f"class {ci}: component {nodes} is rank deficient "
+                    f"(condition estimate {cert.condition_estimate:.3e})"
+                )
+            if not touched:
+                findings.append(
+                    f"class {ci}: component {nodes} touches no boundary branch or shunt"
+                )
+        class_reports.append(ClassBlockReport(
+            ci, keep, tuple(comp_reports), all(c.full_rank for c in comp_reports)))
+    return BlockRankReport(report.connected, report.hypothesis1_ok,
+                           report.theorem2_preconditions_ok, tuple(class_reports),
+                           tuple(findings))
 
 
 def dense_hermitian_part_certifies(n: int, rows, cols, data, grounded: bool = False) -> bool:

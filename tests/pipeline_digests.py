@@ -28,7 +28,8 @@ the SVD measures them.  A 2000-node ``re_positive`` network, shunted and
 shuntless, then gets ``ybus`` and ``rank`` on the network and on the
 matrix (``--method both`` when shunted): its certificates run rounds of
 elimination before they factor a dense core.  Last, ``verify --suite all
---samples 20``.  Run
+--samples 20`` and ``verify --suite theorem2 --samples 200 --seed 7``,
+whose partitions each take one Hermitian-part certificate.  Run
 it on two trees and ``diff`` the outputs: equal lines mean equal stdout
 and equal files.  Paths are relative, so the digests do not depend on the
 temporary directory.  This is a script, not a test module; pytest does
@@ -173,6 +174,8 @@ def main(argv: list[str]) -> int:
             _rank_pipeline(cli_main, *ELIMINATION_SIZE)
             os.chdir(tmp)
             _step(cli_main, "all", ["verify", "--suite", "all", "--samples", "20"])
+            _step(cli_main, "theorem2",
+                  ["verify", "--suite", "theorem2", "--samples", "200", "--seed", "7"])
         finally:
             os.chdir(home)
     return 0

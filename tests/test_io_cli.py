@@ -686,7 +686,7 @@ class TestRankCommand:
         net = generate(GenSpec(node_range=(40, 40), shunt_probability=0.3, min_shunts=1, seed=8))
         npath = _net_file(tmp_path, net)
         validations = _count_calls(monkeypatch, network_model, "validate")
-        stamps = _count_calls(monkeypatch, ybus, "_stamp")
+        stamps = _count_calls(monkeypatch, ybus, "_stamp_arrays")
         assert main(["rank", npath, "--method", "both"]) == 0
         assert capsys.readouterr().out.count("agrees") == 2
         assert (len(validations), len(stamps)) == (1, 2)  # Y and the augmented Y
@@ -1282,7 +1282,7 @@ class TestTopLevel:
             "        assert ybuskit.cli.main([a.format(dir=d) for a in argv]) == 0\n"
             f"run({str(tmp_path / 'certified')!r})\n"
             "assert 'scipy' not in sys.modules, 'a certified dense block loaded scipy'\n"
-            "ybuskit.reduction._hermitian_part_certificate = lambda a: None\n"
+            "ybuskit.reduction._hermitian_part_certifies = lambda *args, **kwargs: False\n"
             f"run({str(tmp_path / 'lu')!r})\n"
             "assert 'scipy.linalg' in sys.modules, 'no block was factored'\n"
             "assert 'scipy.sparse' not in sys.modules, 'a dense block loaded scipy.sparse'\n"
@@ -1371,6 +1371,22 @@ class TestTopLevel:
             "import ybuskit.cli\n"
             f"assert ybuskit.cli.main(['kron', {path!r}, {red!r}, '--retain', '0,1,2,3,4']) == 0\n"
             "assert 'scipy' not in sys.modules, 'a certified dense block loaded scipy'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=False, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+
+    def test_verify_suites_leave_scipy_unloaded(self):
+        # one Hermitian-part certificate of each partition's block diagonal
+        # settles every theorem2 block, and the kron and hybrid blocks of the
+        # other suites are certified too, so no LU runs
+        script = (
+            "import sys\n"
+            "import ybuskit.cli\n"
+            "assert ybuskit.cli.main(['verify', '--suite', 'theorem2', '--samples', '20']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'verify --suite theorem2 loaded scipy'\n"
+            "assert ybuskit.cli.main(['verify', '--suite', 'all', '--samples', '20']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'verify --suite all loaded scipy'\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, check=False, env=_child_env())

@@ -12,6 +12,7 @@ from ybuskit import (
     Branch,
     GenSpec,
     Network,
+    NotReducibleError,
     NumericalError,
     Shunt,
     SingularMatrixError,
@@ -20,7 +21,7 @@ from ybuskit import (
     generate,
     numerical_rank,
 )
-from ybuskit import linalg_core, ybus
+from ybuskit import linalg_core, reduction, ybus
 from ybuskit.linalg_core import as_cmatrix
 from ybuskit.ybus import assemble
 from oracles import (
@@ -343,17 +344,30 @@ class TestHermitianPartKernel:
     """Dense blocks and compressed rows get one verdict from the one kernel."""
 
     def test_a_dense_block_gets_the_verdict_of_its_compressed_rows(self):
-        verdicts = []
+        # Kron and hybrid certify a block by the entries they gather from
+        # Y's compressed rows; a dense document's block must get the verdict
+        # of the same block's SciPy compressed rows
+        verdicts, routed = [], 0
         for a in _hermitian_part_blocks():
+            n = a.shape[0]
             csr = scipy.sparse.csr_matrix(a)  # row-major, without the zeros
-            rows = np.repeat(np.arange(a.shape[0]), np.diff(csr.indptr))
-            certified = linalg_core._hermitian_part_certifies(a.shape[0], rows, csr.indices,
-                                                              csr.data)
-            assert (linalg_core._hermitian_part_certificate(a) is not None) == certified
+            rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+            certified = linalg_core._hermitian_part_certifies(n, rows, csr.indices, csr.data)
             verdicts.append(certified)
-        assert 0 < sum(verdicts) < len(verdicts)
+            try:
+                y = ybus.AdmittanceMatrix(a, range(n))
+            except StructuralError:  # a Hermitian block is no admittance matrix
+                continue
+            try:
+                cert = reduction._certified(y, np.arange(n), "block", NotReducibleError)
+            except NotReducibleError:  # refused, and singular to the LU as well
+                cert = None
+            assert (cert is not None and np.isnan(cert.condition_estimate)) == certified
+            routed += 1
+        assert 0 < sum(verdicts) < len(verdicts) and routed > 0.9 * len(verdicts)
         # K = 0.6 i counts in its row and its column: tau exceeds lambda_min(G_s) = 1
-        assert linalg_core._hermitian_part_certificate(np.array([[1, 0.6j], [-0.6j, 1]])) is None
+        assert not linalg_core._hermitian_part_certifies(
+            2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.array([1, 0.6j, -0.6j, 1]))
 
     def test_mirror_reads_zero_where_it_is_not_stored(self):
         rows, cols = np.array([0, 0, 1, 2]), np.array([1, 2, 0, 2])

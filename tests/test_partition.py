@@ -5,6 +5,7 @@ import pytest
 
 from ybuskit import (
     Branch,
+    GenSpec,
     HypothesisError,
     Network,
     Partition,
@@ -14,13 +15,17 @@ from ybuskit import (
     assemble,
     block_view,
     full_rank_certificate,
+    generate,
     numerical_rank,
     verify_block_rank,
 )
-from ybuskit import linalg_core
+from ybuskit import linalg_core, partition
+from ybuskit.generator import random_partition
 from ybuskit.suites import run_suite
 
-from oracles import grounded_equivalent, loop_stamp, random_rational_network, reorder
+from oracles import (
+    counterexample_block_singular, grid_network, grounded_equivalent, loop_stamp,
+    per_component_block_rank, random_rational_network, reorder)
 
 
 def path(n, y=1.0):
@@ -207,33 +212,52 @@ class TestVerifyBlockRank:
         assert len(inner.components) == 1 and inner.components[0].full_rank
         assert rep.all_full_rank
 
-    def test_component_certificate_is_the_component_block(self):
+    def test_component_certificate_is_the_component_block(self, monkeypatch):
         net = Network(4, (Branch(0, 1, 1.0), Branch(1, 2, 2.0 + 1j), Branch(2, 3, 0.5)),
                       (Shunt(3, 0.25),))
         y = assemble(net).matrix
         # one class of two components, and one class that is a single component
-        rep = verify_block_rank(net, Partition(((0, 3), (2, 1)), 4))
+        part = Partition(((0, 3), (2, 1)), 4)
+        rep = verify_block_rank(net, part)
         assert [[c.nodes for c in cls.components] for cls in rep.classes] == \
             [[(0,), (3,)], [(1, 2)]]
-        for cls in rep.classes:
+        # one kernel call certified the partition, so no LU estimated a condition
+        assert all(c.full_rank and np.isnan(c.condition_estimate)
+                   for cls in rep.classes for c in cls.components)
+        # where it refuses, each component gets the LU certificate of its own block
+        monkeypatch.setattr(partition, "_hermitian_part_certifies", lambda *args: False)
+        refused = verify_block_rank(net, part)
+        assert [[c.nodes for c in cls.components] for cls in refused.classes] == \
+            [[(0,), (3,)], [(1, 2)]]
+        for cls in refused.classes:
             for c in cls.components:
                 sub = y[np.ix_(c.nodes, c.nodes)]
                 assert c.condition_estimate == full_rank_certificate(sub).condition_estimate
-        assert not hasattr(rep.classes[0], "certificate")  # no LU factors outlive the check
+        assert not hasattr(refused.classes[0], "certificate")  # no LU factors outlive the check
 
     def test_theorem2_suite_factors_each_block_once(self, monkeypatch):
-        calls = []
-        original = linalg_core.lu_factor_checked
+        calls, kernel = [], []
+        original, certify = linalg_core.lu_factor_checked, partition._hermitian_part_certifies
 
         def counted(a):
             calls.append(a.tobytes())
             return original(a)
 
+        def recorded(*args):
+            kernel.append(args[0])
+            return certify(*args)
+
         monkeypatch.setattr(linalg_core, "lu_factor_checked", counted)
+        monkeypatch.setattr(partition, "_hermitian_part_certifies", recorded)
         assert run_suite("theorem2", 1, 5).passed
-        # one LU per component and nothing else; the residual solve is
-        # NumPy's.  Node 23 is a one-node component in two of the three
-        # partitions, so 25 LUs see 24 distinct matrices.
+        # one kernel call of order N per partition, and no LU; the residual
+        # solve is NumPy's
+        assert calls == [] and len(kernel) == 3 and len(set(kernel)) == 1
+        monkeypatch.setattr(partition, "_hermitian_part_certifies", lambda *args: False)
+        assert run_suite("theorem2", 1, 5).passed
+        # refused, one LU per component and nothing else.  Node 23 is a
+        # one-node component in two of the three partitions, so 25 LUs see
+        # 24 distinct matrices.
         assert len(calls) == 25
         assert len(set(calls)) == 24
 
@@ -274,7 +298,7 @@ class TestVerifyBlockRank:
             assert comp.nodes == (2,) and not comp.grounded and not comp.full_rank
             assert "class 0: component (2,) touches no boundary branch or shunt" in rep.findings
 
-    def test_random_re_positive_nets_all_blocks_invertible(self):
+    def test_random_re_positive_nets_all_blocks_invertible(self, monkeypatch):
         rng = np.random.default_rng(47)
         for _ in range(12):
             n = int(rng.integers(4, 14))
@@ -283,7 +307,13 @@ class TestVerifyBlockRank:
             rep = verify_block_rank(net, part)
             assert rep.branches_re_positive
             assert rep.all_full_rank
-            for cr in rep.classes:
+            for cr in rep.classes:  # certified by the kernel: no LU estimate
+                assert all(np.isnan(c.condition_estimate) for c in cr.components)
+            with monkeypatch.context() as m:  # and by the LU of each component
+                m.setattr(partition, "_hermitian_part_certifies", lambda *args: False)
+                refused = verify_block_rank(net, part)
+            assert refused.all_full_rank
+            for cr in refused.classes:
                 assert all(np.isfinite(c.condition_estimate) for c in cr.components)
 
     def test_cross_component_entries_exactly_zero(self):
@@ -329,3 +359,67 @@ class TestVerifyBlockRank:
     def test_partition_size_mismatch(self):
         with pytest.raises(StructuralError):
             verify_block_rank(path(4), Partition(((0,), (1, 2)), 3))
+
+
+class TestOneCertificateOfThePartition:
+    """``verify_block_rank`` against the per-component LU loop it runs only on refusal."""
+
+    @staticmethod
+    def _compare(monkeypatch, net, part) -> bool:
+        """Check one partition against the oracle; whether the kernel certified it."""
+        verdicts = []
+        certify = partition._hermitian_part_certifies
+
+        def recorded(*args):
+            verdicts.append(certify(*args))
+            return verdicts[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(partition, "_hermitian_part_certifies", recorded)
+            got = verify_block_rank(net, part)
+        want = per_component_block_rank(net, part)
+        assert len(verdicts) == 1  # one call for the whole partition
+        assert (got.findings, got.all_full_rank) == (want.findings, want.all_full_rank)
+        assert (got.connected, got.hypothesis1_ok, got.branches_re_positive) == (
+            want.connected, want.hypothesis1_ok, want.branches_re_positive)
+        for g, w in zip(got.classes, want.classes, strict=True):
+            assert (g.class_index, g.nodes) == (w.class_index, w.nodes)
+            for gc, wc in zip(g.components, w.components, strict=True):
+                assert (gc.nodes, gc.grounded) == (wc.nodes, wc.grounded)
+                if verdicts[0]:
+                    assert gc.full_rank and np.isnan(gc.condition_estimate)
+                else:
+                    assert gc == wc  # the same LU, bit for bit
+        return verdicts[0]
+
+    def test_theorem2_shaped_networks_under_every_phase_policy(self, monkeypatch):
+        outcomes = {}
+        for policy in ("re_positive", "arbitrary", "pure_imaginary"):
+            for seed in range(12):
+                net = generate(GenSpec(
+                    node_range=(5, 50), edge_density=0.15, shunt_probability=0.2,
+                    magnitude_range=(1e-2, 1e2), phase_policy=policy, seed=seed))
+                rng = np.random.default_rng(seed)
+                for k in (2, 3, 5):
+                    certified = self._compare(monkeypatch, net,
+                                              random_partition(net.node_count, k, rng))
+                    outcomes.setdefault(policy, []).append(certified)
+        assert all(outcomes["re_positive"])
+        assert not any(outcomes["pure_imaginary"])  # G_s = 0 certifies nothing
+
+    def test_counterexample_and_ungrounded_pieces(self, monkeypatch):
+        assert not self._compare(monkeypatch, *counterexample_block_singular())
+        # a piece with no shunt and no boundary branch, in a disconnected network
+        net = Network(5, (Branch(0, 1, 1.0), Branch(2, 3, 1.0), Branch(3, 4, 2.0)),
+                      (Shunt(4, 0.5),))
+        for part in (Partition(((0, 1), (2, 3, 4)), 5), Partition(((0, 1, 4), (2, 3)), 5)):
+            assert not self._compare(monkeypatch, net, part)
+        # the same pieces, each grounded by a shunt, are certified
+        grounded = Network(5, net.branches, net.shunts + (Shunt(0, 0.25),))
+        assert self._compare(monkeypatch, grounded, Partition(((0, 1), (2, 3, 4)), 5))
+
+    def test_three_classes_of_a_2000_node_grid(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        net = grid_network(2000, rng)
+        part = Partition.from_labels(rng.permutation(np.arange(2000) % 3).tolist())
+        assert self._compare(monkeypatch, net, part)

@@ -33,6 +33,7 @@ from ybuskit.rank_analysis import _augment_virtual_ground, _block_form_error
 from ybuskit.suites import run_suite
 
 from oracles import (
+    augmented_network,
     block_form_error,
     block_form_matrix,
     dyadic_admittance,
@@ -153,44 +154,59 @@ def test_exact_cancellation_instance_is_reported_not_hidden():
     assert v.predicted_rank == 2 and v.measured_rank == 1 and not v.agrees
 
 
+def _same_bits(a, b):
+    """Whether two matrices hold the same node order and compressed rows, bit for bit."""
+    return a.node_order == b.node_order and all(
+        getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in ("indptr", "indices", "data"))
+
+
 class TestAugmentVirtualGround:
+    """The augmented matrix, stamped from arrays, is the augmented network's, bit for bit."""
+
     def test_single_node(self):
         aug = _augment_virtual_ground(Network(1, (), (Shunt(0, 3j),)))
-        assert aug.node_count == 2
-        assert aug.branches == (Branch(0, 1, 3j),)
-        assert aug.shunts == ()
+        assert aug.size == 2
+        np.testing.assert_array_equal(aug.matrix, [[3j, -3j], [-3j, 3j]])
+        assert _same_bits(aug, assemble(Network(2, (Branch(0, 1, 3j),))))
 
     def test_two_node_path_plus_shunt(self):
         net = Network(2, (Branch(0, 1, 1.0),), (Shunt(0, 2.0),))
         aug = _augment_virtual_ground(net)
-        assert aug.node_count == 3
+        assert aug.size == 3
         # original branch plus one converted shunt: a 3-node path 1-0-2
-        assert len(aug.branches) == 2
-        assert aug.branches[1] == Branch(0, 2, 2.0)
-        assert aug.shunts == ()
+        assert _same_bits(aug, assemble(Network(3, (Branch(0, 1, 1.0), Branch(0, 2, 2.0)))))
 
     def test_result_is_connected_and_shuntless(self):
         rng = np.random.default_rng(31)
-        from ybuskit import is_connected
         for _ in range(10):
             net = _draw_net(rng, int(rng.integers(2, 10)), 1,
                             shunt_count=int(rng.integers(1, 4)))
             if not any(abs(s.admittance) > 0 for s in net.shunts):
                 continue
             aug = _augment_virtual_ground(net)
-            assert is_connected(aug)
-            assert aug.shunts == ()
+            assert rank_analysis._pattern_connected(aug)
+            reference = augmented_network(net)
+            assert reference.shunts == () and _same_bits(aug, assemble(reference))
 
     def test_zero_valued_shunts_are_dropped(self):
         net = Network(2, (Branch(0, 1, 1.0),), (Shunt(0, 0j), Shunt(1, 5.0)))
         aug = _augment_virtual_ground(net)
-        assert len(aug.branches) == 2  # only the nonzero shunt converts
+        # only the nonzero shunt converts
+        assert _same_bits(aug, assemble(Network(3, (Branch(0, 1, 1.0), Branch(1, 2, 5.0)))))
 
     def test_no_shunts_refused(self):
         with pytest.raises(PreconditionError, match="shunt"):
             _augment_virtual_ground(path(3))
         with pytest.raises(PreconditionError, match="shunt"):
             _augment_virtual_ground(with_shunts(path(3), Shunt(0, 0j)))
+
+    def test_random_networks_match_the_augmented_network(self):
+        for k in range(20):
+            policy = ("re_positive", "arbitrary", "pure_imaginary")[k % 3]
+            net = generate(GenSpec(node_range=(2, 40), edge_density=0.2, shunt_probability=0.4,
+                                   phase_policy=policy, seed=k, min_shunts=1))
+            net = with_shunts(net, Shunt(0, 1e-13), Shunt(net.node_count - 1, 0.25j))
+            assert _same_bits(_augment_virtual_ground(net), assemble(augmented_network(net)))
 
 
 def test_block_form_matrix_layout():
@@ -231,7 +247,7 @@ class TestVerifyViaAugmentation:
             net = _draw_net(rng, int(rng.integers(2, 9)), 1, shunt_count=2)
             if not any(abs(s.admittance) > 0 for s in net.shunts):
                 continue
-            lhs = assemble(_augment_virtual_ground(net)).matrix
+            lhs = _augment_virtual_ground(net).matrix
             rhs = block_form_matrix(assemble(net).matrix, shunt_totals(net))
             np.testing.assert_array_equal(lhs, rhs)
 
@@ -242,18 +258,18 @@ class TestVerifyViaAugmentation:
     def test_block_form_mismatch_breaks_agreement(self, monkeypatch):
         # the rank still matches, so only the block-form check can refuse
         def skewed(net):  # grounded branches doubled
-            aug = _augment_virtual_ground(net)
-            return Network(aug.node_count, tuple(
+            aug = augmented_network(net)
+            return assemble(Network(aug.node_count, tuple(
                 Branch(b.from_node, b.to_node, 2.0 * b.admittance) if b.to_node == net.node_count
-                else b for b in aug.branches), ())
+                else b for b in aug.branches), ()))
         monkeypatch.setattr("ybuskit.rank_analysis._augment_virtual_ground", skewed)
         v = verify_rank_via_augmentation(with_shunts(path(3), Shunt(1, 1.0)))
         assert v.predicted_rank == v.measured_rank == 3
         assert v.block_form_max_rel_error > 1e-12 and not v.agrees
 
 
-def _compressed_and_dense_block_form_errors(net, aug):
-    y, a, t = assemble(net), assemble(aug), shunt_totals(net)
+def _compressed_and_dense_block_form_errors(net, a):
+    y, t = assemble(net), shunt_totals(net)
     return _block_form_error(a, y, t), block_form_error(a.matrix, y.matrix, t)
 
 
@@ -666,15 +682,16 @@ def test_verdict_is_frozen():
 
 def test_theorem1_suite_stamps_each_network_once(monkeypatch):
     stamped = []
-    original = ybus._stamp
+    original = ybus._stamp_arrays
 
-    def counted(net, zero_tol):
-        stamped.append(net.node_count)
-        return original(net, zero_tol)
+    def counted(n, *args):
+        stamped.append(n)
+        return original(n, *args)
 
-    monkeypatch.setattr(ybus, "_stamp", counted)
+    for module in (ybus, rank_analysis):  # the network's Y, and the augmented one
+        monkeypatch.setattr(module, "_stamp_arrays", counted)
     assert run_suite("theorem1", 1, 5).passed
     # the shuntless sample's Y serves its verdict and its row sums; the
-    # shunted sample stamps its own Y and its virtual-ground network's
+    # shunted sample stamps its own Y and its virtual-ground matrix
     assert len(stamped) == 3
     assert stamped[2] == stamped[1] + 1

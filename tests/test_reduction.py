@@ -408,12 +408,12 @@ def results(y, retain_complement, eliminate, part, p):
                                                              r.recovery.tobytes()]
     return out
 
-certify, certified = reduction._hermitian_part_certificate, []
+certify, certified = reduction._hermitian_part_certifies, []
 
-def counted(a):
-    cert = certify(a)
-    certified.append(cert is not None)
-    return cert
+def counted(*args, **kwargs):
+    verdict = certify(*args, **kwargs)
+    certified.append(verdict)
+    return verdict
 
 cases = 0
 for policy in ("re_positive", "arbitrary", "pure_imaginary"):
@@ -429,14 +429,20 @@ for policy in ("re_positive", "arbitrary", "pure_imaginary"):
         labels = rng.integers(0, 3, n)
         labels[:3] = [0, 1, 2]
         args = (y, retain_complement, eliminate, Partition.from_labels(labels.tolist()), seed % 3)
-        reduction._hermitian_part_certificate = counted
+        reduction._hermitian_part_certifies = counted
         new = results(*args)
-        reduction._hermitian_part_certificate = lambda a: None
+        reduction._hermitian_part_certifies = lambda *args, **kwargs: False
         if new != results(*args):
             print("differs:", policy, seed, n)
         cases += 1
 print("cases", cases, "certified", sum(certified))
 """
+
+
+def _certifies(a: np.ndarray) -> bool:
+    """The kernel's verdict on a dense block, handed its nonzeros in row-major order."""
+    rows, cols = np.nonzero(a)
+    return linalg_core._hermitian_part_certifies(a.shape[0], rows, cols, a[rows, cols])
 
 
 class TestHermitianPartRoute:
@@ -484,6 +490,21 @@ class TestHermitianPartRoute:
         # a lossless block has G_s = 0, so the LU certifies every block
         assert len(calls) == (0 if policy == "re_positive" else 12)
 
+    def test_positions_in_any_order_get_the_verdict_of_their_dense_block(self):
+        # the gathered entries follow Y's column order within a row, so they
+        # are sorted row-major before the kernel reads them whenever the
+        # block's positions do not ascend
+        rng = np.random.default_rng(28)
+        for seed in range(8):
+            n = 300 if seed == 7 else int(rng.integers(5, 51))
+            y = assemble(generate(GenSpec(node_range=(n, n), edge_density=6 / n,
+                                          shunt_probability=0.3, min_shunts=1, seed=seed)))
+            for epos in (np.sort(rng.choice(n, n // 2, replace=False)),
+                         rng.choice(n, n // 2, replace=False), np.arange(n)[::-1]):
+                assert _certifies(y.matrix[np.ix_(epos, epos)])  # a lossy block
+                cert = reduction._certified(y, epos, "block", NotReducibleError)
+                assert np.isnan(cert.condition_estimate)  # took the kernel's route
+
     def test_exactly_singular_blocks_are_never_certified(self):
         # the lossless pair (branch 1j, shunt -1j) and the triangle (1, 1, -0.5),
         # scaled by powers of two, which keep their blocks exactly singular
@@ -495,11 +516,11 @@ class TestHermitianPartRoute:
                     for nodes in itertools.combinations(range(m.shape[0]), k):
                         block = m[np.ix_(nodes, nodes)]
                         if full_rank_certificate(block).failed_pivot is not None:
-                            assert linalg_core._hermitian_part_certificate(block) is None
+                            assert not _certifies(block)
         # a Hermitian block with G_s = I whose skew part K (norm 1) makes it singular
         hermitian = np.array([[1, 1j], [-1j, 1]])
         assert full_rank_certificate(hermitian).failed_pivot == 1
-        assert linalg_core._hermitian_part_certificate(hermitian) is None
+        assert not _certifies(hermitian)
         # and their errors still name the LU's pivot and the node of its column
         with pytest.raises(NotSolvableError, match=r"^block \(0,0\) is exactly singular "
                                                    r"\(zero pivot at index 0, node 0\)$"):
@@ -531,16 +552,19 @@ class TestHermitianPartRoute:
             mu = margin * tau
         assert (a == a.T).all()
         assert np.linalg.eigvalsh(a.real)[0] == pytest.approx(margin * tau, rel=0.05)
-        cert = linalg_core._hermitian_part_certificate(a)
-        assert (cert is not None) == certified
+        assert _certifies(a) == certified
+        # Kron's certificate takes the kernel's route exactly when it certifies
+        cert = reduction._certified(AdmittanceMatrix(a, range(n)), np.arange(n), "block",
+                                    NotReducibleError)
+        assert np.isnan(cert.condition_estimate) == certified
         if certified:  # and the LU route agrees that the block has full rank
-            assert np.isnan(cert.condition_estimate) and full_rank_certificate(a).full_rank
+            assert full_rank_certificate(a).full_rank
 
     def test_a_shift_below_the_normal_range_is_refused(self):
         # tau = 3 eps |a| for a 1 x 1 block: normal at 1e-280, subnormal at 1e-300,
         # where rounding in the factorization is no longer relative
-        assert linalg_core._hermitian_part_certificate(np.array([[1e-280 + 0j]])) is not None
-        assert linalg_core._hermitian_part_certificate(np.array([[1e-300 + 0j]])) is None
+        assert _certifies(np.array([[1e-280 + 0j]]))
+        assert not _certifies(np.array([[1e-300 + 0j]]))
 
     def test_overflowing_w_of_a_certified_block_refused(self, monkeypatch):
         # Y_ee = 1e-280 is certified (the LU route is not reached), and W =

@@ -35,7 +35,7 @@ from ybuskit import (
     kron_reduce_nodes,
     verify_block_rank,
 )
-from ybuskit import linalg_core, reduction, ybus
+from ybuskit import linalg_core, partition, reduction, ybus
 from ybuskit.cli import main
 from ybuskit.io import save_matrix
 
@@ -262,10 +262,18 @@ class TestGridNetworks:
 
     def test_block_rank_matches_dense_slices(self, grid, monkeypatch):
         net, _, _, _, part = grid
+        certified = verify_block_rank(net, part)  # one kernel call, no LU
+        assert certified.all_full_rank
+        assert all(np.isnan(c.condition_estimate) for k in certified.classes
+                   for c in k.components)
+        # refused, each component is factored, the large ones by SuperLU
+        monkeypatch.setattr(partition, "_hermitian_part_certifies", lambda *args: False)
         sparse, dense = _dense_and_sparse(monkeypatch, lambda: verify_block_rank(net, part))
         assert sparse.all_full_rank
         pieces = [c for k in sparse.classes for c in k.components]
         assert len(pieces) > 3 * 20  # most components are small and factored densely
+        assert [(c.nodes, c.grounded) for c in pieces] == [
+            (c.nodes, c.grounded) for k in certified.classes for c in k.components]
         for got, want in zip(pieces, (c for k in dense.classes for c in k.components)):
             assert (got.nodes, got.full_rank, got.grounded) == (want.nodes, want.full_rank,
                                                                 want.grounded)
