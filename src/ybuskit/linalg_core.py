@@ -4,7 +4,10 @@ Backed by LAPACK through NumPy/SciPy, and by SuperLU for SciPy sparse
 matrices.  SciPy is imported inside the LU routines only, so importing the
 package (and every command that factors no block by LU) loads NumPy
 alone.  The one Hermitian-part kernel, :func:`_hermitian_part_certifies`,
-reads only stored entries, as Y's compressed rows hold them.  Every solve
+reads only stored entries, as Y's compressed rows hold them; on a large
+sparse pattern it factors the spanning forest of the largest
+conductances, plus a diagonal below G_s, before G_s itself
+(:func:`_cholesky_succeeds`).  Every solve
 goes through a :class:`RankCertificate`: NumPy's, for a dense block the
 kernel proves invertible, or the LU of :func:`full_rank_certificate`,
 which knows no size rule and factors the form it is handed
@@ -24,6 +27,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import NumericalError, SingularMatrixError, StructuralError
+from .network_model import _component_labels
 
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
@@ -40,7 +44,7 @@ SPARSE_PIVOT_THRESHOLD = 0.1
 #: The Hermitian-part certificate eliminates nodes by least degree while
 #: more than _DENSE_ORDER nodes remain and they hold fewer than
 #: _ELIMINATION_DENSITY m^2 entries, and factors the rest densely
-#: (:func:`_cholesky_succeeds`).  Below about 128 nodes the rounds cost
+#: (:func:`_eliminated_succeeds`).  Below about 128 nodes the rounds cost
 #: more than the dense factorization they shrink, measured on blocks of
 #: ``perfbench`` grids.
 _DENSE_ORDER = 128
@@ -204,26 +208,147 @@ def _dense_cholesky_succeeds(m: int, rows, cols, g, shift: float) -> bool:
         return False
 
 
+def _factors_densely(alive: int, entries: int) -> bool:
+    """Whether ``alive`` nodes holding ``entries`` stored entries are factored densely, as they stand."""
+    return alive <= _DENSE_ORDER or entries >= _ELIMINATION_DENSITY * alive * alive
+
+
+def _max_spanning_forest(m: int, u, v, w) -> np.ndarray:
+    """Indices of the edges of a maximum-weight spanning forest of m nodes; edge k joins u[k] and v[k].
+
+    Borůvka's rounds, vectorized.  The edges are ranked once by a stable
+    sort of -w, so no two share a rank and ties go to the lower index.  In
+    each round every component takes its best-ranked edge to another
+    component (``np.minimum.at``), the taken edges join the forest, and
+    :func:`network_model._component_labels` merges the components they
+    join.  The edges taken in a round close no cycle: each component on
+    one would have taken one of its two edges on it, all the same way
+    round, each ranked better than the one before it, which cannot close.
+    So the forest is the maximum one for that ranking, and its edge count
+    is m less the number of components.  Each round at least halves the
+    components that still have an edge out: O(log m) rounds of O(|edges|
+    + m).
+    """
+    edge = np.argsort(-w, kind="stable")  # by rank
+    u, v = u[edge], v[edge]
+    label, count, taken = np.arange(m), m, []
+    while True:
+        lu, lv = label[u], label[v]
+        cross = lu != lv
+        if not cross.any():
+            return np.concatenate(taken) if taken else np.zeros(0, dtype=np.intp)
+        edge, u, v, lu, lv = edge[cross], u[cross], v[cross], lu[cross], lv[cross]
+        best = np.full(count, edge.size)
+        rank = np.arange(edge.size)
+        np.minimum.at(best, lu, rank)
+        np.minimum.at(best, lv, rank)
+        best = np.unique(best[best < edge.size])  # an edge both of its ends took, once
+        taken.append(edge[best])
+        merged = _component_labels(count, lu[best], lv[best])
+        label, count = merged[label], int(merged.max()) + 1
+
+
+def _forest_minorant(m: int, rows, cols, g, d):
+    """Stored entries (rows, cols, values) of an M <= G that is a spanning forest plus a diagonal.
+
+    G is real symmetric of order m, with the off-diagonal entries ``g`` at
+    (rows, cols), each position once, and the diagonal ``d``.  Its
+    off-diagonal entries of the largest |g_ij| that form a spanning forest
+    of its pattern (:func:`_max_spanning_forest`) are M's, and M's
+    diagonal is m_ii = d_i - sum of |g_ij| over the k_i entries of row i
+    outside the forest.  Each pair (i, j) outside it leaves in G - M the
+    2 x 2 piece [[|g_ij|, g_ij], [g_ij, |g_ij|]], which is positive
+    semidefinite, so G - M >= 0: the support-graph bound of Boman and
+    Hendrickson (Support theory for preconditioning, SIMAX 25(3), 2003).
+
+    M's entries outside the diagonal are G's own; its diagonal is rounded.
+    With u = eps / 2 and T_i = |d_i| + sum |g_ij|, the computed sum of the
+    k_i terms is within gamma_(k_i - 1) T_i of the exact one (recursive
+    summation in any order, Higham, Accuracy and Stability, §4.2), and
+    subtracting it from d_i adds u T_i, so the computed d_i - sum is within
+    about (k_i + 1) u T_i of the exact one.  Subtracting the margin (k_i +
+    3) eps T_i = 2 (k_i + 3) u T_i, itself rounded once more, keeps each
+    computed diagonal entry of M below the exact m_ii, with about a factor
+    2 to spare while k_i u is small.  So M <= G holds for the
+    floating-point numbers handed on.  None where one of M's diagonal
+    entries is not positive: such an M is not positive definite.
+    """
+    upper = rows < cols  # G is symmetric: each pair once
+    u, v, a = rows[upper], cols[upper], g[upper]
+    tree = np.zeros(a.size, dtype=bool)
+    tree[_max_spanning_forest(m, u, v, np.abs(a))] = True
+    out, ends = np.abs(a[~tree]), (u[~tree], v[~tree])
+    left_out = np.bincount(ends[0], out, m) + np.bincount(ends[1], out, m)
+    k = np.bincount(ends[0], minlength=m) + np.bincount(ends[1], minlength=m)
+    diagonal = d - left_out
+    diagonal -= (k + 3) * EPS * (np.abs(d) + left_out)
+    if not (diagonal > 0).all():
+        return None
+    u, v, a, nodes = u[tree], v[tree], a[tree], np.arange(m)
+    return np.concatenate((u, v, nodes)), np.concatenate((v, u, nodes)), np.concatenate((a, a, diagonal))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow fails the factorization
 def _cholesky_succeeds(m: int, rows, cols, g, shift: float) -> bool:
+    """Whether a Cholesky factorization proves the m x m G - shift I positive definite.
+
+    The real symmetric G holds ``g`` at (rows, cols), each position once,
+    and its pattern is symmetric.  Up to ``_DENSE_ORDER`` nodes, or from
+    ``_ELIMINATION_DENSITY`` m^2 entries on, G - shift I is factored
+    densely as it stands.  Otherwise a diagonal entry of G - shift I that
+    is not positive refuses at once, since elimination only lowers a
+    diagonal entry, and two stages follow.  Call G' the G - shift I they
+    factor, each diagonal entry rounded once, fl(g_ii - shift).
+
+    The first stage runs where G has more off-diagonal pairs than nodes,
+    so that its cycles would leave a dense core.  It factors, by
+    :func:`_eliminated_succeeds`, the A <= G' of :func:`_forest_minorant`:
+    the spanning forest of G's largest |g_ij| plus a diagonal.  A forest
+    eliminates with no fill, so the dense core left is at most
+    ``_DENSE_ORDER`` nodes.  Where A's factorization succeeds, Higham's Thm
+    10.3 (Accuracy and Stability) gives R^T R = A + dA >= 0 with ||dA||_2
+    <= m (m + 1) u ||A||_2 (u = eps / 2), as for any factor of order m.  So
+    lambda_min(A) >= -||dA||_2.  While m (m + 1) u < 1, ||dA||_2 is below
+    ||A||_2, so ||A||_2 is A's largest eigenvalue, not the magnitude of
+    its smallest; and lambda_max(A) <= lambda_max(G') <= ||G'||_2, because
+    A <= G'.  Hence lambda_min(G') >= lambda_min(A) >= -m (m + 1) u
+    ||G'||_2, the bound that a factor of G' itself proves.  So the shift
+    the caller chose for G carries over: the tau of
+    :func:`_hermitian_part_certifies` assumes ||G_s||_2 <= s, and
+    lambda_max(A) is below that too.  Where the stage refuses or does not
+    run, G' itself goes to :func:`_eliminated_succeeds`.
+    """
+    if _factors_densely(m, rows.size):
+        return _dense_cholesky_succeeds(m, rows, cols, g, shift)
+    on = rows == cols
+    d = np.zeros(m)
+    d[rows[on]] = g[on]
+    if not (d > shift).all():
+        return False
+    off = ~on
+    if np.count_nonzero(off) > 2 * m:  # more pairs than nodes
+        minorant = _forest_minorant(m, rows[off], cols[off], g[off], d - shift)
+        if minorant is not None and _eliminated_succeeds(m, *minorant, 0.0):
+            return True
+    return _eliminated_succeeds(m, rows, cols, g, shift)
+
+
+def _eliminated_succeeds(m: int, rows, cols, g, shift: float) -> bool:
     """Whether a Cholesky factorization of P (G - shift I) P^T succeeds, for a permutation P.
 
-    The real symmetric m x m G holds ``g`` at (rows, cols), each position
-    once, and its pattern is symmetric.  Up to ``_DENSE_ORDER`` nodes, or
-    from ``_ELIMINATION_DENSITY`` m^2 entries on, G - shift I is factored
-    densely as it stands.  Otherwise it is held as sorted row-major keys
-    over its pattern and the whole diagonal, without off-diagonal zeros,
-    and rounds of elimination run until the remaining nodes pass either
-    bound.  A round eliminates, at once, every remaining node whose degree
-    is the least in its neighbourhood, ties broken by the lower index: an
-    independent set of minimum-degree nodes, the multiple elimination of
-    George and Liu (SIAM Review 31(1), 1989), taken by local minima.  Each
-    pivot p_k, a diagonal entry, must be finite and positive; l_ik = a_ik /
-    sqrt(p_k), and every pair (i, j) of the pivot's neighbours gets
-    -l_ik l_jk.  One ``np.bincount`` adds each surviving entry and then its
-    updates, in pivot order, so (i, j) and (j, i) get the same terms in the
-    same order and G stays exactly symmetric.  The remaining nodes are then
-    factored densely.
+    G is as in :func:`_cholesky_succeeds`.  It is held as sorted row-major
+    keys over its pattern and the whole diagonal, without off-diagonal
+    zeros, and rounds of elimination run until the remaining nodes pass
+    either bound of :func:`_factors_densely`.  A round eliminates, at once,
+    every remaining node whose degree is the least in its neighbourhood,
+    ties broken by the lower index: an independent set of minimum-degree
+    nodes, the multiple elimination of George and Liu (SIAM Review 31(1),
+    1989), taken by local minima.  Each pivot p_k, a diagonal entry, must
+    be finite and positive; l_ik = a_ik / sqrt(p_k), and every pair (i, j)
+    of the pivot's neighbours gets -l_ik l_jk.  One ``np.bincount`` adds
+    each surviving entry and then its updates, in pivot order, so (i, j)
+    and (j, i) get the same terms in the same order and G stays exactly
+    symmetric.  The remaining nodes are then factored densely.
 
     These are the operations of Cholesky on P (G - shift I) P^T, with P
     the elimination order: each entry of the factor is the same quotient,
@@ -234,11 +359,6 @@ def _cholesky_succeeds(m: int, rows, cols, g, shift: float) -> bool:
     unchanged, as it leaves the eigenvalues.  So success proves G - shift
     I positive definite under the shift the dense factorization needs.
     """
-    def dense(alive: int, entries: int) -> bool:
-        return alive <= _DENSE_ORDER or entries >= _ELIMINATION_DENSITY * alive * alive
-
-    if dense(m, rows.size):
-        return _dense_cholesky_succeeds(m, rows, cols, g, shift)
     no_diagonal = np.ones(m, dtype=bool)
     no_diagonal[rows[rows == cols]] = False
     keys = np.concatenate((rows * m + cols, np.flatnonzero(no_diagonal) * (m + 1)))
@@ -250,7 +370,7 @@ def _cholesky_succeeds(m: int, rows, cols, g, shift: float) -> bool:
     keep = (r == c) | (g != 0)
     keys, r, c, g = keys[keep], r[keep], c[keep], g[keep]
     alive = m
-    while not dense(alive, keys.size):
+    while not _factors_densely(alive, keys.size):
         on = np.flatnonzero(r == c)  # one diagonal entry per remaining node
         degree = np.bincount(r, minlength=m)  # neighbours plus one
         priority = degree * m + np.arange(m)  # (degree, index) as one number

@@ -198,42 +198,46 @@ def verify_block_rank(net: Network, part: Partition) -> BlockRankReport:
     # a branch inside a class joins two nodes of its grounded equivalent; a
     # branch between classes grounds both of its ends, as does a nonzero shunt total
     ends = net.ends
-    class_of = np.array(part.labels())[ends]
+    cls = np.array(part.labels())
+    class_of = cls[ends]
     inside = class_of[:, 0] == class_of[:, 1]
     grounded = np.abs(shunt_totals(net)) > DEFAULT_ZERO_TOL
     grounded[ends[~inside]] = True
-    grounded = grounded.tolist()
-    # numbered by smallest node, so grouping a class's sorted nodes by label
-    # lists its components in order of their smallest node
+    # numbered by smallest node, so one stable sort by piece lists the
+    # components in order of their smallest node, each one's nodes ascending
     piece = _component_labels(net.node_count, *ends[inside].T)
     rows = y._rows()
     same = piece[rows] == piece[y.indices]  # row-major still
     certified = _hermitian_part_certifies(y.size, rows[same], y.indices[same], y.data[same])
-    piece, kernel = piece.tolist(), RankCertificate(True, float("nan"), None)
+    kernel = RankCertificate(True, float("nan"), None)
+    order = piece.argsort(kind="stable")
+    size = np.bincount(piece)
+    starts = size.cumsum() - size
+    touched = np.logical_or.reduceat(grounded[order], starts).tolist()
+    owner, flat, bounds = cls[order[starts]].tolist(), order.tolist(), starts.tolist() + [piece.size]
 
-    class_reports: list[ClassBlockReport] = []
-    for ci, keep in enumerate(part.classes):
-        pieces: dict[int, list[int]] = {}
-        for v in sorted(keep):
-            pieces.setdefault(piece[v], []).append(v)
-        comp_reports: list[ComponentReport] = []
-        for nodes in map(tuple, pieces.values()):
-            cert = kernel if certified else full_rank_certificate(y._block(nodes, nodes))
-            touched = any(grounded[v] for v in nodes)
-            comp_reports.append(
-                ComponentReport(nodes, cert.full_rank, touched, cert.condition_estimate))
-            if not cert.full_rank:
-                findings.append(
-                    f"class {ci}: component {nodes} is rank deficient "
-                    f"(condition estimate {cert.condition_estimate:.3e})"
-                )
-            if not touched:
-                findings.append(
-                    f"class {ci}: component {nodes} touches no boundary branch or shunt"
-                )
-        class_reports.append(ClassBlockReport(
-            ci, keep, tuple(comp_reports), all(c.full_rank for c in comp_reports)))
+    # a class's components, and their findings, in the order of their smallest node
+    comp_reports: list[list[ComponentReport]] = [[] for _ in part.classes]
+    class_findings: list[list[str]] = [[] for _ in part.classes]
+    for ci, start, stop, touch in zip(owner, bounds, bounds[1:], touched):
+        nodes = tuple(flat[start:stop])
+        cert = kernel if certified else full_rank_certificate(y._block(nodes, nodes))
+        comp_reports[ci].append(
+            ComponentReport(nodes, cert.full_rank, touch, cert.condition_estimate))
+        if not cert.full_rank:
+            class_findings[ci].append(
+                f"class {ci}: component {nodes} is rank deficient "
+                f"(condition estimate {cert.condition_estimate:.3e})"
+            )
+        if not touch:
+            class_findings[ci].append(
+                f"class {ci}: component {nodes} touches no boundary branch or shunt"
+            )
+    class_reports = tuple(
+        ClassBlockReport(ci, keep, tuple(comps), all(c.full_rank for c in comps))
+        for ci, (keep, comps) in enumerate(zip(part.classes, comp_reports)))
+    findings += [f for fs in class_findings for f in fs]
 
     return BlockRankReport(connected=report.connected, hypothesis1_ok=report.hypothesis1_ok,
                            branches_re_positive=report.theorem2_preconditions_ok,
-                           classes=tuple(class_reports), findings=tuple(findings))
+                           classes=class_reports, findings=tuple(findings))

@@ -26,8 +26,11 @@ Cholesky certificates settle the ``re_positive`` ranks without an SVD,
 rank N when shunted and N-1 when shuntless; under the other two policies
 the SVD measures them.  A 2000-node ``re_positive`` network, shunted and
 shuntless, then gets ``ybus`` and ``rank`` on the network and on the
-matrix (``--method both`` when shunted): its certificates run rounds of
-elimination before they factor a dense core.  Last, ``verify --suite all
+matrix (``--method both`` when shunted): its certificates factor the
+spanning forest of the largest conductances first.  Then a 6000-node
+network (``randgen --nodes 6000 --density 0.00017 --shunt-prob 0.05
+--min-shunts 1 --seed 2``) gets ``ybus`` and ``rank --method both`` on
+the network and on the matrix.  Last, ``verify --suite all
 --samples 20`` and ``verify --suite theorem2 --samples 200 --seed 7``,
 whose partitions each take one Hermitian-part certificate.  Run
 it on two trees and ``diff`` the outputs: equal lines mean equal stdout
@@ -55,6 +58,9 @@ SHUNTLESS_SIZES = (300, 700)
 PERTURBED_SIZES = (60, 150)
 #: (nodes, extra-edge density, shunt probability) of the re_positive rank pipeline.
 ELIMINATION_SIZE = (2000, 2 * 2000 / (2000 * 1999 // 2 - 1999), 0.05)
+#: ``randgen`` arguments of the 6000-node rank probe.
+PROBE_ARGS = ("--nodes", "6000", "--density", "0.00017", "--shunt-prob", "0.05",
+              "--min-shunts", "1", "--seed", "2")
 POLICIES = ("re_positive", "arbitrary", "pure_imaginary")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -151,6 +157,14 @@ def _rank_pipeline(main, n: int, density: float, shunts: float) -> None:
             step(["rank", path, *method])
 
 
+def _probe_pipeline(main) -> None:
+    step = functools.partial(_step, main, "n6000-probe")
+    step(["randgen", "net.json", *PROBE_ARGS], "net.json")
+    step(["ybus", "net.json", "y.json"], "y.json")
+    for path in ("net.json", "y.json"):
+        step(["rank", path, "--method", "both"])
+
+
 def main(argv: list[str]) -> int:
     for var in THREAD_VARS:
         os.environ.setdefault(var, "1")
@@ -172,6 +186,10 @@ def main(argv: list[str]) -> int:
             work.mkdir()
             os.chdir(work)
             _rank_pipeline(cli_main, *ELIMINATION_SIZE)
+            work = Path(tmp) / "n6000-probe"
+            work.mkdir()
+            os.chdir(work)
+            _probe_pipeline(cli_main)
             os.chdir(tmp)
             _step(cli_main, "all", ["verify", "--suite", "all", "--samples", "20"])
             _step(cli_main, "theorem2",

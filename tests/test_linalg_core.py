@@ -1,11 +1,13 @@
 """Dense complex kernel: coercion, rank, solves, certificates."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from ybuskit import (
     PHASE_POLICIES,
@@ -21,7 +23,7 @@ from ybuskit import (
     generate,
     numerical_rank,
 )
-from ybuskit import linalg_core, reduction, ybus
+from ybuskit import linalg_core, network_model, reduction, ybus
 from ybuskit.linalg_core import as_cmatrix
 from ybuskit.ybus import assemble
 from oracles import (
@@ -470,3 +472,212 @@ class TestEliminationKernel:
             verdicts.append(linalg_core._hermitian_part_certifies(*args))
             assert verdicts[-1] == dense_hermitian_part_certifies(*args)
         assert verdicts == [False, True]
+
+
+def _recorded_stages(monkeypatch) -> list:
+    """Record ("forest", verdict) or ("direct", verdict) for each elimination the kernel runs."""
+    stages, minorants = [], []
+    forest, eliminate = linalg_core._forest_minorant, linalg_core._eliminated_succeeds
+
+    def minorant(*args):
+        minorants.append(forest(*args))
+        return minorants[-1]
+
+    def eliminated(m, rows, cols, g, shift):
+        ok = eliminate(m, rows, cols, g, shift)
+        forest_call = bool(minorants) and minorants[-1] is not None and rows is minorants[-1][0]
+        stages.append(("forest" if forest_call else "direct", ok))
+        return ok
+
+    monkeypatch.setattr(linalg_core, "_forest_minorant", minorant)
+    monkeypatch.setattr(linalg_core, "_eliminated_succeeds", eliminated)
+    return stages
+
+
+def _shift(n, rows, cols, data) -> float:
+    """tau of the Hermitian-part kernel for an exactly symmetric Y held at (rows, cols)."""
+    a = np.abs(data)
+    s = np.sqrt(np.bincount(cols, a, n).max()) * np.sqrt(np.bincount(rows, a, n).max())
+    return n * (n + 2) * np.finfo(float).eps * s
+
+
+class TestForestStage:
+    """The spanning-forest minorant M <= G ahead of elimination, against dense and exact oracles."""
+
+    @staticmethod
+    def _graph(rng, m, pairs, ties):
+        """Random edges (u < v, no repeats), with integer weights in 1..ties so that many tie."""
+        u = rng.integers(0, m, 3 * pairs)
+        v = rng.integers(0, m, 3 * pairs)
+        u, v = np.minimum(u, v), np.maximum(u, v)
+        keys = np.unique((u * m + v)[u != v])[:pairs]
+        u, v = np.divmod(rng.permutation(keys), m)
+        return u, v, rng.integers(1, ties + 1, u.size).astype(float)
+
+    def test_the_forest_is_a_maximum_spanning_forest(self):
+        """Acyclic, spanning every component, and of the largest total weight, ties included."""
+        rng = np.random.default_rng(30)
+        for m, pairs, ties in ((1, 0, 1), (6, 0, 1), (40, 30, 2), (200, 150, 3), (300, 900, 4),
+                               (500, 2000, 1000)):
+            u, v, w = self._graph(rng, m, pairs, ties)
+            taken = linalg_core._max_spanning_forest(m, u, v, w)
+            assert np.unique(taken).size == taken.size
+            labels = network_model._component_labels(m, u, v)
+            assert taken.size == m - (int(labels.max()) + 1)  # acyclic and spanning
+            # the forest joins what the graph joins
+            assert (network_model._component_labels(m, u[taken], v[taken]) == labels).all()
+            graph = scipy.sparse.coo_matrix((-w, (u, v)), shape=(m, m)).tocsr()
+            best = scipy.sparse.csgraph.minimum_spanning_tree(graph)
+            assert w[taken].sum() == -best.sum()
+
+    @staticmethod
+    def _exact_check(m, rows, cols, g, d):
+        """M's off-diagonal entries are G's on the forest, and each m_ii <= d_i - sum of |g_ij| off it."""
+        minorant = linalg_core._forest_minorant(m, rows, cols, g, d)
+        if minorant is None:
+            return None
+        mr, mc, mv = minorant
+        on = mr == mc
+        assert sorted(mr[on].tolist()) == list(range(m))
+        upper = rows < cols
+        stored = dict(zip(zip(rows[upper].tolist(), cols[upper].tolist()), g[upper].tolist()))
+        forest = set()
+        for i, j, x in zip(mr[~on].tolist(), mc[~on].tolist(), mv[~on].tolist()):
+            key = (min(i, j), max(i, j))
+            assert stored[key] == x
+            forest.add(key)
+        assert len(forest) * 2 == np.count_nonzero(~on)
+        left_out = [Fraction(0)] * m
+        for (i, j), x in stored.items():
+            if (i, j) not in forest:
+                left_out[i] += abs(Fraction(x))
+                left_out[j] += abs(Fraction(x))
+        for i, x in zip(mr[on].tolist(), mv[on].tolist()):
+            assert Fraction(x) <= Fraction(float(d[i])) - left_out[i], i
+        return minorant
+
+    def test_the_minorant_stays_below_g_in_exact_arithmetic(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for n in (150, 300):
+            for policy in PHASE_POLICIES:
+                net = generate(GenSpec(node_range=(n, n), edge_density=6 / n, shunt_probability=0.1,
+                                       min_shunts=1, phase_policy=policy, seed=n))
+                y = assemble(net)
+                g2 = 2 * y.matrix.real  # 2 G_s of an exactly symmetric Y
+                rows, cols = np.nonzero(g2 - np.diag(np.diag(g2)))
+                d = np.abs(np.diag(g2)) * rng.uniform(0.5, 4.0)
+                checked += self._exact_check(n, rows, cols, g2[rows, cols], d) is not None
+        # sums that round down: node 0's entries outside the forest, 1 + 2^-53 + 2^-53, sum
+        # to 1 in floating point, so without a margin m_00 = 2 - 1 would exceed 1 - 2^-52
+        edges = [(0, 1, 1.0), (0, 2, 2.0 ** -53), (0, 3, 2.0 ** -53),
+                 (0, 4, 4.0), (1, 4, 4.0), (2, 4, 4.0), (3, 4, 4.0)]
+        u, v, x = (np.array(t) for t in zip(*edges))
+        rows, cols, g = np.r_[u, v], np.r_[v, u], -np.r_[x, x]
+        order = np.lexsort((cols, rows))
+        rows, cols, g = rows[order], cols[order], g[order]
+        d = np.array([2.0, 8.0, 8.0, 8.0, 32.0])
+        minorant = self._exact_check(5, rows, cols, g, d)
+        assert minorant is not None and checked > 0
+        # the same entries, at d_0 = 1 + 2^-52, leave no room for M's first diagonal entry
+        d[0] = 1 + 2.0 ** -52
+        assert linalg_core._forest_minorant(5, rows, cols, g, d) is None
+
+    @pytest.mark.parametrize("n", [300, 700, 2000])
+    def test_verdicts_equal_the_dense_factorization_with_a_small_core(self, monkeypatch, n):
+        """Three phase policies and a grid, shunted and grounded; re_positive never factors a big core."""
+        density = 2 * n / (n * (n - 1) // 2 - (n - 1))
+        nets = [generate(GenSpec(node_range=(n, n), edge_density=density, shunt_probability=0.05,
+                                 min_shunts=1, phase_policy=policy, seed=n + 1))
+                for policy in PHASE_POLICIES]
+        nets.append(grid_network(n, np.random.default_rng(n + 1)))
+        cores = []
+        dense = linalg_core._dense_cholesky_succeeds
+
+        def recorded(m, *args):
+            cores.append(m)
+            return dense(m, *args)
+
+        monkeypatch.setattr(linalg_core, "_dense_cholesky_succeeds", recorded)
+        stages = _recorded_stages(monkeypatch)
+        for k, net in enumerate(nets):
+            for shunts, grounded in ((net.shunts, False), ((), True)):
+                cores.clear()
+                stages.clear()
+                args = _stored(assemble(Network(n, net.branches, shunts)))
+                certified = linalg_core._hermitian_part_certifies(*args, grounded=grounded)
+                assert certified == dense_hermitian_part_certifies(*args, grounded=grounded)
+                if k in (0, 3):  # re_positive and the grid: the forest certifies
+                    assert certified and stages == [("forest", True)]
+                    assert 0 < max(cores) <= linalg_core._DENSE_ORDER
+                elif not certified:  # refused by every stage that ran
+                    assert all(not ok for _, ok in stages)
+
+    def test_a_negative_branch_off_the_forest_falls_back(self, monkeypatch):
+        """G_s is positive definite, M is not: the elimination of G decides.
+
+        A triangle of branches W, W and -0.9 W (Re y < 0) has a Laplacian
+        with eigenvalues -0.8 W, 0 and 3 W; shunts of 0.9 W lift it to
+        positive definite.  The forest takes the two branches W, and M's
+        diagonal keeps 0.1 W at their outer ends against an entry -W.
+        """
+        n, w = 300, 1e4
+        base = grid_network(n, np.random.default_rng(32))
+        a, b, c = 10, 150, 290
+        net = Network(n, base.branches + (Branch(a, b, w), Branch(b, c, w), Branch(a, c, -0.9 * w)),
+                      base.shunts + tuple(Shunt(v, 0.9 * w) for v in (a, b, c)))
+        args = _stored(assemble(net))
+        g_s = assemble(net).matrix.real
+        assert np.linalg.eigvalsh(g_s)[0] > 0
+        stages = _recorded_stages(monkeypatch)
+        assert linalg_core._hermitian_part_certifies(*args)
+        assert dense_hermitian_part_certifies(*args)
+        assert stages == [("forest", False), ("direct", True)]
+
+    @staticmethod
+    def _gadgets():
+        """Small dyadic pieces, near-singular or exactly singular, as (node_count, branches, shunts).
+
+        A path of 4 nodes with one shunt t at its end (lambda_min about t /
+        4; singular at t = 0), and the triangle 1, 1, -1/2, whose Laplacian
+        has eigenvalues 0, 0 and 3, with a shunt t at every node.
+        """
+        for t in [0.0] + [2.0 ** -k for k in (20, 26, 30, 32, 34, 36, 40)]:
+            yield 4, [(0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.75)], [(3, t)] if t else []
+            yield 3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -0.5)], [(v, t) for v in range(3)] if t else []
+
+    def test_near_singular_dyadic_pieces_are_never_certified(self, monkeypatch):
+        """A 200-node dyadic network plus a disjoint gadget: no certificate where the theorem fails.
+
+        Neither the forest stage nor the kernel certifies where G_s - tau I
+        has an eigenvalue <= 0, or where the exact rank of the gadget, and so
+        of Y, drops.
+        """
+        rng = np.random.default_rng(33)
+        big, branches, shunts = random_rational_network(rng, 200, extra_edges=300, shunt_count=20,
+                                                        re_positive=True)
+        certified_by_forest = 0
+        stages = _recorded_stages(monkeypatch)
+        for size, gadget, gadget_shunts in self._gadgets():
+            net = Network(big + size,
+                          tuple(Branch(i, j, y) for i, j, y in branches)
+                          + tuple(Branch(big + i, big + j, y) for i, j, y in gadget),
+                          tuple(Shunt(v, y) for v, y in shunts)
+                          + tuple(Shunt(big + v, y) for v, y in gadget_shunts))
+            y = assemble(net)
+            n, rows, cols, data = _stored(y)
+            tau = _shift(n, rows, cols, data)
+            lowest = np.linalg.eigvalsh(y.matrix.real - tau * np.eye(n))[0]
+            piece = Network(size, tuple(Branch(i, j, x) for i, j, x in gadget),
+                            tuple(Shunt(v, x) for v, x in gadget_shunts))
+            drops = exact_rank(exact_assemble(piece)) < size
+            stages.clear()
+            certified = linalg_core._hermitian_part_certifies(n, rows, cols, data)
+            assert stages, "the kernel eliminated"
+            forest = [ok for stage, ok in stages if stage == "forest"]
+            for ok in (certified, *forest):
+                assert not (ok and (lowest <= 0 or drops)), (size, gadget_shunts, lowest)
+            certified_by_forest += any(forest)
+            if drops:
+                assert not certified
+        assert certified_by_forest > 0

@@ -407,6 +407,34 @@ def test_a_certified_verdict_allocates_only_the_dense_core(monkeypatch):
     assert calls == []
 
 
+def test_certified_matrix_verdicts_grow_linearly_in_memory(monkeypatch):
+    """Grids of 3000 and 12 000 nodes: 4x the nodes take well under 16x the bytes, and no SVD.
+
+    The forest stage leaves a dense core of at most ``_DENSE_ORDER`` nodes
+    whatever N is, so the peak follows the stored entries, shunted (rank
+    N) and grounded shuntless (rank N - 1) alike.
+    """
+    calls = _count_svds(monkeypatch)
+    peaks = {}
+    for n in (3000, 12000):
+        net = grid_network(n, np.random.default_rng(n))
+        for shunts in (net.shunts, ()):
+            y = assemble(Network(n, net.branches, shunts))
+            rank_verdicts(y, ("direct",))  # imports and warms up
+            tracemalloc.start()
+            try:
+                (v,) = rank_verdicts(y, ("direct",))
+                peaks[n, bool(shunts)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert v.agrees and v.singular_gap == float("inf")
+            assert v.predicted_rank == n - (not shunts)
+    for shunted in (True, False):
+        ratio = peaks[12000, shunted] / peaks[3000, shunted]
+        assert ratio < 6, f"4x the nodes took {ratio:.1f}x the bytes"
+    assert calls == []
+
+
 def _certificate_shift(y) -> float:
     """tau of ``_hermitian_part_certifies`` for an exactly symmetric Y, from the dense view.
 
